@@ -1,6 +1,7 @@
 // Shared benchmark harness following the paper's protocol (§7): each point
-// is the average of 5 runs with the first run discarded; every run operates
-// on a freshly loaded store (loading is not timed).
+// is the average of the measured runs (5 by default) after a discarded
+// first run; every run operates on a freshly loaded store (loading is not
+// timed).
 #ifndef XUPD_BENCH_HARNESS_H_
 #define XUPD_BENCH_HARNESS_H_
 
@@ -21,7 +22,7 @@
 namespace xupd::bench {
 
 struct HarnessOptions {
-  int runs = 5;  ///< total runs; first discarded.
+  int runs = 5;  ///< measured runs, after one discarded warm-up run.
 };
 
 /// Percentile summary of an engine latency histogram (samples are
@@ -107,8 +108,8 @@ inline std::unique_ptr<engine::RelationalStore> FreshStore(
 }
 
 /// Measures `op` on fresh stores built with explicit options: runs+1
-/// executions, first discarded, returns the average seconds plus a per-run
-/// latency histogram (see MeasuredRuns).
+/// executions, first discarded, returns the average seconds of the `runs`
+/// measured ones plus a per-run latency histogram (see MeasuredRuns).
 inline MeasuredRuns MeasureOnFreshStores(
     const workload::GeneratedDoc& gen,
     const engine::RelationalStore::Options& store_options,
@@ -117,7 +118,7 @@ inline MeasuredRuns MeasureOnFreshStores(
   MeasuredRuns out;
   double total = 0;
   int counted = 0;
-  for (int r = 0; r < options.runs; ++r) {
+  for (int r = 0; r <= options.runs; ++r) {
     auto store = FreshStore(gen, store_options);
     Stopwatch sw;
     op(store.get());

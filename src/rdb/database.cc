@@ -28,14 +28,6 @@ void SpinFor(double us, uint64_t deadline_ns = 0) {
   }
 }
 
-std::string SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.xupd";
-}
-std::string SnapshotTmpPath(const std::string& dir) {
-  return dir + "/snapshot.tmp";
-}
-std::string WalPath(const std::string& dir) { return dir + "/wal.xupd"; }
-
 }  // namespace
 
 std::string MultiRowInsertSql(std::string_view table, size_t columns,
@@ -304,16 +296,8 @@ Status Database::RecoverFromDir() {
   stats_.recovery_replayed += replay.applied_records;
   recovered_ = have_snapshot || replay.applied_records > 0;
 
-  auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch,
-                                replay.valid_bytes, durability_options_,
-                                &stats_, &replay.table_ids);
-  if (!writer.ok()) return writer.status();
-  wal_ = std::move(writer).value();
-  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
-                      metrics_.GetHistogram("wal.batch_commits"), &events_);
-  wal_->set_accountant(&mem_);
-  txn_.AttachWal(wal_.get());
+  XUPD_RETURN_IF_ERROR(
+      InstallWal(epoch, replay.valid_bytes, &replay.table_ids));
   // Everything loaded so far belongs to the pre-boundary epoch; publish the
   // first post-recovery boundary so reader pins see the recovered state.
   epochs_.Advance();
@@ -324,7 +308,22 @@ Status Database::RecoverFromDir() {
   return Status::OK();
 }
 
-Status Database::Checkpoint() {
+Status Database::InstallWal(
+    uint64_t epoch, uint64_t resume_offset,
+    const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
+  auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch, resume_offset,
+                                durability_options_, &stats_, table_ids);
+  if (!writer.ok()) return writer.status();
+  wal_ = std::move(writer).value();
+  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
+                      metrics_.GetHistogram("wal.fsync"),
+                      metrics_.GetHistogram("wal.batch_commits"), &events_);
+  wal_->set_accountant(&mem_);
+  txn_.AttachWal(wal_.get());
+  return Status::OK();
+}
+
+Status Database::CaptureCheckpoint(CheckpointCapture* capture) {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("durability is not open");
   }
@@ -334,22 +333,38 @@ Status Database::Checkpoint() {
         "cannot checkpoint inside a transaction (the snapshot must not "
         "contain uncommitted effects)");
   }
+  XUPD_RETURN_IF_ERROR(WalCommitUnit());
+  // Publish the boundary the snapshot captures: every committed write,
+  // direct-API loads included, is visible at the current epoch from here.
+  AdvanceEpochBoundary();
+  capture->pin_epoch = epochs_.current();
+  capture->next_id = next_id_;
+  for (const auto& [name, table] : tables_) {
+    if (!table->durable()) continue;
+    capture->tables.emplace_back(table.get(), table->SnapshotRowCount());
+  }
+  for (const auto& trigger : triggers_) {
+    capture->trigger_sql.push_back(trigger.sql);
+  }
+  return Status::OK();
+}
+
+Status Database::Checkpoint() {
   // A background checkpoint holds raw Table* and WAL-offset assumptions
   // this full checkpoint would invalidate (it truncates the WAL). Its own
   // failure is benign (old snapshot + full WAL stay consistent), so it
   // does not block this full checkpoint.
   (void)CheckpointWait();
-  Status unit = WalCommitUnit();
-  if (!unit.ok()) {
-    if (wal_->broken()) EnterReadOnly(unit);
-    return unit;
-  }
+  // The writer thread is the only mutator for the whole call, so the
+  // captured epoch needs no reader slot to stay pinned.
+  CheckpointCapture capture;
+  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(&capture));
+  capture.epoch = wal_->epoch() + 1;
+  capture.wal_offset = 0;
   const uint64_t t0 = MonotonicNanos();
-  const uint64_t new_epoch = wal_->epoch() + 1;
   bool renamed = false;
   Status snap = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
-                              SnapshotTmpPath(data_dir_), new_epoch,
-                              /*wal_offset=*/0, &renamed);
+                              SnapshotTmpPath(data_dir_), capture, &renamed);
   if (!snap.ok()) {
     // Fail-stop only when the new-epoch snapshot is already visible (the
     // failure hit the post-rename directory fsync): the still-open
@@ -369,28 +384,18 @@ Status Database::Checkpoint() {
   // old-epoch WAL that recovery recognizes as contained and ignores.
   // flusher_mu_ keeps the group-commit flusher off wal_ across the swap.
   std::unique_lock<std::mutex> flusher_lock(flusher_mu_);
-  Status closed = wal_->Close();
-  auto reopened = closed.ok()
-                      ? WalWriter::Open(vfs_, WalPath(data_dir_), new_epoch, 0,
-                                        durability_options_, &stats_)
-                      : Result<std::unique_ptr<WalWriter>>(closed);
-  if (!reopened.ok()) {
+  Status reset = wal_->Close();
+  if (reset.ok()) reset = InstallWal(capture.epoch, 0);
+  if (!reset.ok()) {
     // Same fail-stop: the snapshot is durable up to this point, but the
     // log cannot accept new units. The (closed) writer stays attached in
     // its broken state so mutations still pend and every later durable
     // COMMIT fails loudly at its unit boundary.
-    wal_->MarkBroken("cannot reset WAL after checkpoint: " +
-                     reopened.status().message());
+    wal_->MarkBroken("cannot reset WAL after checkpoint: " + reset.message());
     flusher_lock.unlock();
-    EnterReadOnly(reopened.status());
-    return reopened.status();
+    EnterReadOnly(reset);
+    return reset;
   }
-  wal_ = std::move(reopened).value();
-  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
-                      metrics_.GetHistogram("wal.batch_commits"), &events_);
-  wal_->set_accountant(&mem_);
-  txn_.AttachWal(wal_.get());
   flusher_lock.unlock();
   ++stats_.checkpoints;
   const uint64_t dur = MonotonicNanos() - t0;
@@ -1155,24 +1160,12 @@ void Database::FlusherLoop() {
 // Off-thread checkpoint
 
 Status Database::CheckpointBackground() {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument("durability is not open");
-  }
-  if (read_only_) return ReadOnlyError("checkpoint");
-  if (txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot checkpoint inside a transaction (the snapshot must not "
-        "contain uncommitted effects)");
-  }
   if (checkpoint_running_) {
     return Status::InvalidArgument(
         "a background checkpoint is already running");
   }
-  Status unit = WalCommitUnit();
-  if (!unit.ok()) {
-    if (wal_->broken()) EnterReadOnly(unit);
-    return unit;
-  }
+  auto capture = std::make_shared<CheckpointCapture>();
+  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(capture.get()));
   // Everything the snapshot will claim (bytes below wal_offset) must be
   // power-loss durable before the offset is stamped: under kBatched there
   // may be acknowledged-but-unsynced units.
@@ -1181,33 +1174,21 @@ Status Database::CheckpointBackground() {
     if (wal_->broken()) EnterReadOnly(synced);
     return synced;
   }
-  // Publish the boundary the snapshot captures, then pin it like a reader:
-  // the writer keeps committing past it while the background thread reads
-  // the pinned epoch's view, and reclamation holds anything the pin can
-  // still reach.
-  AdvanceEpochBoundary();
+  // Pin the captured boundary like a reader: the writer keeps committing
+  // past it while the background thread reads the pinned epoch's view, and
+  // reclamation holds anything the pin can still reach.
   const int slot = epochs_.AcquireSlot();
   if (slot < 0) {
     return Status::Unavailable(
         "no epoch slot free for a background checkpoint (all reader "
         "sessions in use)");
   }
-  auto capture = std::make_shared<CheckpointCapture>();
   capture->pin_epoch = epochs_.Pin(slot);
-  capture->next_id = next_id_;
   capture->wal_offset = wal_->file_size();
   capture->epoch = wal_->epoch();
-  for (const auto& [name, table] : tables_) {
-    if (!table->durable()) continue;
-    capture->tables.emplace_back(table.get(), table->SnapshotRowCount());
-  }
-  for (const auto& trigger : triggers_) {
-    capture->trigger_sql.push_back(trigger.sql);
-  }
   checkpoint_slot_ = slot;
   checkpoint_running_ = true;
   checkpoint_status_ = Status::OK();
-  checkpoint_renamed_ = false;
   checkpoint_done_.store(false, std::memory_order_release);
   checkpoint_stall_reported_.store(false, std::memory_order_relaxed);
   checkpoint_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
@@ -1251,14 +1232,11 @@ Status Database::CheckpointBackground() {
         // below uses only owned/captured state.
         const uint64_t t0 = MonotonicNanos();
         checkpoint_heartbeat_ns_.store(t0, std::memory_order_release);
-        bool renamed = false;
-        Status s =
-            WriteSnapshotAsOf(*this, vfs_, SnapshotPath(data_dir_),
-                              SnapshotTmpPath(data_dir_), *capture, &renamed);
+        Status s = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
+                                 SnapshotTmpPath(data_dir_), *capture);
         checkpoint_heartbeat_ns_.store(MonotonicNanos(),
                                        std::memory_order_release);
         checkpoint_status_ = s;
-        checkpoint_renamed_ = renamed;
         if (s.ok()) {
           const uint64_t dur = MonotonicNanos() - t0;
           metrics_.GetHistogram("db.checkpoint")->Record(dur);

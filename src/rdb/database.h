@@ -64,6 +64,7 @@ std::string MultiRowInsertSql(std::string_view table, size_t columns,
                               size_t rows);
 
 class ReaderSession;
+struct CheckpointCapture;
 
 // ---------------------------------------------------------------------------
 // Threading model
@@ -649,6 +650,18 @@ class Database {
   /// writer under data_dir_. Requires an empty catalog; on failure partial
   /// state may linger (callers reset or stay read-only).
   Status RecoverFromDir();
+  /// Opens the WAL writer at `epoch` and `resume_offset` (WalWriter::Open)
+  /// and wires it into metrics, accountant and transaction manager. The
+  /// caller holds flusher_mu_ whenever the flusher may be running.
+  Status InstallWal(
+      uint64_t epoch, uint64_t resume_offset,
+      const std::vector<std::pair<std::string, uint16_t>>* table_ids =
+          nullptr);
+  /// The prologue both checkpoints share: rejects a closed, read-only or
+  /// in-transaction database, commits the pending unit, publishes the epoch
+  /// boundary and captures it (epoch, next-id, slot counts, trigger texts).
+  /// The caller stamps the file epoch and the WAL offset.
+  Status CaptureCheckpoint(CheckpointCapture* capture);
   /// One TryHeal attempt: probe-recover into a scratch Database first (so an
   /// active fault cannot wreck the read-serving state), then rebuild this
   /// one from disk and reopen the WAL writer.
@@ -852,11 +865,10 @@ class Database {
   bool flusher_stop_ = false;
 
   /// At most one background checkpoint (CheckpointBackground). The writer
-  /// thread owns this state; the spawned thread writes checkpoint_status_ /
-  /// checkpoint_renamed_ before exiting and they are read after join.
+  /// thread owns this state; the spawned thread writes checkpoint_status_
+  /// before exiting and it is read after join.
   std::thread checkpoint_thread_;
   Status checkpoint_status_;
-  bool checkpoint_renamed_ = false;
   int checkpoint_slot_ = -1;
   bool checkpoint_running_ = false;
 };

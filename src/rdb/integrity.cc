@@ -5,6 +5,7 @@
 // re-walks the on-disk WAL and snapshot CRCs without installing anything —
 // so it stays runnable while the database is degraded to read-only mode, and
 // tests can assert invariants right after an injected storage fault.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,13 +17,6 @@
 namespace xupd::rdb {
 
 namespace {
-
-// Mirrors the layout constants in database.cc — the data directory owns
-// exactly one WAL and one snapshot under these fixed names.
-std::string SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.xupd";
-}
-std::string WalPath(const std::string& dir) { return dir + "/wal.xupd"; }
 
 std::string ValueBrief(const Value& v) {
   std::string s = v.ToString();
@@ -69,20 +63,23 @@ void VerifyTableIndexes(const Table& t, std::vector<std::string>* out) {
                      std::to_string(t.live_count()) + " live rows");
     }
     // Forward direction: a missing entry would make index probes silently
-    // drop rows that a full scan still sees.
+    // drop rows that a full scan still sees. One Lookup per distinct key
+    // marks every live row it reaches under that key, so a run of equal
+    // keys costs one probe, not one probe per row; a key is probed again
+    // only for a row its earlier probe missed.
+    std::vector<bool> reached(t.capacity(), false);
     std::vector<size_t> hits;
     for (size_t rowid = 0; rowid < t.capacity(); ++rowid) {
-      if (!t.is_live(rowid)) continue;
+      if (!t.is_live(rowid) || reached[rowid]) continue;
+      const Value& key = t.row(rowid)[col];
       hits.clear();
-      index->Lookup(t.row(rowid)[col], &hits);
-      bool found = false;
+      index->Lookup(key, &hits);
       for (size_t h : hits) {
-        if (h == rowid) {
-          found = true;
-          break;
+        if (h < reached.size() && t.is_live(h) && t.row(h)[col] == key) {
+          reached[h] = true;
         }
       }
-      if (!found) {
+      if (!reached[rowid]) {
         out->push_back("live row " + std::to_string(rowid) + " of table '" +
                        tname + "' is missing from index '" + index->name() +
                        "'");
@@ -138,16 +135,13 @@ std::vector<std::string> Database::VerifyIntegrity() {
     // is whichever of the writer and the on-disk snapshot is newest.
     uint64_t writer_epoch = wal_ != nullptr ? wal_->epoch() : 0;
     uint64_t writer_bytes = wal_ != nullptr ? wal_->committed_bytes() : 0;
-    uint64_t epoch = writer_epoch;
-    uint64_t snap_epoch = SnapshotEpochOnDisk(vfs_, SnapshotPath(data_dir_));
-    if (snap_epoch > epoch) epoch = snap_epoch;
+    SnapshotScrub snap = VerifySnapshotFile(vfs_, SnapshotPath(data_dir_));
+    const uint64_t epoch = std::max(writer_epoch, snap.epoch);
     for (std::string& v : VerifyWalFile(vfs_, WalPath(data_dir_), epoch,
                                         writer_epoch, writer_bytes)) {
       violations.push_back(std::move(v));
     }
-    for (std::string& v : VerifySnapshotFile(vfs_, SnapshotPath(data_dir_))) {
-      violations.push_back(std::move(v));
-    }
+    for (std::string& v : snap.violations) violations.push_back(std::move(v));
   }
   const uint64_t dur = MonotonicNanos() - t0;
   metrics_.GetHistogram("db.scrub")->Record(dur);

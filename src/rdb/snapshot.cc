@@ -17,180 +17,157 @@ constexpr char kSnapshotMagic[8] = {'X', 'U', 'P', 'D', 'S', 'N', 'A', 'P'};
 // keep the WAL and record how much of it the snapshot already folds in).
 constexpr uint32_t kSnapshotFormatVersion = 2;
 
-Status WriteFileDurably(Vfs* vfs, const std::string& path,
-                        const std::string& data) {
-  int err = 0;
-  std::unique_ptr<VfsFile> file =
-      vfs->Open(path, Vfs::OpenMode::kTruncate, &err);
-  if (file == nullptr) return ErrnoStatus("cannot create snapshot", path, err);
-  XUPD_RETURN_IF_ERROR(WriteFully(file.get(), data.data(), data.size(),
-                                  "cannot write snapshot", path));
-  if ((err = file->Sync()) != 0) {
-    return ErrnoStatus("cannot fsync snapshot", path, err);
+// Magic, version, then the fixed header fields: epoch, next-id, WAL offset.
+constexpr size_t kPayloadStart = sizeof(kSnapshotMagic) + 4 + 8 + 8 + 8;
+// The serializer's buffer: a checkpoint costs this much memory, whatever
+// the store size.
+constexpr size_t kWriteChunkBytes = 64 << 10;
+
+/// The fixed header of a snapshot image and the outcome of its magic,
+/// version and whole-file CRC checks.
+struct SnapshotHeader {
+  uint64_t epoch = 0;  // 0 when the image is too short or not a snapshot.
+  int64_t next_id = 0;
+  uint64_t wal_offset = 0;
+  Status status;  // the first failed check; OK when the image is intact.
+};
+
+/// The one parser of the snapshot header. The header fields are filled in
+/// whenever the magic matches, even when the version or CRC check fails.
+SnapshotHeader ParseSnapshotHeader(const std::string& data,
+                                   const std::string& path) {
+  SnapshotHeader h;
+  if (data.size() < kPayloadStart + 4 ||
+      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    h.status = Status::Internal("'" + path + "' is not a snapshot file");
+    return h;
   }
-  if ((err = file->Close()) != 0) {
-    return ErrnoStatus("cannot close snapshot", path, err);
+  binio::Reader r(data.data() + sizeof(kSnapshotMagic),
+                  kPayloadStart - sizeof(kSnapshotMagic));
+  const uint32_t version = r.U32();
+  h.epoch = r.U64();
+  h.next_id = r.I64();
+  h.wal_offset = r.U64();
+  if (version != kSnapshotFormatVersion) {
+    h.status = Status::Internal(
+        "snapshot format version mismatch: file has " +
+        std::to_string(version) + ", this build reads " +
+        std::to_string(kSnapshotFormatVersion));
+    return h;
   }
-  return Status::OK();
+  binio::Reader c(data.data() + data.size() - 4, 4);
+  if (c.U32() != binio::Crc32(data.data(), data.size() - 4)) {
+    h.status = Status::Internal("snapshot '" + path +
+                                "' failed its CRC check (truncated or corrupt)");
+  }
+  return h;
 }
 
-/// Schema + index-definition block shared by both writers.
-void PutTableHeader(std::string* out, const Table* t) {
-  const TableSchema& schema = t->schema();
-  binio::PutString(out, schema.name());
-  binio::PutU32(out, static_cast<uint32_t>(schema.column_count()));
-  for (const ColumnDef& c : schema.columns()) {
-    binio::PutString(out, c.name);
-    binio::PutU8(out, static_cast<uint8_t>(c.type));
+/// The snapshot image on its way to the temp file: bytes accumulate in
+/// `buf`, folded into the running CRC and written out whenever a full chunk
+/// is buffered, and once more with the CRC trailer at the end.
+struct SnapshotStream {
+  Status Flush(bool last) {
+    if (!last && buf.size() < kWriteChunkBytes) return Status::OK();
+    crc = binio::Crc32(buf.data(), buf.size(), crc);
+    if (last) binio::PutU32(&buf, crc);
+    Status s = WriteFully(file, buf.data(), buf.size(),
+                          "cannot write snapshot", path);
+    buf.clear();
+    return s;
   }
-}
 
-void PutTableIndexes(std::string* out, const Table* t) {
-  binio::PutU32(out, static_cast<uint32_t>(t->indexes().size()));
-  for (const auto& index : t->indexes()) {
-    binio::PutString(out, index->name());
-    binio::PutU32(out, static_cast<uint32_t>(index->column()));
-  }
-}
+  VfsFile* file;
+  const std::string& path;
+  std::string buf;
+  uint32_t crc = 0;
+};
 
-Status PutTriggers(std::string* out,
-                   const std::vector<std::string>& trigger_sql) {
-  binio::PutU32(out, static_cast<uint32_t>(trigger_sql.size()));
-  for (const std::string& sql : trigger_sql) {
+}  // namespace
+
+Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
+                     const std::string& tmp_path,
+                     const CheckpointCapture& capture, bool* renamed) {
+  const uint64_t t0 = MonotonicNanos();
+  if (renamed != nullptr) *renamed = false;
+  for (const std::string& sql : capture.trigger_sql) {
     if (sql.empty()) {
       return Status::Internal(
           "trigger has no CREATE TRIGGER text to checkpoint");
     }
+  }
+  int err = 0;
+  std::unique_ptr<VfsFile> file =
+      vfs->Open(tmp_path, Vfs::OpenMode::kTruncate, &err);
+  if (file == nullptr) {
+    return ErrnoStatus("cannot create snapshot", tmp_path, err);
+  }
+  SnapshotStream stream{file.get(), tmp_path, {}};
+  stream.buf.reserve(kWriteChunkBytes);
+  std::string* out = &stream.buf;
+  out->append(kSnapshotMagic, sizeof(kSnapshotMagic));
+  binio::PutU32(out, kSnapshotFormatVersion);
+  binio::PutU64(out, capture.epoch);
+  binio::PutI64(out, capture.next_id);
+  binio::PutU64(out, capture.wal_offset);
+
+  binio::PutU32(out, static_cast<uint32_t>(capture.tables.size()));
+  Row staging;
+  for (const auto& [t, slot_count] : capture.tables) {
+    const TableSchema& schema = t->schema();
+    binio::PutString(out, schema.name());
+    binio::PutU32(out, static_cast<uint32_t>(schema.column_count()));
+    for (const ColumnDef& c : schema.columns()) {
+      binio::PutString(out, c.name);
+      binio::PutU8(out, static_cast<uint8_t>(c.type));
+    }
+    // Exactly the slot count captured at the boundary: slots appended
+    // later are covered by WAL replay past capture.wal_offset, whose insert
+    // records assume rowid == slot count at this point. Dead slots keep
+    // their positions and cells — row ids are physical WAL addresses.
+    binio::PutU64(out, static_cast<uint64_t>(slot_count));
+    for (size_t rowid = 0; rowid < slot_count; ++rowid) {
+      const bool live = t->SnapshotReadSlot(rowid, capture.pin_epoch, &staging);
+      binio::PutU8(out, live ? 1 : 0);
+      for (const Value& v : staging) binio::PutValue(out, v);
+      XUPD_RETURN_IF_ERROR(stream.Flush(/*last=*/false));
+    }
+    binio::PutU32(out, static_cast<uint32_t>(t->indexes().size()));
+    for (const auto& index : t->indexes()) {
+      binio::PutString(out, index->name());
+      binio::PutU32(out, static_cast<uint32_t>(index->column()));
+    }
+  }
+  binio::PutU32(out, static_cast<uint32_t>(capture.trigger_sql.size()));
+  for (const std::string& sql : capture.trigger_sql) {
     binio::PutString(out, sql);
   }
-  return Status::OK();
-}
+  XUPD_RETURN_IF_ERROR(stream.Flush(/*last=*/true));
 
-Status InstallSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                       const std::string& tmp_path, std::string* out,
-                       bool* renamed, uint64_t t0) {
-  binio::PutU32(out, binio::Crc32(out->data(), out->size()));
-  XUPD_RETURN_IF_ERROR(WriteFileDurably(vfs, tmp_path, *out));
-  if (int err = vfs->Rename(tmp_path, path); err != 0) {
+  if ((err = file->Sync()) != 0) {
+    return ErrnoStatus("cannot fsync snapshot", tmp_path, err);
+  }
+  if ((err = file->Close()) != 0) {
+    return ErrnoStatus("cannot close snapshot", tmp_path, err);
+  }
+  if ((err = vfs->Rename(tmp_path, path)) != 0) {
     return ErrnoStatus("cannot rename snapshot into place", path, err);
   }
   if (renamed != nullptr) *renamed = true;
-  if (int err = vfs->SyncDir(path); err != 0) {
+  if ((err = vfs->SyncDir(path)) != 0) {
     return ErrnoStatus("cannot fsync snapshot directory", path, err);
   }
   db.metrics().GetHistogram("snapshot.write")->Record(MonotonicNanos() - t0);
   return Status::OK();
 }
 
-}  // namespace
-
-Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                     const std::string& tmp_path, uint64_t epoch,
-                     uint64_t wal_offset, bool* renamed) {
-  const uint64_t t0 = MonotonicNanos();
-  if (renamed != nullptr) *renamed = false;
-  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-  binio::PutU32(&out, kSnapshotFormatVersion);
-  binio::PutU64(&out, epoch);
-  binio::PutI64(&out, db.next_id());
-  binio::PutU64(&out, wal_offset);
-
-  std::vector<const Table*> tables;
-  for (const std::string& name : db.TableNames()) {
-    const Table* t = db.FindTable(name);
-    if (t != nullptr && t->durable()) tables.push_back(t);
-  }
-  binio::PutU32(&out, static_cast<uint32_t>(tables.size()));
-  for (const Table* t : tables) {
-    PutTableHeader(&out, t);
-    // Every slot, live or tombstoned: row ids are physical addresses the
-    // WAL's redo records point at, so dead slots must keep their positions.
-    binio::PutU64(&out, t->capacity());
-    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
-      binio::PutU8(&out, t->is_live(rowid) ? 1 : 0);
-      for (const Value& v : t->row_span(rowid)) binio::PutValue(&out, v);
-    }
-    PutTableIndexes(&out, t);
-  }
-
-  std::vector<std::string> trigger_sql;
-  for (const auto& trigger : db.triggers()) trigger_sql.push_back(trigger.sql);
-  XUPD_RETURN_IF_ERROR(PutTriggers(&out, trigger_sql));
-  return InstallSnapshot(db, vfs, path, tmp_path, &out, renamed, t0);
-}
-
-Status WriteSnapshotAsOf(const Database& db, Vfs* vfs, const std::string& path,
-                         const std::string& tmp_path,
-                         const CheckpointCapture& capture, bool* renamed) {
-  const uint64_t t0 = MonotonicNanos();
-  if (renamed != nullptr) *renamed = false;
-  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-  binio::PutU32(&out, kSnapshotFormatVersion);
-  binio::PutU64(&out, capture.epoch);
-  binio::PutI64(&out, capture.next_id);
-  binio::PutU64(&out, capture.wal_offset);
-
-  binio::PutU32(&out, static_cast<uint32_t>(capture.tables.size()));
-  Row staging;
-  for (const auto& [t, slot_count] : capture.tables) {
-    PutTableHeader(&out, t);
-    const size_t arity = t->arity();
-    // Exactly the slot count captured at the pin boundary: slots appended
-    // later are covered by WAL replay past capture.wal_offset, whose
-    // insert records assume rowid == slot count at this point.
-    binio::PutU64(&out, static_cast<uint64_t>(slot_count));
-    for (size_t rowid = 0; rowid < slot_count; ++rowid) {
-      staging.clear();
-      if (t->SnapshotReadRow(rowid, capture.pin_epoch, &staging)) {
-        binio::PutU8(&out, 1);
-        for (const Value& v : staging) binio::PutValue(&out, v);
-      } else {
-        // Dead (or never visible) at the pinned epoch: a tombstone slot.
-        // Replay never reads a dead slot's cells, so NULLs suffice.
-        binio::PutU8(&out, 0);
-        for (size_t c = 0; c < arity; ++c) binio::PutValue(&out, Value());
-      }
-    }
-    PutTableIndexes(&out, t);
-  }
-
-  XUPD_RETURN_IF_ERROR(PutTriggers(&out, capture.trigger_sql));
-  return InstallSnapshot(db, vfs, path, tmp_path, &out, renamed, t0);
-}
-
 Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
                                       const std::string& path) {
   XUPD_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(vfs, path));
-  if (data.size() < sizeof(kSnapshotMagic) + 4 + 4 ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::Internal("'" + path + "' is not a snapshot file");
-  }
-  {
-    binio::Reader v(data.data() + sizeof(kSnapshotMagic), 4);
-    uint32_t version = v.U32();
-    if (version != kSnapshotFormatVersion) {
-      return Status::Internal(
-          "snapshot format version mismatch: file has " +
-          std::to_string(version) + ", this build reads " +
-          std::to_string(kSnapshotFormatVersion));
-    }
-  }
-  {
-    binio::Reader c(data.data() + data.size() - 4, 4);
-    uint32_t stored = c.U32();
-    uint32_t actual = binio::Crc32(data.data(), data.size() - 4);
-    if (stored != actual) {
-      return Status::Internal("snapshot '" + path +
-                              "' failed its CRC check (truncated or corrupt)");
-    }
-  }
-
-  binio::Reader r(data.data() + sizeof(kSnapshotMagic) + 4,
-                  data.size() - sizeof(kSnapshotMagic) - 4 - 4);
-  SnapshotLoadInfo info;
-  info.epoch = r.U64();
-  int64_t next_id = r.I64();
-  info.wal_offset = r.U64();
+  SnapshotHeader header = ParseSnapshotHeader(data, path);
+  XUPD_RETURN_IF_ERROR(header.status);
+  binio::Reader r(data.data() + kPayloadStart,
+                  data.size() - kPayloadStart - 4);
   uint32_t table_count = r.U32();
   for (uint32_t ti = 0; r.ok() && ti < table_count; ++ti) {
     std::string name = r.String();
@@ -236,51 +213,24 @@ Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
   if (!r.ok()) {
     return Status::Internal("snapshot '" + path + "' is malformed");
   }
-  db->set_next_id(next_id);
-  return info;
+  db->set_next_id(header.next_id);
+  return SnapshotLoadInfo{header.epoch, header.wal_offset};
 }
 
-std::vector<std::string> VerifySnapshotFile(Vfs* vfs,
-                                            const std::string& path) {
-  std::vector<std::string> violations;
+SnapshotScrub VerifySnapshotFile(Vfs* vfs, const std::string& path) {
+  SnapshotScrub scrub;
   auto read = ReadWholeFile(vfs, path);
   if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) return violations;
-    violations.push_back("snapshot unreadable: " + read.status().message());
-    return violations;
+    if (read.status().code() != StatusCode::kNotFound) {
+      scrub.violations.push_back("snapshot unreadable: " +
+                                 read.status().message());
+    }
+    return scrub;
   }
-  const std::string& data = read.value();
-  if (data.size() < sizeof(kSnapshotMagic) + 4 + 4 ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    violations.push_back("snapshot header corrupt: '" + path + "'");
-    return violations;
-  }
-  binio::Reader v(data.data() + sizeof(kSnapshotMagic), 4);
-  uint32_t version = v.U32();
-  if (version != kSnapshotFormatVersion) {
-    violations.push_back("snapshot version mismatch: file has " +
-                         std::to_string(version));
-  }
-  binio::Reader c(data.data() + data.size() - 4, 4);
-  uint32_t stored = c.U32();
-  uint32_t actual = binio::Crc32(data.data(), data.size() - 4);
-  if (stored != actual) {
-    violations.push_back("snapshot CRC mismatch: '" + path + "'");
-  }
-  return violations;
-}
-
-uint64_t SnapshotEpochOnDisk(Vfs* vfs, const std::string& path) {
-  auto read = ReadWholeFile(vfs, path);
-  if (!read.ok()) return 0;
-  const std::string& data = read.value();
-  size_t header = sizeof(kSnapshotMagic) + 4;
-  if (data.size() < header + 8 ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return 0;
-  }
-  binio::Reader r(data.data() + header, 8);
-  return r.U64();
+  SnapshotHeader header = ParseSnapshotHeader(read.value(), path);
+  scrub.epoch = header.epoch;
+  if (!header.status.ok()) scrub.violations.push_back(header.status.message());
+  return scrub;
 }
 
 }  // namespace xupd::rdb

@@ -19,11 +19,18 @@
 //     u32 index count | per index: str name, u32 column ordinal
 //   u32 trigger count | per trigger: str CREATE TRIGGER sql
 //
-// Checkpoint atomicity: the snapshot is written to a temp file, fsynced,
-// renamed over the previous snapshot, and the directory is fsynced — a crash
-// leaves either the old or the new snapshot, never a torn one. Any mismatch
-// on load (magic, version, CRC, truncation) is a clean Status error; a
-// half-state is never installed.
+// Both checkpoints (Database::Checkpoint and CheckpointBackground) write
+// through one serializer, so they produce one slab image: a slot live at the
+// captured epoch carries its cells as of that epoch, and a tombstoned slot
+// carries the cells the slab still holds (frozen once the delete commits).
+// Format version 2 is unchanged, and older v2 files load as before.
+//
+// Checkpoint atomicity: the snapshot is streamed through a fixed-size buffer
+// into a temp file (the CRC runs alongside), fsynced, renamed over the
+// previous snapshot, and the directory is fsynced — a crash leaves either the
+// old or the new snapshot, never a torn one. Any mismatch on load (magic,
+// version, CRC, truncation) is a clean Status error; a half-state is never
+// installed.
 #ifndef XUPD_RDB_SNAPSHOT_H_
 #define XUPD_RDB_SNAPSHOT_H_
 
@@ -40,47 +47,48 @@ namespace xupd::rdb {
 class Database;
 class Table;
 
-/// Serializes `db`'s durable state with the given epoch, atomically
-/// replacing whatever snapshot `path` held (via `tmp_path` + rename).
-/// `wal_offset` records how far into the (same-epoch) WAL the snapshot
-/// already incorporates: replay resumes applying after that byte offset.
-/// Synchronous checkpoints truncate the WAL and pass 0.
-/// `*renamed` (optional) reports whether the rename went through — on
-/// failure it tells the caller whether the new-epoch snapshot is already
-/// visible (the caller must then fail-stop its old-epoch WAL) or the old
-/// state is still fully intact (safe to retry later).
-Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                     const std::string& tmp_path, uint64_t epoch,
-                     uint64_t wal_offset = 0, bool* renamed = nullptr);
+// The data directory's fixed layout (Database::Open): one snapshot, the
+// temp file a checkpoint renames over it, and one WAL.
+inline std::string SnapshotPath(const std::string& dir) {
+  return dir + "/snapshot.xupd";
+}
+inline std::string SnapshotTmpPath(const std::string& dir) {
+  return dir + "/snapshot.tmp";
+}
+inline std::string WalPath(const std::string& dir) { return dir + "/wal.xupd"; }
 
-/// Everything an off-thread checkpoint needs, captured by the writer at one
-/// commit boundary: the pinned epoch whose row images the background thread
-/// serializes, the matching next-id counter and committed WAL byte offset,
-/// the snapshot-file epoch to stamp, and the exact slot count per durable
-/// table at the capture instant. The writer keeps committing while the
-/// background thread walks rows through Table::SnapshotReadRow at
-/// `pin_epoch`; slots appended after the capture live past `wal_offset` in
-/// the WAL, so serializing exactly the captured counts keeps replay's
-/// append-only rowid invariant aligned.
+/// Everything a checkpoint serializes, captured by the writer at one commit
+/// boundary: the epoch whose row images are written, the matching next-id
+/// counter, the snapshot-file epoch to stamp and the WAL byte offset the
+/// snapshot already folds in (replay resumes after it), and the exact slot
+/// count per durable table at the capture instant. A background checkpoint
+/// pins `pin_epoch` and keeps the WAL, while the writer keeps committing:
+/// slots appended after the capture live past `wal_offset` in the WAL, so
+/// serializing exactly the captured counts keeps replay's append-only rowid
+/// invariant aligned. A synchronous checkpoint stamps the next epoch and
+/// offset 0, because it resets the WAL right after.
 struct CheckpointCapture {
   uint64_t pin_epoch = 0;
   int64_t next_id = 0;
   uint64_t wal_offset = 0;
-  uint64_t epoch = 0;  // snapshot-header epoch (unchanged: WAL is kept).
+  uint64_t epoch = 0;  // snapshot-header epoch.
   std::vector<std::pair<const Table*, size_t>> tables;  // (table, slot count)
   std::vector<std::string> trigger_sql;
 };
 
-/// Off-thread variant of WriteSnapshot: serializes the state as of
-/// `capture` (a consistent MVCC snapshot at capture.pin_epoch) while the
-/// writer thread continues to commit. Slots not visible at the pinned epoch
-/// are written as tombstones with NULL cells — replay never reads a dead
-/// slot's values. The caller must keep the captured tables alive (shared
-/// catalog lock) and the pin held until this returns.
-Status WriteSnapshotAsOf(const Database& db, Vfs* vfs, const std::string& path,
-                         const std::string& tmp_path,
-                         const CheckpointCapture& capture,
-                         bool* renamed = nullptr);
+/// Serializes the state as of `capture`, atomically replacing whatever
+/// snapshot `path` held (via `tmp_path` + rename). Safe off the writer
+/// thread: rows are read through Table::SnapshotReadSlot at
+/// capture.pin_epoch, so the caller must keep the captured tables alive
+/// (shared catalog lock) and the epoch pinned until this returns.
+/// `*renamed` (optional) reports whether the rename went through — on
+/// failure it tells the caller whether the new snapshot is already visible
+/// (a synchronous checkpoint must then fail-stop its old-epoch WAL) or the
+/// old state is still fully intact (safe to retry later).
+Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
+                     const std::string& tmp_path,
+                     const CheckpointCapture& capture,
+                     bool* renamed = nullptr);
 
 /// What LoadSnapshot recovered from the snapshot header.
 struct SnapshotLoadInfo {
@@ -93,16 +101,21 @@ struct SnapshotLoadInfo {
 Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
                                       const std::string& path);
 
-/// Integrity scrub: re-checks the on-disk snapshot's magic, version, and
-/// whole-file CRC without installing anything. Returns human-readable
-/// violations (empty = clean); a missing file is clean (fresh database).
-std::vector<std::string> VerifySnapshotFile(Vfs* vfs, const std::string& path);
+/// What the integrity scrub learns from one read of the on-disk snapshot.
+struct SnapshotScrub {
+  /// Magic, version and whole-file CRC failures, human-readable (empty =
+  /// clean; a missing file is clean — a fresh database).
+  std::vector<std::string> violations;
+  /// The header epoch, or 0 when the file is missing or too short to carry
+  /// one. Read even when the CRC fails: the WAL epoch check must accept a
+  /// WAL already reset to the epoch of a checkpoint whose old writer then
+  /// fail-stopped.
+  uint64_t epoch = 0;
+};
 
-/// The epoch recorded in the on-disk snapshot header, or 0 when the file is
-/// missing or too short to carry one. Scrub helper (no CRC verification):
-/// the WAL epoch check must accept a WAL already reset to the epoch of a
-/// checkpoint whose old writer then fail-stopped.
-uint64_t SnapshotEpochOnDisk(Vfs* vfs, const std::string& path);
+/// Integrity scrub: re-checks the on-disk snapshot without installing
+/// anything.
+SnapshotScrub VerifySnapshotFile(Vfs* vfs, const std::string& path);
 
 }  // namespace xupd::rdb
 

@@ -499,6 +499,19 @@ bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out) const {
   }
 }
 
+bool Table::SnapshotReadSlot(size_t rowid, uint64_t pin, Row* out) const {
+  if (SnapshotReadRow(rowid, pin, out)) return true;
+  // Dead at the pin: the cells are frozen, so no seqlock revalidation.
+  const Value* slot = cells_.load(std::memory_order_acquire) + rowid * stride_;
+  out->clear();
+  for (size_t c = 0; c < arity_; ++c) {
+    uint64_t w[2];
+    Value::RacyLoadWords(slot + c, w);
+    out->push_back(Value::FromSnapshotWords(w));
+  }
+  return false;
+}
+
 size_t Table::GcVersions(uint64_t min_pinned) {
   std::lock_guard<std::mutex> lock(versions_mu_);
   size_t trimmed = 0;

@@ -297,6 +297,13 @@ class Table {
   /// SnapshotRowCount() result. Thread-safe against every writer mutation.
   bool SnapshotReadRow(size_t rowid, uint64_t pin, Row* out) const;
 
+  /// Checkpoint read of slot `rowid` (rdb/snapshot.cc): the row as of `pin`
+  /// when it is visible there (returns true), otherwise the cells the slab
+  /// still holds (returns false). Exact only below a SnapshotRowCount()
+  /// taken at a commit boundary no later than `pin`: slots there are never
+  /// reused, and a committed delete never rewrites its slot's cells.
+  bool SnapshotReadSlot(size_t rowid, uint64_t pin, Row* out) const;
+
   size_t arity() const { return arity_; }
 
   /// Access statistics for SHOW TABLE STATS; bumped from the exec nodes

@@ -70,9 +70,9 @@ std::array<uint32_t, 256> MakeCrcTable() {
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t size) {
+uint32_t Crc32(const void* data, size_t size, uint32_t prev) {
   static const std::array<uint32_t, 256> kTable = MakeCrcTable();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = prev ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < size; ++i) {
     c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);

@@ -94,7 +94,9 @@ struct DurabilityOptions {
 
 namespace binio {
 
-uint32_t Crc32(const void* data, size_t size);
+/// CRC-32 of `data`; pass the CRC of the preceding bytes as `prev` to
+/// continue a running checksum over a stream written in pieces.
+uint32_t Crc32(const void* data, size_t size, uint32_t prev = 0);
 
 void PutU8(std::string* out, uint8_t v);
 void PutU16(std::string* out, uint16_t v);

@@ -514,6 +514,72 @@ TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
   EXPECT_TRUE(mentions_orphan) << violations[0];
 }
 
+/// An in-memory table t(k, v) with rows k = 1..5 at rowids 0..4 and a hash
+/// index on k, for tampering with the index behind the scrub's back.
+class IndexScrubTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (k INTEGER, v VARCHAR)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE INDEX idx_t_k ON t (k)").ok());
+    ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), "
+                            "(3, 'c'), (4, 'd'), (5, 'e')")
+                    .ok());
+    ASSERT_TRUE(db_.VerifyIntegrity().empty());
+  }
+  rdb::HashIndex* Index() { return db_.FindTable("t")->indexes()[0].get(); }
+  /// True when some scrub violation contains `needle`.
+  bool ScrubReports(const std::string& needle) {
+    for (const std::string& v : db_.VerifyIntegrity()) {
+      if (v.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  }
+
+  rdb::Database db_;
+};
+
+TEST_F(IndexScrubTest, ErasedEntryIsMissingFromIndex) {
+  Index()->Erase(rdb::Value::Int(2), 1);
+  EXPECT_TRUE(ScrubReports("live row 1 of table 't' is missing from index"));
+}
+
+TEST_F(IndexScrubTest, StaleEntryOnATombstoneIsFlagged) {
+  ASSERT_TRUE(db_.Execute("DELETE FROM t WHERE k = 3").ok());
+  ASSERT_TRUE(db_.VerifyIntegrity().empty());
+  Index()->Insert(rdb::Value::Int(3), 2);
+  EXPECT_TRUE(ScrubReports("holds tombstoned rowid 2"));
+}
+
+TEST_F(IndexScrubTest, WrongValueEntryDisagreesWithTheSlab) {
+  Index()->Erase(rdb::Value::Int(4), 3);
+  Index()->Insert(rdb::Value::Int(99), 3);
+  EXPECT_TRUE(ScrubReports("entry (99, 3) disagrees with the slab"));
+  EXPECT_TRUE(ScrubReports("live row 3 of table 't' is missing from index"));
+}
+
+TEST(IndexScrubCostTest, EqualKeyRunCostsOneProbePerDistinctKey) {
+  // Every row shares one key (like the ASR root column): the forward check
+  // must probe once per distinct key, not once per row.
+  rdb::Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INTEGER, v INTEGER)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX idx_t_k ON t (k)").ok());
+  constexpr int kRows = 5000;
+  constexpr int kBatch = 500;
+  for (int base = 0; base < kRows; base += kBatch) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = base; i < base + kBatch; ++i) {
+      if (i > base) sql += ", ";
+      sql += "(7, " + std::to_string(i) + ")";
+    }
+    ASSERT_TRUE(db.Execute(sql).ok());
+  }
+  const rdb::HashIndex* index = db.FindTable("t")->FindIndexByName("idx_t_k");
+  ASSERT_NE(index, nullptr);
+  const uint64_t before = index->probes();
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
+  EXPECT_LE(index->probes() - before, 1u);
+}
+
 TEST(CheckIntegritySqlTest, ReportsOkThenFlagsOnDiskCorruption) {
   TempDir dir;
   rdb::Database db;

@@ -398,6 +398,52 @@ TEST(MvccTest, BackgroundCheckpointSnapshotExcludesLaterCommits) {
   EXPECT_EQ(WriterCount(&db2, "SELECT COUNT(*) FROM t WHERE id = 2"), 1);
 }
 
+TEST(MvccTest, BackgroundCheckpointReadsDeadSlotsWhileWriterChurns) {
+  // The checkpointer copies tombstoned slots' cells off-thread while the
+  // writer grows, updates and deletes in the same slab; recovery must still
+  // reproduce every slot exactly, dead cells included.
+  auto slots = [](const rdb::Database& db) {
+    std::string out;
+    const rdb::Table* t = db.FindTable("t");
+    for (size_t rowid = 0; t != nullptr && rowid < t->capacity(); ++rowid) {
+      out += t->is_live(rowid) ? "live " : "dead ";
+      for (const rdb::Value& v : t->row_span(rowid)) out += v.ToString() + "|";
+      out += "\n";
+    }
+    return out;
+  };
+  const std::string pad = " padded past the inline string size";
+  TempDir dir;
+  std::string expected;
+  {
+    rdb::Database db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    Must(&db, "CREATE TABLE t (id INTEGER, name VARCHAR)");
+    for (int i = 0; i < 120; ++i) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", 'n" +
+                    std::to_string(i) + pad + "')");
+    }
+    Must(&db, "DELETE FROM t WHERE id < 40");
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    for (int i = 120; i < 400; ++i) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", 'late')");
+      if (i % 7 == 0) {
+        Must(&db, "UPDATE t SET name = 'u' WHERE id = " +
+                      std::to_string(i - 60));
+      }
+      if (i % 5 == 0) {
+        Must(&db, "DELETE FROM t WHERE id = " + std::to_string(i - 75));
+      }
+    }
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    expected = slots(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir.path()).ok());
+  EXPECT_EQ(slots(db2), expected);
+  EXPECT_NE(expected.find("dead 0|n0" + pad + "|"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // group commit: bounded loss under power loss
 

@@ -298,6 +298,61 @@ TEST_F(RdbRecoveryTest, CheckpointInsideTransactionIsRejected) {
   EXPECT_TRUE(db.Checkpoint().ok());
 }
 
+TEST_F(RdbRecoveryTest, BackgroundCheckpointKeepsDeadSlotCells) {
+  // Both checkpoints write one slab image: a slot tombstoned before the
+  // capture recovers with the cells it held, not NULLs.
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    for (int i = 0; i < 20; ++i) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", 'row" +
+                    std::to_string(i) + "')");
+    }
+    Must(&db, "UPDATE t SET name = 'updated' WHERE id = 4");
+    Must(&db, "DELETE FROM t WHERE id = 3");
+    Must(&db, "UPDATE t SET name = 'doomed' WHERE id = 7");
+    Must(&db, "DELETE FROM t WHERE id = 7 OR id = 12");
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    expected = DumpDurableState(db);
+    EXPECT_NE(expected.find("dead 3|row3|"), std::string::npos) << expected;
+    EXPECT_NE(expected.find("dead 7|doomed|"), std::string::npos) << expected;
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(db2.stats().recovery_replayed, 0u);
+  EXPECT_EQ(DumpDurableState(db2), expected);
+}
+
+TEST_F(RdbRecoveryTest, CheckpointNeedsNoReaderSlot) {
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+    Must(&db, "DELETE FROM t WHERE id = 1");
+    std::vector<std::unique_ptr<rdb::ReaderSession>> readers;
+    for (int i = 0; i < rdb::EpochManager::kMaxReaders; ++i) {
+      auto session = db.OpenReaderSession();
+      ASSERT_TRUE(session.ok()) << session.status();
+      readers.push_back(std::move(session).value());
+    }
+    ASSERT_FALSE(db.OpenReaderSession().ok());
+    // The synchronous checkpoint runs on the writer thread and pins
+    // nothing; the background one needs a slot and cannot get one.
+    ASSERT_TRUE(db.Checkpoint().ok());
+    EXPECT_EQ(db.CheckpointBackground().code(), StatusCode::kUnavailable);
+    EXPECT_FALSE(db.checkpoint_running());
+    Must(&db, "INSERT INTO t VALUES (3, 'c')");
+    expected = DumpDurableState(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
+  EXPECT_EQ(Count(&db2), 2);
+}
+
 TEST_F(RdbRecoveryTest, AutocommitStatementsPersistWithoutExplicitTxn) {
   {
     rdb::Database db;
