@@ -40,7 +40,8 @@ ModeResult RunMode(int n, double latency_us,
                    const std::function<void(rdb::Database&)>& body,
                    const std::function<void(rdb::Database&)>& setup = {}) {
   rdb::Database db;
-  Status s = db.Execute("CREATE TABLE t (id INTEGER, payload VARCHAR)");
+  Status s =
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, payload VARCHAR)").status();
   if (!s.ok()) std::abort();
   if (setup) setup(db);  // untimed, latency off: staging is not the workload
   db.set_statement_latency_us(latency_us);
@@ -101,8 +102,10 @@ int main(int argc, char** argv) {
   for (double latency_us : latencies) {
     ModeResult parse_per_call = RunMode(n, latency_us, [&](rdb::Database& db) {
       for (int i = 0; i < n; ++i) {
-        Status s = db.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
-                              ", '" + Payload(i) + "')");
+        Status s = db.ExecuteQuery("INSERT INTO t VALUES (" +
+                                   std::to_string(i) + ", '" + Payload(i) +
+                                   "')")
+                       .status();
         if (!s.ok()) std::abort();
       }
     });
@@ -110,9 +113,9 @@ int main(int argc, char** argv) {
 
     ModeResult cached_prepared = RunMode(n, latency_us, [&](rdb::Database& db) {
       for (int i = 0; i < n; ++i) {
-        Status s = db.ExecuteBound(
+        Status s = db.ExecuteQueryBound(
             "INSERT INTO t VALUES (?, ?)",
-            {rdb::Value::Int(i), rdb::Value::Str(Payload(i))});
+            {rdb::Value::Int(i), rdb::Value::Str(Payload(i))}).status();
         if (!s.ok()) std::abort();
       }
     });
@@ -126,9 +129,9 @@ int main(int argc, char** argv) {
         n, latency_us,
         [&](rdb::Database& db) {
           for (int i = 0; i < n; ++i) {
-            Status s = db.ExecuteBound(
+            Status s = db.ExecuteQueryBound(
                 "INSERT INTO t VALUES (?, ?)",
-                {rdb::Value::Int(i), rdb::Value::Str(Payload(i))});
+                {rdb::Value::Int(i), rdb::Value::Str(Payload(i))}).status();
             if (!s.ok()) std::abort();
           }
         },
@@ -148,8 +151,11 @@ int main(int argc, char** argv) {
           params.push_back(rdb::Value::Int(i));
           params.push_back(rdb::Value::Str(Payload(i)));
         }
-        Status s = db.ExecuteBound(
-            rdb::MultiRowInsertSql("t", 2, static_cast<size_t>(rows)), params);
+        Status s =
+            db.ExecuteQueryBound(
+                  rdb::MultiRowInsertSql("t", 2, static_cast<size_t>(rows)),
+                  params)
+                .status();
         if (!s.ok()) std::abort();
       }
     });
@@ -158,12 +164,15 @@ int main(int argc, char** argv) {
     ModeResult insert_select = RunMode(
         n, latency_us,
         [&](rdb::Database& db) {
-          Status s = db.Execute("INSERT INTO t SELECT id, payload FROM src");
+          Status s =
+              db.ExecuteQuery("INSERT INTO t SELECT id, payload FROM src")
+                  .status();
           if (!s.ok()) std::abort();
         },
         [&](rdb::Database& db) {  // untimed staging via the direct API
           Status s =
-              db.Execute("CREATE TABLE src (id INTEGER, payload VARCHAR)");
+              db.ExecuteQuery("CREATE TABLE src (id INTEGER, payload VARCHAR)")
+                  .status();
           if (!s.ok()) std::abort();
           rdb::Table* src = db.FindTable("src");
           for (int i = 0; i < n; ++i) {

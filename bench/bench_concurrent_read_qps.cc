@@ -35,7 +35,7 @@ using namespace xupd;
 namespace {
 
 void MustExec(rdb::Database* db, const std::string& sql) {
-  Status s = db->Execute(sql);
+  Status s = db->ExecuteQuery(sql).status();
   if (!s.ok()) {
     std::fprintf(stderr, "%s: %s\n", sql.c_str(), s.ToString().c_str());
     std::abort();

@@ -38,8 +38,8 @@ BENCHMARK(BM_SqlParseOuterUnion);
 
 static void BM_IndexProbe(benchmark::State& state) {
   rdb::Database db;
-  (void)db.Execute("CREATE TABLE t (id INTEGER, v VARCHAR)");
-  (void)db.Execute("CREATE INDEX t_id ON t (id)");
+  (void)db.ExecuteQuery("CREATE TABLE t (id INTEGER, v VARCHAR)");
+  (void)db.ExecuteQuery("CREATE INDEX t_id ON t (id)");
   rdb::Table* t = db.FindTable("t");
   for (int i = 0; i < 100000; ++i) {
     (void)db.InsertDirect(t, {rdb::Value::Int(i), rdb::Value::Str("x")});
@@ -55,7 +55,7 @@ BENCHMARK(BM_IndexProbe);
 
 static void BM_FullScanCount(benchmark::State& state) {
   rdb::Database db;
-  (void)db.Execute("CREATE TABLE t (id INTEGER, v VARCHAR)");
+  (void)db.ExecuteQuery("CREATE TABLE t (id INTEGER, v VARCHAR)");
   rdb::Table* t = db.FindTable("t");
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     (void)db.InsertDirect(t, {rdb::Value::Int(i), rdb::Value::Str("x")});

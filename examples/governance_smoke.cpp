@@ -43,15 +43,16 @@ int64_t Count(rdb::Database& db, const char* table) {
 
 int main() {
   rdb::Database db;
-  Check(db.Execute("CREATE TABLE t (id INTEGER, payload VARCHAR)").ok(),
+  Check(db.ExecuteQuery("CREATE TABLE t (id INTEGER, payload VARCHAR)").ok(),
         "schema creation");
 
   // Warm load: the data every later phase must leave untouched.
   constexpr int kWarmRows = 5000;
   for (int i = 0; i < kWarmRows; ++i) {
-    Status s = db.ExecuteBound(
+    Status s = db.ExecuteQueryBound(
         "INSERT INTO t VALUES (?, ?)",
-        {rdb::Value::Int(i), rdb::Value::Str("row-" + std::to_string(i))});
+        {rdb::Value::Int(i), rdb::Value::Str("row-" + std::to_string(i))})
+        .status();
     if (!s.ok()) {
       std::fprintf(stderr, "FAIL: warm load: %s\n", s.ToString().c_str());
       return 1;
@@ -63,9 +64,9 @@ int main() {
   mem.set_soft_budget(1);
   int shed = 0;
   for (int i = 0; i < 200; ++i) {
-    Status s = db.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {rdb::Value::Int(kWarmRows + i),
-                                rdb::Value::Str("overload")});
+    Status s = db.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                    {rdb::Value::Int(kWarmRows + i),
+                                     rdb::Value::Str("overload")}).status();
     if (s.ok()) {
       Check(false, "statement admitted while over the soft budget");
       break;
@@ -81,7 +82,7 @@ int main() {
   Check(db.ExecuteQuery("SHOW METRICS").ok(), "SHOW METRICS under pressure");
   Check(db.ExecuteQuery("CHECK INTEGRITY").ok(),
         "CHECK INTEGRITY under pressure");
-  Check(db.Execute("SET STATEMENT_TIMEOUT 0").ok(), "SET under pressure");
+  Check(db.ExecuteQuery("SET STATEMENT_TIMEOUT 0").ok(), "SET under pressure");
   Check(db.metrics().Counter("stmt.shed")->load(std::memory_order_relaxed) >=
             static_cast<uint64_t>(shed),
         "stmt.shed counter tracked the shed statements");
@@ -91,9 +92,9 @@ int main() {
   db.set_statement_latency_us(5000);  // every statement "takes" 5ms...
   db.set_statement_timeout_us(100);   // ...against a 100us deadline
   for (int i = 0; i < 50; ++i) {
-    Status s = db.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {rdb::Value::Int(kWarmRows + i),
-                                rdb::Value::Str("too-slow")});
+    Status s = db.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                    {rdb::Value::Int(kWarmRows + i),
+                                     rdb::Value::Str("too-slow")}).status();
     Check(s.code() == StatusCode::kDeadlineExceeded,
           "overloaded statement returns kDeadlineExceeded");
   }
@@ -107,7 +108,7 @@ int main() {
   // --- Phase 3: cooperative cancellation --------------------------------
   // Latched cancel: everything is rejected until Reset().
   db.cancel_token().Cancel();
-  Status cancelled = db.Execute("INSERT INTO t VALUES (0, 'x')");
+  Status cancelled = db.ExecuteQuery("INSERT INTO t VALUES (0, 'x')").status();
   Check(cancelled.code() == StatusCode::kCancelled,
         "cancelled statement returns kCancelled");
   Check(db.ExecuteQuery("SELECT COUNT(*) FROM t").status().code() ==
@@ -134,7 +135,8 @@ int main() {
 
   // --- Phase 4: hard budget => kResourceExhausted, nothing partial ------
   mem.set_hard_budget(1);
-  Status hard = db.Execute("INSERT INTO t VALUES (0, 'over-hard')");
+  Status hard =
+      db.ExecuteQuery("INSERT INTO t VALUES (0, 'over-hard')").status();
   Check(hard.code() == StatusCode::kResourceExhausted,
         "hard-budget kill returns kResourceExhausted");
   mem.set_hard_budget(0);
@@ -143,9 +145,9 @@ int main() {
   Check(Count(db, "t") == kWarmRows,
         "no governed rejection leaked partial effects");
   for (int i = 0; i < 100; ++i) {
-    Status s = db.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {rdb::Value::Int(kWarmRows + i),
-                                rdb::Value::Str("recovered")});
+    Status s = db.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                    {rdb::Value::Int(kWarmRows + i),
+                                     rdb::Value::Str("recovered")}).status();
     Check(s.ok(), "post-pressure insert admitted");
   }
   Check(Count(db, "t") == kWarmRows + 100, "post-pressure inserts landed");

@@ -114,10 +114,10 @@ int RunTraceMode(const std::string& dir) {
   const uint32_t main_tid = trace::CurrentTid();
 
   // --- MVCC churn against a pinned reader ----------------------------------
-  if (!db->Execute("CREATE TABLE obs_kv (id INT, v INT)").ok()) return 2;
+  if (!db->ExecuteQuery("CREATE TABLE obs_kv (id INT, v INT)").ok()) return 2;
   for (int i = 0; i < 32; ++i) {
-    if (!db->Execute("INSERT INTO obs_kv VALUES (" + std::to_string(i) +
-                     ", 0)")
+    if (!db->ExecuteQuery("INSERT INTO obs_kv VALUES (" + std::to_string(i) +
+                          ", 0)")
              .ok()) {
       return 2;
     }
@@ -126,7 +126,7 @@ int RunTraceMode(const std::string& dir) {
   if (!session.ok()) return 2;
   session.value()->PinSnapshot();
   for (int r = 0; r < 4; ++r) {
-    if (!db->Execute("UPDATE obs_kv SET v = v + 1").ok()) return 2;
+    if (!db->ExecuteQuery("UPDATE obs_kv SET v = v + 1").ok()) return 2;
   }
   // Reader statements take the catalog lock shared; the pinned scan also
   // proves the version buffer reconstructs the pre-update values.
@@ -147,7 +147,7 @@ int RunTraceMode(const std::string& dir) {
   // Release the pin: the next boundaries trim the version buffer.
   session.value()->Unpin();
   for (int r = 0; r < 2; ++r) {
-    if (!db->Execute("UPDATE obs_kv SET v = v + 1").ok()) return 2;
+    if (!db->ExecuteQuery("UPDATE obs_kv SET v = v + 1").ok()) return 2;
   }
   auto unpinned_metrics = db->ExecuteQuery("SHOW METRICS");
   if (!unpinned_metrics.ok()) return 2;

@@ -88,14 +88,15 @@ int main() {
   //    always-on latency histograms and can annotate any plan with actual
   //    per-operator rows and times.
   rdb::Database db;
-  (void)db.Execute("CREATE TABLE paper (id INT, parentId INT)");
-  (void)db.Execute("CREATE TABLE title (id INT, parentId INT)");
-  (void)db.Execute("CREATE INDEX title_parent ON title (parentId)");
+  (void)db.ExecuteQuery("CREATE TABLE paper (id INT, parentId INT)");
+  (void)db.ExecuteQuery("CREATE TABLE title (id INT, parentId INT)");
+  (void)db.ExecuteQuery("CREATE INDEX title_parent ON title (parentId)");
   for (int i = 0; i < 8; ++i) {
-    (void)db.Execute("INSERT INTO paper VALUES (" + std::to_string(i) +
-                     ", 0)");
-    (void)db.Execute("INSERT INTO title VALUES (" + std::to_string(100 + i) +
-                     ", " + std::to_string(i) + ")");
+    (void)db.ExecuteQuery("INSERT INTO paper VALUES (" + std::to_string(i) +
+                          ", 0)");
+    (void)db.ExecuteQuery("INSERT INTO title VALUES (" +
+                          std::to_string(100 + i) + ", " + std::to_string(i) +
+                          ")");
   }
   auto analyzed = db.ExecuteQuery(
       "EXPLAIN ANALYZE SELECT title.id FROM paper, title "

@@ -100,8 +100,9 @@ Status DoOp(RelationalStore* store, int64_t i) {
 
 Status SetupMeta(rdb::Database* db) {
   XUPD_RETURN_IF_ERROR(
-      db->Execute("CREATE TABLE smoke_meta (k VARCHAR, v INTEGER)"));
-  return db->Execute("INSERT INTO smoke_meta VALUES ('ops', 0)");
+      db->ExecuteQuery("CREATE TABLE smoke_meta (k VARCHAR, v INTEGER)")
+          .status());
+  return db->ExecuteQuery("INSERT INTO smoke_meta VALUES ('ops', 0)").status();
 }
 
 int64_t ReadOps(rdb::Database* db) {
@@ -117,8 +118,8 @@ Status CommitOp(RelationalStore* store, int64_t i) {
   XUPD_RETURN_IF_ERROR(db->Begin());
   Status s = DoOp(store, i);
   if (s.ok()) {
-    s = db->ExecuteBound("UPDATE smoke_meta SET v = ? WHERE k = 'ops'",
-                         {rdb::Value::Int(i)});
+    s = db->ExecuteQueryBound("UPDATE smoke_meta SET v = ? WHERE k = 'ops'",
+                              {rdb::Value::Int(i)}).status();
   }
   if (!s.ok()) {
     (void)db->Rollback();

@@ -20,11 +20,11 @@ Status AsrManager::CreateSchema() {
     first = false;
   }
   sql += ", marked INTEGER)";
-  XUPD_RETURN_IF_ERROR(db_->Execute(sql));
+  XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(sql).status());
   for (const TableMapping& t : mapping_->tables()) {
-    XUPD_RETURN_IF_ERROR(db_->Execute("CREATE INDEX idx_asr_" + t.table +
-                                      " ON " + kTableName + " (" +
-                                      IdColumn(&t) + ")"));
+    XUPD_RETURN_IF_ERROR(db_->ExecuteQuery("CREATE INDEX idx_asr_" + t.table +
+                                           " ON " + kTableName + " (" +
+                                           IdColumn(&t) + ")").status());
   }
   // Deliberately no index on `marked`: nearly every row holds the same value
   // (0), so a hash index would degenerate (O(n) erase per update). Scanning

@@ -137,25 +137,32 @@ Result<std::unique_ptr<RelationalStore>> RelationalStore::Create(
   XUPD_RETURN_IF_ERROR(store->PersistOptions());
   // Setup-complete marker, created last (and in non-durable stores too, so
   // durable and in-memory state dumps stay comparable).
-  XUPD_RETURN_IF_ERROR(store->db_.Execute(
-      std::string("CREATE TABLE ") + kSetupMarkerTable + " (completed INTEGER)"));
-  XUPD_RETURN_IF_ERROR(store->db_.Execute(
-      std::string("INSERT INTO ") + kSetupMarkerTable + " VALUES (1)"));
+  XUPD_RETURN_IF_ERROR(store->db_
+                           .ExecuteQuery(std::string("CREATE TABLE ") +
+                                         kSetupMarkerTable +
+                                         " (completed INTEGER)")
+                           .status());
+  XUPD_RETURN_IF_ERROR(store->db_
+                           .ExecuteQuery(std::string("INSERT INTO ") +
+                                         kSetupMarkerTable + " VALUES (1)")
+                           .status());
   return store;
 }
 
 Status RelationalStore::Checkpoint() { return db_.Checkpoint(); }
 
 Status RelationalStore::PersistOptions() {
-  XUPD_RETURN_IF_ERROR(db_.Execute(std::string("CREATE TABLE ") + kMetaTable +
-                                   " (k VARCHAR, v VARCHAR)"));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(std::string("CREATE TABLE ") +
+                                        kMetaTable + " (k VARCHAR, v VARCHAR)")
+                           .status());
   // One row per statement: multi-row INSERT would count into the
   // batched_rows stat the §6.2.1 shape tests pin to the workload's own
   // statements.
   for (const auto& [key, value] : StrategyFields()) {
-    XUPD_RETURN_IF_ERROR(db_.Execute(std::string("INSERT INTO ") + kMetaTable +
-                                     " VALUES ('" + key + "', '" + value +
-                                     "')"));
+    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(std::string("INSERT INTO ") +
+                                          kMetaTable + " VALUES ('" + key +
+                                          "', '" + value + "')")
+                             .status());
   }
   return Status::OK();
 }
@@ -219,7 +226,7 @@ Status RelationalStore::InstallTriggers() {
                       t.table + " FOR EACH " +
                       (per_row ? "ROW" : "STATEMENT") + " BEGIN " + body +
                       "END";
-    XUPD_RETURN_IF_ERROR(db_.Execute(sql));
+    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
   }
   return Status::OK();
 }
@@ -329,7 +336,7 @@ Status RelationalStore::DeleteByIds(const std::string& element,
       if (!handle.ok()) return handle.status();
       for (int64_t id : ids) {
         XUPD_RETURN_IF_ERROR(
-            db_.ExecutePrepared(handle.value(), {Value::Int(id)}));
+            db_.ExecuteQuery(handle.value(), {Value::Int(id)}).status());
       }
       return Status::OK();
     }
@@ -349,7 +356,7 @@ Status RelationalStore::DeleteSubtreesImpl(const TableMapping* tm,
       // One statement; triggers cascade inside the engine (6.1.1).
       std::string sql = "DELETE FROM " + tm->table;
       if (!predicate.empty()) sql += " WHERE " + predicate;
-      return db_.Execute(sql);
+      return db_.ExecuteQuery(sql).status();
     }
     case DeleteStrategy::kCascade:
       return CascadeDelete(tm, predicate);
@@ -366,7 +373,7 @@ Status RelationalStore::CascadeDelete(const TableMapping* tm,
   std::string sql = "DELETE FROM " + tm->table;
   if (!predicate.empty()) sql += " WHERE " + predicate;
   uint64_t before = db_.stats().rows_deleted;
-  XUPD_RETURN_IF_ERROR(db_.Execute(sql));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
   if (db_.stats().rows_deleted == before) return Status::OK();
 
   std::vector<const TableMapping*> frontier{tm};
@@ -376,9 +383,9 @@ Status RelationalStore::CascadeDelete(const TableMapping* tm,
       for (const TableMapping* child : mapping_->ChildTables(parent->element)) {
         uint64_t level_before = db_.stats().rows_deleted;
         XUPD_RETURN_IF_ERROR(
-            db_.Execute("DELETE FROM " + child->table +
-                        " WHERE parentId NOT IN (SELECT id FROM " +
-                        parent->table + ")"));
+            db_.ExecuteQuery("DELETE FROM " + child->table +
+                             " WHERE parentId NOT IN (SELECT id FROM " +
+                             parent->table + ")").status());
         if (db_.stats().rows_deleted > level_before) next.push_back(child);
       }
     }
@@ -398,22 +405,22 @@ Status RelationalStore::AsrDelete(const TableMapping* tm,
                      tm->table;
   if (!predicate.empty()) mark += " WHERE " + predicate;
   mark += ")";
-  XUPD_RETURN_IF_ERROR(db_.Execute(mark));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(mark).status());
 
   std::vector<const TableMapping*> region = mapping_->SubtreeTables(tm);
   for (size_t i = 1; i < region.size(); ++i) {  // strict descendants
-    XUPD_RETURN_IF_ERROR(db_.Execute(
+    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(
         "DELETE FROM " + region[i]->table + " WHERE id IN (SELECT " +
         AsrManager::IdColumn(region[i]) + " FROM " + AsrManager::kTableName +
-        " WHERE marked = 1)"));
+        " WHERE marked = 1)").status());
   }
   std::string del = "DELETE FROM " + tm->table;
   if (!predicate.empty()) del += " WHERE " + predicate;
-  XUPD_RETURN_IF_ERROR(db_.Execute(del));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(del).status());
 
-  XUPD_RETURN_IF_ERROR(db_.Execute(std::string("DELETE FROM ") +
-                                   AsrManager::kTableName +
-                                   " WHERE marked = 1"));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(std::string("DELETE FROM ") +
+                                        AsrManager::kTableName +
+                                        " WHERE marked = 1").status());
 
   // Left-completeness repair: ancestors that lost all their paths get a
   // fresh row ending at their level.
@@ -435,7 +442,8 @@ Status RelationalStore::AsrDelete(const TableMapping* tm,
       if (!chain.ok()) return chain.status();
       chain->emplace_back(parent, pid);
       std::map<const TableMapping*, int64_t> ids(chain->begin(), chain->end());
-      XUPD_RETURN_IF_ERROR(db_.ExecuteBound(sql, AsrRowParams(ids)));
+      XUPD_RETURN_IF_ERROR(
+          db_.ExecuteQueryBound(sql, AsrRowParams(ids)).status());
     }
   }
   return Status::OK();
@@ -544,7 +552,7 @@ Status RelationalStore::TupleInsert(const TableMapping* tm,
     if (b->rows == 0) return Status::OK();
     std::string sql =
         rdb::MultiRowInsertSql(t->table, 2 + t->fields.size(), b->rows);
-    Status s = db_.ExecuteBound(sql, b->params);
+    Status s = db_.ExecuteQueryBound(sql, b->params).status();
     b->params.clear();
     b->rows = 0;
     return s;
@@ -579,7 +587,7 @@ Status RelationalStore::TupleInsert(const TableMapping* tm,
                row[static_cast<size_t>(seg->first_field_col) + f].ToSqlLiteral();
       }
       sql += ")";
-      XUPD_RETURN_IF_ERROR(db_.Execute(sql));
+      XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
       continue;
     }
     PendingBatch& b = pending[seg->table];
@@ -646,12 +654,14 @@ Status RelationalStore::TableInsertDml(
       std::string sql =
           "INSERT INTO " + tmp_name(t) + " SELECT * FROM " + t->table;
       if (!predicate.empty()) sql += " WHERE " + predicate;
-      XUPD_RETURN_IF_ERROR(db_.Execute(sql));
+      XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
     } else {
       const TableMapping* parent = mapping_->ForElement(t->parent_element);
-      XUPD_RETURN_IF_ERROR(db_.Execute(
-          "INSERT INTO " + tmp_name(t) + " SELECT * FROM " + t->table +
-          " WHERE parentId IN (SELECT id FROM " + tmp_name(parent) + ")"));
+      XUPD_RETURN_IF_ERROR(
+          db_.ExecuteQuery("INSERT INTO " + tmp_name(t) + " SELECT * FROM " +
+                           t->table + " WHERE parentId IN (SELECT id FROM " +
+                           tmp_name(parent) + ")")
+              .status());
     }
   }
 
@@ -680,14 +690,19 @@ Status RelationalStore::TableInsertDml(
     std::string cols = "id + " + std::to_string(offset) + ", parentId + " +
                        std::to_string(offset);
     for (const auto& f : t->fields) cols += ", " + f.column;
-    XUPD_RETURN_IF_ERROR(db_.Execute("INSERT INTO " + t->table + " SELECT " +
-                                     cols + " FROM " + tmp_name(t)));
+    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery("INSERT INTO " + t->table +
+                                          " SELECT " + cols + " FROM " +
+                                          tmp_name(t))
+                             .status());
   }
   // The copied region roots point at their new parent.
-  return db_.Execute("UPDATE " + tm->table +
-                     " SET parentId = " + std::to_string(dest_parent_id) +
-                     " WHERE id IN (SELECT id + " + std::to_string(offset) +
-                     " FROM " + tmp_name(tm) + ")");
+  return db_.ExecuteQuery("UPDATE " + tm->table +
+                          " SET parentId = " +
+                          std::to_string(dest_parent_id) +
+                          " WHERE id IN (SELECT id + " +
+                          std::to_string(offset) + " FROM " + tmp_name(tm) +
+                          ")")
+      .status();
 }
 
 Status RelationalStore::AsrInsert(const TableMapping* tm,
@@ -703,7 +718,7 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
                      tm->table;
   if (!predicate.empty()) mark += " WHERE " + predicate;
   mark += ")";
-  XUPD_RETURN_IF_ERROR(db_.Execute(mark));
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(mark).status());
 
   std::vector<const TableMapping*> region = mapping_->SubtreeTables(tm);
   // One combined MIN/MAX statement over all region columns (a single ASR
@@ -732,7 +747,8 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
   }
   if (max_id < min_id) {
     XUPD_RETURN_IF_ERROR(
-        db_.Execute("UPDATE " + asr + " SET marked = 0 WHERE marked = 1"));
+        db_.ExecuteQuery("UPDATE " + asr + " SET marked = 0 WHERE marked = 1")
+            .status());
     return Status::NotFound("source subtree not present in ASR");
   }
   int64_t offset = db_.next_id() - min_id;
@@ -742,16 +758,16 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
     std::string cols = "id + " + std::to_string(offset) + ", parentId + " +
                        std::to_string(offset);
     for (const auto& f : t->fields) cols += ", " + f.column;
-    XUPD_RETURN_IF_ERROR(db_.Execute(
+    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(
         "INSERT INTO " + t->table + " SELECT " + cols + " FROM " + t->table +
         " WHERE id IN (SELECT " + AsrManager::IdColumn(t) + " FROM " + asr +
-        " WHERE marked = 1)"));
+        " WHERE marked = 1)").status());
   }
-  XUPD_RETURN_IF_ERROR(db_.Execute(
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(
       "UPDATE " + tm->table +
       " SET parentId = " + std::to_string(dest_parent_id) +
       " WHERE id IN (SELECT " + AsrManager::IdColumn(tm) + " + " +
-      std::to_string(offset) + " FROM " + asr + " WHERE marked = 1)"));
+      std::to_string(offset) + " FROM " + asr + " WHERE marked = 1)").status());
 
   // New ASR paths: destination ancestor chain above the copy, offset ids for
   // the copied region, NULL elsewhere.
@@ -792,8 +808,9 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
     }
   }
   sql += ", 0 FROM " + asr + " WHERE marked = 1";
-  XUPD_RETURN_IF_ERROR(db_.Execute(sql));
-  return db_.Execute("UPDATE " + asr + " SET marked = 0 WHERE marked = 1");
+  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
+  return db_.ExecuteQuery("UPDATE " + asr + " SET marked = 0 WHERE marked = 1")
+      .status();
 }
 
 Status RelationalStore::InsertConstructed(const xml::Element& content,
@@ -834,7 +851,8 @@ Status RelationalStore::InsertConstructedImpl(const xml::Element& content,
       current[node->table] = node->id;
       auto it = children.find(node->id);
       if (it == children.end() || it->second.empty()) {
-        XUPD_RETURN_IF_ERROR(db_.ExecuteBound(asr_sql, AsrRowParams(current)));
+        XUPD_RETURN_IF_ERROR(
+            db_.ExecuteQueryBound(asr_sql, AsrRowParams(current)).status());
       } else {
         for (const ShreddedTuple* c : it->second) {
           XUPD_RETURN_IF_ERROR(walk(c));
@@ -879,8 +897,8 @@ Result<std::string> RelationalStore::IdListPredicate(
       params.reserve(chunk);
       for (size_t k = 0; k < chunk; ++k) params.push_back(Value::Int(ids[i++]));
       XUPD_RETURN_IF_ERROR(
-          db_.ExecuteBound(rdb::MultiRowInsertSql(kIdListTable, 1, chunk),
-                           params));
+          db_.ExecuteQueryBound(rdb::MultiRowInsertSql(kIdListTable, 1, chunk),
+                                params).status());
     }
   }
   return column + " IN (SELECT id FROM " + kIdListTable + ")";

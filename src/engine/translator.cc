@@ -512,9 +512,11 @@ class Translator {
       if (child.ids.empty()) return Status::OK();
       XUPD_ASSIGN_OR_RETURN(std::string where,
                             store_->IdListPredicate("id", child.ids));
-      return store_->db()->ExecuteBound(
-          "UPDATE " + child.table->table + " SET " + sets + " WHERE " + where,
-          {});
+      return store_->db()
+          ->ExecuteQueryBound("UPDATE " + child.table->table + " SET " +
+                                  sets + " WHERE " + where,
+                              {})
+          .status();
     }
     if (child.ids.empty()) return Status::OK();
     XUPD_ASSIGN_OR_RETURN(std::string where,
@@ -573,9 +575,11 @@ class Translator {
     // repeated ops share one cached plan.
     XUPD_ASSIGN_OR_RETURN(std::string id_pred,
                           store_->IdListPredicate("id", where.ids));
-    return store_->db()->ExecuteBound(
-        "UPDATE " + tm->table + " SET " + sets + " WHERE " + id_pred,
-        {rdb::Value::Str(value)});
+    return store_->db()
+        ->ExecuteQueryBound(
+            "UPDATE " + tm->table + " SET " + sets + " WHERE " + id_pred,
+            {rdb::Value::Str(value)})
+        .status();
   }
 
   Status ExecuteInsert(const PlannedOp& op) {
@@ -658,10 +662,12 @@ class Translator {
     // §6.3: movement but no creation of data; one UPDATE on the top level.
     XUPD_ASSIGN_OR_RETURN(std::string where,
                           store_->IdListPredicate("id", child.ids));
-    return store_->db()->ExecuteBound(
-        "UPDATE " + child.table->table + " SET " + to->column + " = " +
-            from->column + ", " + from->column + " = NULL WHERE " + where,
-        {});
+    return store_->db()
+        ->ExecuteQueryBound("UPDATE " + child.table->table + " SET " +
+                                to->column + " = " + from->column + ", " +
+                                from->column + " = NULL WHERE " + where,
+                            {})
+        .status();
   }
 
   static PlannedOp ClonePlannedShallow(const PlannedOp& op) {

@@ -28,7 +28,73 @@ void SpinFor(double us, uint64_t deadline_ns = 0) {
   }
 }
 
+bool IsDdl(const sql::Statement& stmt) {
+  switch (stmt.kind) {
+    case sql::Statement::Kind::kCreateTable:
+    case sql::Statement::Kind::kCreateIndex:
+    case sql::Statement::Kind::kCreateTrigger:
+    case sql::Statement::Kind::kDrop:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// The bind check of every statement path: `bound` values for the
+// statement's ? placeholders.
+Status CheckBind(const sql::Statement& stmt, size_t bound) {
+  if (static_cast<int>(bound) == stmt.param_count) return Status::OK();
+  return Status::InvalidArgument("bound " + std::to_string(bound) +
+                                 " parameters, statement has " +
+                                 std::to_string(stmt.param_count));
+}
+
 }  // namespace
+
+StatementHandle NewStatementHandle(std::string_view sql, sql::Statement stmt) {
+  auto prepared = std::make_shared<PreparedStatement>();
+  prepared->sql = std::string(sql);
+  prepared->stmt = std::move(stmt);
+  return prepared;
+}
+
+Result<StatementHandle> StatementCache::Prepare(std::string_view sql,
+                                                Stats* stats) {
+  auto it = index_.find(sql);
+  if (it != index_.end()) {
+    ++stats->prepared_hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return *it->second;
+  }
+  ++stats->prepared_misses;
+  ++stats->sql_parses;
+  auto stmt = sql::ParseSql(sql);
+  if (!stmt.ok()) return stmt.status();
+  StatementHandle handle = NewStatementHandle(sql, std::move(stmt).value());
+  if (!IsDdl(handle->stmt) && capacity_ > 0) {
+    lru_.push_front(handle);
+    index_.emplace(handle->sql, lru_.begin());
+    Trim();
+  }
+  return handle;
+}
+
+void StatementCache::Clear() {
+  index_.clear();
+  lru_.clear();
+}
+
+void StatementCache::set_capacity(size_t capacity) {
+  capacity_ = capacity;
+  Trim();
+}
+
+void StatementCache::Trim() {
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back()->sql);
+    lru_.pop_back();
+  }
+}
 
 std::string MultiRowInsertSql(std::string_view table, size_t columns,
                               size_t rows) {
@@ -132,27 +198,13 @@ size_t Database::StmtKindSlot(sql::Statement::Kind kind) {
   }
 }
 
-bool Database::IsDdl(const sql::Statement& stmt) {
-  switch (stmt.kind) {
-    case sql::Statement::Kind::kCreateTable:
-    case sql::Statement::Kind::kCreateIndex:
-    case sql::Statement::Kind::kCreateTrigger:
-    case sql::Statement::Kind::kDrop:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void Database::InvalidateStatementCache() {
-  cache_index_.clear();
-  cache_lru_.clear();
+  statement_cache_.Clear();
   BumpCatalogVersion();
 }
 
 void Database::BumpCatalogVersion() {
   catalog_version_.fetch_add(1, std::memory_order_acq_rel);
-  trigger_plans_.clear();
 }
 
 std::shared_ptr<const uint64_t> Database::table_version(
@@ -240,7 +292,6 @@ Status Database::Open(const std::string& dir,
   auto fail = [&](Status s) {
     tables_.clear();
     triggers_.clear();
-    trigger_plans_.clear();
     table_versions_.clear();
     next_id_ = 1;
     data_dir_.clear();
@@ -631,7 +682,6 @@ Status Database::ReopenFromDisk() {
     }
     tables_.clear();
     triggers_.clear();
-    trigger_plans_.clear();
     InvalidateStatementCache();
   }
   next_id_ = 1;
@@ -776,19 +826,14 @@ Status Database::CheckDdlBarrier(const sql::Statement& stmt) const {
   return Status::OK();
 }
 
-void Database::set_prepared_cache_capacity(size_t capacity) {
-  cache_capacity_ = capacity;
-  while (cache_lru_.size() > cache_capacity_) {
-    cache_index_.erase(cache_lru_.back().first);
-    cache_lru_.pop_back();
-  }
+uint64_t Database::DeadlineAfter(int64_t timeout_us) {
+  return timeout_us > 0
+             ? MonotonicNanos() + static_cast<uint64_t>(timeout_us) * 1000
+             : 0;
 }
 
-uint64_t Database::EffectiveDeadline(int64_t timeout_us) const {
-  uint64_t deadline =
-      timeout_us > 0 ? MonotonicNanos() + static_cast<uint64_t>(timeout_us) *
-                                              1000
-                     : 0;
+uint64_t Database::EffectiveDeadline() const {
+  uint64_t deadline = DeadlineAfter(statement_timeout_us());
   // An armed engine-op deadline bounds every statement of the op; the
   // earlier of the two wins.
   if (operation_deadline_ns_ != 0 &&
@@ -906,98 +951,41 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
   return result;
 }
 
-Status Database::Execute(std::string_view sql_text) {
-  return Execute(sql_text, statement_timeout_us());
-}
-
-Status Database::Execute(std::string_view sql_text, int64_t timeout_us) {
-  auto result = ExecuteQuery(sql_text, timeout_us);
-  if (!result.ok()) return result.status();
-  return Status::OK();
+uint64_t Database::IssueStatement() {
+  ++stats_.statements;
+  const uint64_t deadline_ns = EffectiveDeadline();
+  SpinFor(statement_latency_us_, deadline_ns);
+  return deadline_ns;
 }
 
 Result<ResultSet> Database::ExecuteQuery(std::string_view sql_text) {
-  return ExecuteQuery(sql_text, statement_timeout_us());
-}
-
-Result<ResultSet> Database::ExecuteQuery(std::string_view sql_text,
-                                         int64_t timeout_us) {
-  ++stats_.statements;
-  const uint64_t deadline_ns = EffectiveDeadline(timeout_us);
-  SpinFor(statement_latency_us_, deadline_ns);
+  const uint64_t deadline_ns = IssueStatement();
   ++stats_.sql_parses;
   auto stmt = sql::ParseSql(sql_text);
   if (!stmt.ok()) return stmt.status();
+  XUPD_RETURN_IF_ERROR(CheckBind(stmt.value(), 0));
   return RunStatement(stmt.value(), nullptr, sql_text, nullptr, deadline_ns);
 }
 
-Result<StatementHandle> Database::Prepare(std::string_view sql_text,
-                                          bool cacheable) {
-  auto it = cache_index_.find(sql_text);
-  if (it != cache_index_.end()) {
-    ++stats_.prepared_hits;
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    return it->second->second;
-  }
-  ++stats_.prepared_misses;
-  ++stats_.sql_parses;
-  auto stmt = sql::ParseSql(sql_text);
-  if (!stmt.ok()) return stmt.status();
-  auto prepared = std::make_shared<PreparedStatement>();
-  prepared->sql = std::string(sql_text);
-  prepared->param_count = stmt.value().param_count;
-  prepared->stmt = std::move(stmt).value();
-  StatementHandle handle = std::move(prepared);
-  // DDL is never cached: executing it would invalidate its own entry.
-  if (cacheable && !IsDdl(handle->stmt) && cache_capacity_ > 0) {
-    cache_lru_.emplace_front(handle->sql, handle);
-    cache_index_[handle->sql] = cache_lru_.begin();
-    if (cache_lru_.size() > cache_capacity_) {
-      cache_index_.erase(cache_lru_.back().first);
-      cache_lru_.pop_back();
-    }
-  }
-  return handle;
+Result<StatementHandle> Database::Prepare(std::string_view sql_text) {
+  return statement_cache_.Prepare(sql_text, &stats_);
 }
 
-Status Database::ExecutePrepared(const StatementHandle& handle,
-                                 const std::vector<Value>& params) {
-  auto result = ExecuteQueryPrepared(handle, params);
-  if (!result.ok()) return result.status();
-  return Status::OK();
-}
-
-Result<ResultSet> Database::ExecuteQueryPrepared(
-    const StatementHandle& handle, const std::vector<Value>& params) {
+Result<ResultSet> Database::ExecuteQuery(const StatementHandle& handle,
+                                         const std::vector<Value>& params) {
   if (handle == nullptr) {
     return Status::InvalidArgument("null prepared statement handle");
   }
-  if (static_cast<int>(params.size()) != handle->param_count) {
-    return Status::InvalidArgument(
-        "bound " + std::to_string(params.size()) + " parameters, statement has " +
-        std::to_string(handle->param_count));
-  }
-  ++stats_.statements;
-  const uint64_t deadline_ns = EffectiveDeadline(statement_timeout_us());
-  SpinFor(statement_latency_us_, deadline_ns);
-  return RunStatement(handle->stmt, &params, handle->sql,
-                      &handle->plan_slot, deadline_ns);
+  XUPD_RETURN_IF_ERROR(CheckBind(handle->stmt, params.size()));
+  const uint64_t deadline_ns = IssueStatement();
+  return RunStatement(handle->stmt, &params, handle->sql, &handle->plan_slot,
+                      deadline_ns);
 }
 
-Status Database::ExecuteBound(std::string_view sql,
-                              const std::vector<Value>& params,
-                              bool cacheable) {
-  auto handle = Prepare(sql, cacheable);
-  if (!handle.ok()) return handle.status();
-  return ExecutePrepared(handle.value(), params);
-}
-
-Result<ResultSet> Database::ExecuteQueryBound(std::string_view sql,
-                                              const std::vector<Value>& params,
-                                              bool cacheable) {
-  auto handle = Prepare(sql, cacheable);
-  if (!handle.ok()) return handle.status();
-  return ExecuteQueryPrepared(handle.value(), params);
+Result<ResultSet> Database::ExecuteQueryBound(
+    std::string_view sql_text, const std::vector<Value>& params) {
+  XUPD_ASSIGN_OR_RETURN(StatementHandle handle, Prepare(sql_text));
+  return ExecuteQuery(handle, params);
 }
 
 Result<Table*> Database::CreateTableDirect(TableSchema schema,
@@ -1055,9 +1043,6 @@ Status Database::DropTableDirect(std::string_view name) {
     tables_.erase(it);
     for (auto t = triggers_.begin(); t != triggers_.end();) {
       if (EqualsIgnoreCase(t->table, dropped)) {
-        // The trigger-plan map is keyed by these statements' identities;
-        // erase them before the shared_ptrs can die.
-        for (const auto& stmt : t->body) trigger_plans_.erase(stmt.get());
         t = triggers_.erase(t);
       } else {
         ++t;
@@ -1295,54 +1280,53 @@ ReaderSession::~ReaderSession() {
   db_->reader_sessions_gauge_->fetch_sub(1, std::memory_order_relaxed);
 }
 
+uint64_t ReaderSession::PinSlot() {
+  const uint64_t epoch = db_->epochs_.Pin(slot_);
+  db_->epochs_.readers_gauge->fetch_add(1, std::memory_order_relaxed);
+  return epoch;
+}
+
+void ReaderSession::UnpinSlot() {
+  db_->epochs_.Unpin(slot_);
+  db_->epochs_.readers_gauge->fetch_sub(1, std::memory_order_relaxed);
+}
+
 uint64_t ReaderSession::PinSnapshot() {
   if (explicit_pin_) return pin_epoch_;
-  pin_epoch_ = db_->epochs_.Pin(slot_);
+  pin_epoch_ = PinSlot();
   explicit_pin_ = true;
-  if (db_->epochs_.readers_gauge != nullptr) {
-    db_->epochs_.readers_gauge->fetch_add(1, std::memory_order_relaxed);
-  }
   return pin_epoch_;
 }
 
 void ReaderSession::Unpin() {
   if (!explicit_pin_) return;
-  db_->epochs_.Unpin(slot_);
+  UnpinSlot();
   explicit_pin_ = false;
   pin_epoch_ = 0;
-  if (db_->epochs_.readers_gauge != nullptr) {
-    db_->epochs_.readers_gauge->fetch_sub(1, std::memory_order_relaxed);
-  }
 }
 
-Result<ResultSet> ReaderSession::ExecuteQuery(std::string_view sql) {
-  return Run(sql, nullptr);
+Result<ResultSet> ReaderSession::ExecuteQuery(std::string_view sql_text) {
+  ++stats_.statements;
+  ++stats_.sql_parses;
+  auto stmt = sql::ParseSql(sql_text);
+  if (!stmt.ok()) return stmt.status();
+  return Run(stmt.value(), nullptr, nullptr);
 }
 
 Result<ResultSet> ReaderSession::ExecuteQueryBound(
-    std::string_view sql, const std::vector<Value>& params) {
-  return Run(sql, &params);
+    std::string_view sql_text, const std::vector<Value>& params) {
+  ++stats_.statements;
+  XUPD_ASSIGN_OR_RETURN(StatementHandle handle,
+                        statement_cache_.Prepare(sql_text, &stats_));
+  return Run(handle->stmt, &params, &handle->plan_slot);
 }
 
-Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
-                                     const std::vector<Value>* params) {
-  ++stats_.statements;
-  // Parse, or reuse this session's cached parse of the same text.
-  auto it = plan_cache_.find(sql_text);
-  if (it == plan_cache_.end()) {
-    ++stats_.sql_parses;
-    auto parsed = sql::ParseSql(sql_text);
-    if (!parsed.ok()) return parsed.status();
-    CachedPlan entry;
-    entry.param_count = parsed.value().param_count;
-    entry.stmt = std::move(parsed).value();
-    it = plan_cache_.emplace(std::string(sql_text), std::move(entry)).first;
-  }
-  CachedPlan& cached = it->second;
-
+Result<ResultSet> ReaderSession::Run(const sql::Statement& stmt,
+                                     const std::vector<Value>* params,
+                                     PlanCacheSlot* slot) {
   // Only SELECT and plain EXPLAIN SELECT: everything else mutates, needs
   // the writer's transaction machinery, or reports writer-private state.
-  const sql::Statement* target = &cached.stmt;
+  const sql::Statement* target = &stmt;
   bool explain = false;
   if (target->kind == sql::Statement::Kind::kExplain) {
     if (target->explain_analyze ||
@@ -1356,57 +1340,21 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
     return Status::InvalidArgument(
         "reader sessions accept only SELECT and EXPLAIN SELECT");
   }
-  const size_t bound = params != nullptr ? params->size() : 0;
-  if (static_cast<int>(bound) != cached.param_count) {
-    return Status::InvalidArgument(
-        "bound " + std::to_string(bound) + " parameters, statement has " +
-        std::to_string(cached.param_count));
-  }
+  XUPD_RETURN_IF_ERROR(
+      CheckBind(stmt, params != nullptr ? params->size() : 0));
 
   // The shared catalog lock spans plan validation AND execution, so the
   // catalog (and every Table* the plan holds) is stable for the whole
   // statement; row-level consistency is the pinned epoch's job.
   auto catalog_lock = db_->LockCatalogShared();
-  std::shared_ptr<const PlannedStatement> plan;
-  if (cached.plan != nullptr && cached.version == db_->catalog_version()) {
-    bool deps_current = true;
-    for (const PlanTableDep& dep : cached.plan->table_deps) {
-      if (*dep.version != dep.snapshot) {
-        deps_current = false;
-        break;
-      }
-    }
-    if (deps_current) {
-      ++stats_.plan_cache_hits;
-      plan = cached.plan;
-    }
-  }
-  if (plan == nullptr) {
-    Planner planner(db_, nullptr);
-    planner.set_allow_index_probes(false);
-    auto planned = planner.Plan(*target);
-    if (!planned.ok()) return planned.status();
-    ++stats_.plans_built;
-    plan = std::move(planned).value();
-    cached.plan = plan;
-    cached.version = db_->catalog_version();
-  }
-  if (explain) {
-    ResultSet out;
-    out.columns = {"plan"};
-    for (const std::string& line : SplitChar(PlanToString(*plan), '\n')) {
-      out.rows.push_back({Value::Str(line)});
-    }
-    return out;
-  }
+  Planner planner(db_, nullptr);
+  planner.set_allow_index_probes(false);
+  XUPD_ASSIGN_OR_RETURN(auto plan, planner.PlanCached(*target, slot, &stats_));
+  if (explain) return PlanRows(PlanToString(*plan));
 
   // Pin for this statement unless an explicit snapshot pin is open.
   const bool statement_pin = !explicit_pin_;
-  const uint64_t pin =
-      statement_pin ? db_->epochs_.Pin(slot_) : pin_epoch_;
-  if (statement_pin && db_->epochs_.readers_gauge != nullptr) {
-    db_->epochs_.readers_gauge->fetch_add(1, std::memory_order_relaxed);
-  }
+  const uint64_t pin = statement_pin ? PinSlot() : pin_epoch_;
   std::vector<std::unique_ptr<ResultSet>> cte_store(
       static_cast<size_t>(plan->cte_slot_count));
   ExecContext::SubqueryMemo memo;
@@ -1421,20 +1369,11 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
   // writer thread owns the setting) and the shared cancel token. The
   // cancel-at-pull hook and engine-op deadline are writer-thread state and
   // are NOT consulted here.
-  const int64_t timeout_us = db_->statement_timeout_us();
-  ctx.deadline_ns =
-      timeout_us > 0
-          ? MonotonicNanos() + static_cast<uint64_t>(timeout_us) * 1000
-          : 0;
+  ctx.deadline_ns = Database::DeadlineAfter(db_->statement_timeout_us());
   ctx.cancel = db_->cancel_token_.flag();
   ctx.mem = &db_->mem_;
   auto result = ExecutePlannedSelect(*plan->select, ctx);
-  if (statement_pin) {
-    db_->epochs_.Unpin(slot_);
-    if (db_->epochs_.readers_gauge != nullptr) {
-      db_->epochs_.readers_gauge->fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
+  if (statement_pin) UnpinSlot();
   return result;
 }
 

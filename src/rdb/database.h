@@ -1,13 +1,23 @@
 // Database: catalog of tables + AFTER DELETE triggers, and the SQL entry
-// points. Every Execute/ExecuteQuery call parses its SQL text — statement
-// issue overhead is part of the cost model the paper studies (§6: "issuing
-// multiple separate SQL statements incurs overhead"). Prepare/ExecutePrepared
-// model the JDBC PreparedStatement path: the text is parsed once, kept in an
-// LRU cache keyed by SQL text, and later executions only bind parameter
-// values (they still pay the simulated round-trip latency, but not the
-// parse). Begin/Commit/Rollback expose the transaction subsystem (rdb/txn.h)
-// that gives multi-statement XML update operations the all-or-nothing
-// semantics the paper inherits from the relational engine (§6).
+// points. Statement issue overhead is part of the cost model the paper
+// studies (§6: "issuing multiple separate SQL statements incurs overhead"),
+// and the writer models its two regimes with three entry points, all
+// returning Result<ResultSet>:
+//
+//  * ExecuteQuery(sql) parses its text on every call (literal SQL).
+//  * ExecuteQuery(handle, params) runs a Prepare()d statement, binding `?`
+//    values positionally — the JDBC PreparedStatement path: it pays the
+//    simulated round trip but not the parse, and reuses the plan cached on
+//    the handle.
+//  * ExecuteQueryBound(sql, params) is Prepare (served from an LRU cache
+//    keyed by SQL text) followed by the handle overload.
+//
+// All three run one pipeline: prepare -> bind check -> plan slot
+// (PlanCacheSlot) -> execute. Reader sessions and trigger bodies reuse its
+// pieces. Begin/Commit/Rollback expose the transaction subsystem
+// (rdb/txn.h) that gives multi-statement XML update operations the
+// all-or-nothing semantics the paper inherits from the relational engine
+// (§6).
 #ifndef XUPD_RDB_DATABASE_H_
 #define XUPD_RDB_DATABASE_H_
 
@@ -45,16 +55,50 @@ namespace xupd::rdb {
 /// time, so a handle held across DDL simply re-plans against the new
 /// catalog (the per-handle plan slot is version-guarded).
 struct PreparedStatement {
-  std::string sql;     ///< original text (also the cache key).
-  sql::Statement stmt; ///< parsed form.
-  int param_count = 0; ///< number of ? placeholders to bind.
+  std::string sql;     ///< original text (the cache key; "" in trigger bodies).
+  sql::Statement stmt; ///< parsed form; stmt.param_count ? placeholders.
   /// Cached plan for this statement (the plan cache hangs off the handle, so
-  /// ExecutePrepared/ExecuteBound reuse it across calls and only bind
-  /// parameters). Mutable: handles are shared as pointers-to-const.
+  /// every execution of the handle reuses it and only binds parameters).
+  /// Mutable: handles are shared as pointers-to-const.
   mutable PlanCacheSlot plan_slot;
 };
 
 using StatementHandle = std::shared_ptr<const PreparedStatement>;
+
+/// Wraps a parsed statement in a handle with an empty plan slot.
+StatementHandle NewStatementHandle(std::string_view sql, sql::Statement stmt);
+
+/// LRU cache of parsed statements keyed by SQL text. The writer's prepared
+/// cache and every reader session's statement cache are instances of it;
+/// reader sessions keep their own, so their scan-only plans never reach the
+/// writer.
+class StatementCache {
+ public:
+  /// Capacity of the writer's cache (until set_prepared_cache_capacity) and
+  /// of every reader session's.
+  static constexpr size_t kDefaultCapacity = 128;
+
+  /// The prepare step: returns the cached handle for `sql` (refreshed to
+  /// most recently used), or parses it into a new one and caches it,
+  /// evicting the least recently used entry past capacity. DDL parses but
+  /// is never cached — executing it would invalidate its own entry. Counts
+  /// prepared_hits / prepared_misses / sql_parses into `stats`.
+  Result<StatementHandle> Prepare(std::string_view sql, Stats* stats);
+
+  void Clear();
+  size_t size() const { return lru_.size(); }
+  size_t capacity() const { return capacity_; }
+  void set_capacity(size_t capacity);
+
+ private:
+  void Trim();
+
+  /// Front = most recently used. The index keys view each handle's own
+  /// text, so lookups copy nothing.
+  std::list<StatementHandle> lru_;
+  std::map<std::string_view, std::list<StatementHandle>::iterator> index_;
+  size_t capacity_ = kDefaultCapacity;
+};
 
 /// Renders "INSERT INTO <table> VALUES (?, ...), (?, ...), ..." with `rows`
 /// placeholder rows of `columns` placeholders each. Parameter values are
@@ -72,7 +116,7 @@ struct CheckpointCapture;
 // The engine is single-writer / multi-reader:
 //
 //  * Exactly ONE thread (the "writer thread") may call any mutating or
-//    transactional API — Execute*, Prepare, Begin/Commit/Rollback, the
+//    transactional API — ExecuteQuery*, Prepare, Begin/Commit/Rollback, the
 //    direct catalog/bulk APIs, Checkpoint, TryHeal, and the knob setters.
 //    Writer-side SELECTs also belong to the writer thread; they see the
 //    latest in-memory state including uncommitted changes, exactly as
@@ -257,10 +301,10 @@ class Database {
   //
   //  * Deadlines: set_statement_timeout_us() arms a per-statement deadline
   //    for every later statement (SQL: SET STATEMENT_TIMEOUT <us>; 0
-  //    clears); the Execute/ExecuteQuery overloads taking `timeout_us` arm a
-  //    one-call deadline that overrides the global one. The simulated
-  //    statement latency (SpinFor) is deadline-aware: an expired deadline
-  //    cuts the spin short and fails the statement before it runs.
+  //    clears); an armed engine-op deadline (ArmOperationDeadline) bounds
+  //    every statement of the op, the earlier of the two winning. The
+  //    simulated statement latency (SpinFor) is deadline-aware: an expired
+  //    deadline cuts the spin short and fails the statement before it runs.
   //  * Cancellation: cancel_token() is shared with any thread; Cancel()
   //    makes the writer's (and every reader session's) next governance poll
   //    fail with kCancelled. The token stays cancelled until Reset() — it is
@@ -333,38 +377,24 @@ class Database {
     return cancel_at_pull_.load(std::memory_order_relaxed);
   }
 
-  /// Parses and executes a DDL/DML statement.
-  Status Execute(std::string_view sql);
-  /// Per-call deadline overload: `timeout_us` (microseconds from now)
-  /// overrides the global statement timeout for this one call; <= 0 means
-  /// no deadline.
-  Status Execute(std::string_view sql, int64_t timeout_us);
-
-  /// Parses and executes a SELECT, returning its rows.
+  /// Parses and executes any statement; SELECTs return their rows, other
+  /// statements an empty set. Parses on every call.
   Result<ResultSet> ExecuteQuery(std::string_view sql);
-  Result<ResultSet> ExecuteQuery(std::string_view sql, int64_t timeout_us);
 
   /// Parses `sql` into a reusable handle, or returns the cached handle when
   /// the same text was prepared before (LRU, invalidated by DDL). DDL
-  /// statements parse but are never cached. `cacheable = false` still probes
-  /// the cache but never inserts on a miss — for one-shot texts (e.g. with
-  /// inlined id lists) that would only evict reusable plans.
-  Result<StatementHandle> Prepare(std::string_view sql, bool cacheable = true);
+  /// statements parse but are never cached.
+  Result<StatementHandle> Prepare(std::string_view sql);
 
   /// Executes a prepared statement, binding `params` to its ? placeholders
   /// positionally. Pays the per-statement latency but skips the parse.
-  Status ExecutePrepared(const StatementHandle& handle,
-                         const std::vector<Value>& params = {});
-  Result<ResultSet> ExecuteQueryPrepared(const StatementHandle& handle,
-                                         const std::vector<Value>& params = {});
+  Result<ResultSet> ExecuteQuery(const StatementHandle& handle,
+                                 const std::vector<Value>& params = {});
 
-  /// Convenience: Prepare (served from the cache after the first call) then
-  /// ExecutePrepared.
-  Status ExecuteBound(std::string_view sql, const std::vector<Value>& params,
-                      bool cacheable = true);
+  /// Prepare (served from the cache after the first call), then the handle
+  /// overload.
   Result<ResultSet> ExecuteQueryBound(std::string_view sql,
-                                      const std::vector<Value>& params,
-                                      bool cacheable = true);
+                                      const std::vector<Value>& params);
 
   // --- transactions --------------------------------------------------------
   //
@@ -419,9 +449,13 @@ class Database {
   }
 
   /// Prepared-statement cache introspection (tests/benches).
-  size_t prepared_cache_size() const { return cache_lru_.size(); }
-  size_t prepared_cache_capacity() const { return cache_capacity_; }
-  void set_prepared_cache_capacity(size_t capacity);
+  size_t prepared_cache_size() const { return statement_cache_.size(); }
+  size_t prepared_cache_capacity() const {
+    return statement_cache_.capacity();
+  }
+  void set_prepared_cache_capacity(size_t capacity) {
+    statement_cache_.set_capacity(capacity);
+  }
 
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture
@@ -454,7 +488,7 @@ class Database {
   }
 
   /// Direct bulk-load API (bypasses SQL): used by the shredder to load
-  /// documents quickly; benchmark updates always go through Execute().
+  /// documents quickly; benchmark updates always go through ExecuteQuery*.
   /// `transactional = false` leaves the table unwired from the undo log —
   /// for engine scratch tables whose contents are not transactional state
   /// (writes to them are never undone and never logged). `durable = true`
@@ -583,7 +617,7 @@ class Database {
   StringInterner& interner() { return interner_; }
 
   /// Simulated per-statement issue latency (microseconds), applied to every
-  /// Execute/ExecuteQuery/ExecutePrepared call — models the client/server
+  /// writer ExecuteQuery / ExecuteQueryBound call — models the client/server
   /// round trip a 2001-era JDBC/DB2 stack pays per statement (trigger
   /// bodies run inside the engine and do NOT pay it; prepared statements
   /// pay the round trip but skip the parse). Default 0 (off); the Table 2
@@ -607,7 +641,8 @@ class Database {
     std::string name;
     std::string table;
     sql::TriggerGranularity granularity = sql::TriggerGranularity::kRow;
-    std::vector<std::shared_ptr<sql::Statement>> body;
+    /// One handle per body statement; each carries its own plan slot.
+    std::vector<StatementHandle> body;
     /// Original CREATE TRIGGER text — how snapshots persist the trigger.
     std::string sql;
   };
@@ -622,16 +657,8 @@ class Database {
   /// catalog version, invalidating every cached plan.
   void InvalidateStatementCache();
   /// Invalidates cached plans only (catalog shape changed without SQL DDL,
-  /// or the planner knob flipped). Clears the trigger-body plan map so its
-  /// statement-pointer keys can never dangle across a version change.
+  /// or the planner knob flipped).
   void BumpCatalogVersion();
-  static bool IsDdl(const sql::Statement& stmt);
-
-  /// Plan slot for a trigger-body statement (keyed by the shared Statement's
-  /// identity; trigger bodies are stable shared_ptrs held by triggers_).
-  PlanCacheSlot* TriggerPlanSlot(const sql::Statement* stmt) {
-    return &trigger_plans_[stmt];
-  }
 
   /// Returns the injected error when the failpoint counter runs out.
   Status ConsumeFailpoint();
@@ -674,7 +701,11 @@ class Database {
   /// Executor; the unit is flushed at the statement boundary since DDL is
   /// barred inside transactions).
   void WalLogDdl(std::string_view sql_text);
-  /// Shared tail of every statement entry point: runs the statement, then
+  /// Shared head of every writer entry point: counts the statement, arms its
+  /// deadline and spins the simulated round trip (cut short at the
+  /// deadline). Returns the deadline.
+  uint64_t IssueStatement();
+  /// Shared tail of every writer entry point: runs the statement, then
   /// flushes the WAL at the top-level boundary (even on statement failure —
   /// without a transaction the partial effects stay in memory too). A
   /// statement error outranks a flush error; a flush error surfaces on an
@@ -682,12 +713,14 @@ class Database {
   Result<ResultSet> RunStatement(const sql::Statement& stmt,
                                  const std::vector<Value>* params,
                                  std::string_view sql_text,
-                                 PlanCacheSlot* slot,
-                                 uint64_t deadline_ns = 0);
+                                 PlanCacheSlot* slot, uint64_t deadline_ns);
 
-  /// Absolute deadline for a statement entry point: `timeout_us` from now
-  /// (0 = none) merged with any armed operation deadline (earlier wins).
-  uint64_t EffectiveDeadline(int64_t timeout_us) const;
+  /// Absolute deadline `timeout_us` from now; 0 (none) when not positive.
+  /// Reader sessions use it directly: they never see the operation deadline.
+  static uint64_t DeadlineAfter(int64_t timeout_us);
+  /// Writer statement deadline: the global statement timeout merged with
+  /// any armed operation deadline (earlier wins).
+  uint64_t EffectiveDeadline() const;
   /// Statement kinds that bypass admission/governance gates: resource
   /// RELEASING or diagnostic statements that must run even degraded
   /// (COMMIT/ROLLBACK/RELEASE, SHOW, CHECK INTEGRITY, SET).
@@ -788,14 +821,8 @@ class Database {
   /// Failpoint countdown; negative = disarmed.
   int64_t fail_after_statements_ = -1;
 
-  /// LRU prepared-statement cache: list front = most recently used; the
-  /// index maps SQL text to its list node (transparent lookup, no copy).
-  std::list<std::pair<std::string, StatementHandle>> cache_lru_;
-  std::map<std::string, std::list<std::pair<std::string, StatementHandle>>::
-                            iterator,
-           std::less<>>
-      cache_index_;
-  size_t cache_capacity_ = 128;
+  /// The writer's prepared-statement cache (Prepare, ExecuteQueryBound).
+  StatementCache statement_cache_;
 
   /// Plan-cache guard (see catalog_version()). Starts at 1 so a
   /// default-constructed PlanCacheSlot (version 0) never validates. Atomic:
@@ -803,9 +830,6 @@ class Database {
   /// accompany a catalog mutation happen inside the exclusive section.
   std::atomic<uint64_t> catalog_version_{1};
   bool planner_index_probes_enabled_ = true;
-  /// Cached plans for trigger-body statements. Entries are version-guarded
-  /// like handle slots and the map is cleared on every version bump.
-  std::map<const sql::Statement*, PlanCacheSlot> trigger_plans_;
   /// Per-table plan-dependency counters (see table_version()). Entries
   /// outlive their tables so drop/recreate of a name keeps counting up.
   /// Guarded by table_versions_mu_: reader-session planners insert entries
@@ -878,12 +902,15 @@ class Database {
 /// Database::OpenReaderSession; owned by exactly one thread; must not
 /// outlive the Database.
 ///
-/// Each ExecuteQuery* call pins the current epoch for the duration of that
-/// statement, unless PinSnapshot() opened an explicit multi-statement
-/// snapshot (then every statement reads the same pinned epoch until
-/// Unpin()). Only SELECT and EXPLAIN SELECT are accepted. The session keeps
-/// its own Stats (rows_scanned etc.) and plan cache — nothing here touches
-/// the writer's counters.
+/// The entry points keep the writer's contract: ExecuteQuery parses on every
+/// call, and ExecuteQueryBound prepares through the session's own LRU
+/// StatementCache (so its plans stay scan-only and never reach the writer).
+/// Each statement pins the current epoch for its duration, unless
+/// PinSnapshot() opened an explicit multi-statement snapshot (then every
+/// statement reads the same pinned epoch until Unpin()). Only SELECT and
+/// EXPLAIN SELECT are accepted. The session keeps its own Stats
+/// (rows_scanned, sql_parses, ...) — nothing here touches the writer's
+/// counters.
 class ReaderSession {
  public:
   ~ReaderSession();
@@ -909,24 +936,20 @@ class ReaderSession {
   friend class Database;
   ReaderSession(Database* db, int slot) : db_(db), slot_(slot) {}
 
-  /// Per-session cached plan keyed by SQL text (validated against the
-  /// catalog version and per-table dependency counters like writer-side
-  /// handle slots).
-  struct CachedPlan {
-    sql::Statement stmt;
-    int param_count = 0;
-    std::shared_ptr<const PlannedStatement> plan;
-    uint64_t version = 0;
-  };
-
-  Result<ResultSet> Run(std::string_view sql, const std::vector<Value>* params);
+  /// The bind-check -> plan-slot -> execute tail of both entry points.
+  /// `slot` is the plan slot of a cached handle (null = plan fresh).
+  Result<ResultSet> Run(const sql::Statement& stmt,
+                        const std::vector<Value>* params, PlanCacheSlot* slot);
+  /// Pins this session's epoch slot and counts it in readers.active.
+  uint64_t PinSlot();
+  void UnpinSlot();
 
   Database* db_;
   int slot_;
   Stats stats_;
   uint64_t pin_epoch_ = 0;  ///< valid while explicit_pin_.
   bool explicit_pin_ = false;
-  std::map<std::string, CachedPlan, std::less<>> plan_cache_;
+  StatementCache statement_cache_;
 };
 
 }  // namespace xupd::rdb

@@ -541,6 +541,19 @@ Result<std::shared_ptr<const PlannedStatement>> Planner::Plan(
   return std::shared_ptr<const PlannedStatement>(std::move(plan));
 }
 
+Result<std::shared_ptr<const PlannedStatement>> Planner::PlanCached(
+    const sql::Statement& stmt, PlanCacheSlot* slot, Stats* stats) {
+  const uint64_t version = db_->catalog_version();
+  if (slot != nullptr && slot->Valid(db_, version)) {
+    ++stats->plan_cache_hits;
+    return slot->plan;
+  }
+  XUPD_ASSIGN_OR_RETURN(auto plan, Plan(stmt));
+  ++stats->plans_built;
+  if (slot != nullptr) *slot = PlanCacheSlot{plan, version, db_};
+  return plan;
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN rendering
 

@@ -26,6 +26,7 @@
 
 #include "common/result.h"
 #include "rdb/sql_ast.h"
+#include "rdb/stats.h"
 #include "rdb/table.h"
 
 namespace xupd::rdb {
@@ -159,13 +160,28 @@ struct PlannedStatement {
   std::vector<PlanTableDep> table_deps;
 };
 
-/// One cached plan: hangs off a StatementHandle (prepared statements) or the
-/// Database's trigger-body map. `version`/`db` guard reuse against catalog
-/// changes and cross-database handle misuse.
+/// One cached plan. Every statement path owns its slots the same way: each
+/// StatementHandle carries one — a writer prepared statement, a reader
+/// session's cached text, a trigger-body statement. `version`/`db` guard
+/// reuse against catalog changes and cross-database handle misuse.
 struct PlanCacheSlot {
   std::shared_ptr<const PlannedStatement> plan;
   uint64_t version = 0;
   const void* db = nullptr;
+
+  /// The one plan-validity check: the plan was built by `for_db` under
+  /// `catalog_version` (the global SQL DDL guard) and none of its per-table
+  /// dependencies moved since (DropTableDirect bumps only the dropped
+  /// table's counter, so plans over other tables pass).
+  bool Valid(const void* for_db, uint64_t catalog_version) const {
+    if (plan == nullptr || db != for_db || version != catalog_version) {
+      return false;
+    }
+    for (const PlanTableDep& dep : plan->table_deps) {
+      if (*dep.version != dep.snapshot) return false;
+    }
+    return true;
+  }
 };
 
 class Planner {
@@ -179,6 +195,13 @@ class Planner {
   /// plannable and return InvalidArgument.
   Result<std::shared_ptr<const PlannedStatement>> Plan(
       const sql::Statement& stmt);
+
+  /// The plan-slot step of every statement path: returns `slot`'s plan when
+  /// PlanCacheSlot::Valid, else plans `stmt` and caches the result in `slot`
+  /// (null = plan without caching). Counts plan_cache_hits / plans_built
+  /// into `stats`.
+  Result<std::shared_ptr<const PlannedStatement>> PlanCached(
+      const sql::Statement& stmt, PlanCacheSlot* slot, Stats* stats);
 
   /// Reader sessions plan with index probes disabled: hash indexes are
   /// writer-private (not epoch-versioned), so snapshot reads always scan.

@@ -208,7 +208,7 @@ Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
   for (uint32_t ti = 0; r.ok() && ti < trigger_count; ++ti) {
     std::string sql = r.String();
     if (!r.ok()) break;
-    XUPD_RETURN_IF_ERROR(db->Execute(sql));
+    XUPD_RETURN_IF_ERROR(db->ExecuteQuery(sql).status());
   }
   if (!r.ok()) {
     return Status::Internal("snapshot '" + path + "' is malformed");

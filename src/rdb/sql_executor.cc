@@ -12,6 +12,15 @@ namespace xupd::rdb {
 
 using sql::Expr;
 
+ResultSet PlanRows(const std::string& rendered) {
+  ResultSet out;
+  out.columns = {"plan"};
+  for (const std::string& line : SplitChar(rendered, '\n')) {
+    out.rows.push_back({Value::Str(line)});
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Entry point
 
@@ -35,44 +44,14 @@ Result<ResultSet> Executor::Run(const sql::Statement& stmt,
       return RunExplain(*stmt.explain, slot, stmt.explain_analyze);
     case sql::Statement::Kind::kShow:
       return RunShow(stmt);
-    // DDL invalidates here — the single choke point every entry path
-    // (Execute, ExecuteQuery, ExecutePrepared) funnels through — so cached
-    // parses are flushed and cached plans version out before any reuse.
-    // Successful DDL is also pended to the WAL as its statement text (the
-    // Database flushes it at the statement boundary); trigger-body DDL has
-    // no text of its own and is not persisted.
-    case sql::Statement::Kind::kCreateTable: {
-      auto r = RunCreateTable(stmt.create_table);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
-    case sql::Statement::Kind::kCreateIndex: {
-      auto r = RunCreateIndex(stmt.create_index);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
-    case sql::Statement::Kind::kCreateTrigger: {
-      auto r = RunCreateTrigger(stmt.create_trigger);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
-    case sql::Statement::Kind::kDrop: {
-      auto r = RunDrop(stmt.drop);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
+    case sql::Statement::Kind::kCreateTable:
+      return FinishDdl(RunCreateTable(stmt.create_table));
+    case sql::Statement::Kind::kCreateIndex:
+      return FinishDdl(RunCreateIndex(stmt.create_index));
+    case sql::Statement::Kind::kCreateTrigger:
+      return FinishDdl(RunCreateTrigger(stmt.create_trigger));
+    case sql::Statement::Kind::kDrop:
+      return FinishDdl(RunDrop(stmt.drop));
     case sql::Statement::Kind::kBegin:
       XUPD_RETURN_IF_ERROR(db_->Begin());
       return ResultSet{};
@@ -121,39 +100,28 @@ Result<ResultSet> Executor::Run(const sql::Statement& stmt,
   return Status::Internal("unknown statement kind");
 }
 
+// DDL invalidates here — the single choke point every writer entry point
+// (ExecuteQuery by text or by handle, ExecuteQueryBound) and every trigger
+// body funnels through — so cached parses are flushed and cached plans
+// version out before any reuse. Successful DDL is also pended to the WAL as
+// its statement text (the Database flushes it at the statement boundary);
+// trigger-body DDL has no text of its own and is not persisted.
+Result<ResultSet> Executor::FinishDdl(Result<ResultSet> result) {
+  if (result.ok()) {
+    db_->InvalidateStatementCache();
+    if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
+  }
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Planning
 
 Result<std::shared_ptr<const PlannedStatement>> Executor::GetPlan(
     const sql::Statement& stmt, PlanCacheSlot* slot) {
-  if (slot != nullptr && slot->plan != nullptr && slot->db == db_ &&
-      slot->version == db_->catalog_version()) {
-    // The global version covers SQL DDL; the per-table dependencies cover
-    // direct catalog changes (DropTableDirect bumps only the dropped
-    // table's counter, so plans over other tables pass this check).
-    bool deps_current = true;
-    for (const PlanTableDep& dep : slot->plan->table_deps) {
-      if (*dep.version != dep.snapshot) {
-        deps_current = false;
-        break;
-      }
-    }
-    if (deps_current) {
-      ++db_->stats_.plan_cache_hits;
-      if (db_->slow_statement_threshold_us_ >= 0 && trigger_depth_ == 0) {
-        last_plan_ = slot->plan;
-      }
-      return slot->plan;
-    }
-  }
   Planner planner(db_, trigger_old_schema_);
-  XUPD_ASSIGN_OR_RETURN(auto plan, planner.Plan(stmt));
-  ++db_->stats_.plans_built;
-  if (slot != nullptr) {
-    slot->plan = plan;
-    slot->version = db_->catalog_version();
-    slot->db = db_;
-  }
+  XUPD_ASSIGN_OR_RETURN(auto plan,
+                        planner.PlanCached(stmt, slot, &db_->stats_));
   // Keep the top-level plan alive for the slow-statement log (one shared_ptr
   // copy, and only while the log is enabled — the hot path skips this).
   if (db_->slow_statement_threshold_us_ >= 0 && trigger_depth_ == 0) {
@@ -214,14 +182,7 @@ Result<ResultSet> Executor::RunExplain(const sql::Statement& stmt,
   // EXPLAIN re-renders without re-planning.
   XUPD_ASSIGN_OR_RETURN(auto plan, GetPlan(stmt, slot));
 
-  ResultSet out;
-  out.columns = {"plan"};
-  if (!analyze) {
-    for (const std::string& line : SplitChar(PlanToString(*plan), '\n')) {
-      out.rows.push_back({Value::Str(line)});
-    }
-    return out;
-  }
+  if (!analyze) return PlanRows(PlanToString(*plan));
 
   // EXPLAIN ANALYZE executes the statement for real, so the inner statement
   // must pass the same read-only gate it would face unwrapped.
@@ -259,12 +220,7 @@ Result<ResultSet> Executor::RunExplain(const sql::Statement& stmt,
       break;  // kInsert fills root.rows during execution.
   }
   ++db_->stats_.explain_analyzes;
-
-  for (const std::string& line :
-       SplitChar(PlanToStringAnalyzed(*plan, actuals), '\n')) {
-    out.rows.push_back({Value::Str(line)});
-  }
-  return out;
+  return PlanRows(PlanToStringAnalyzed(*plan, actuals));
 }
 
 Result<ResultSet> Executor::RunShow(const sql::Statement& stmt) {
@@ -417,7 +373,11 @@ Result<ResultSet> Executor::RunCreateTrigger(const sql::CreateTriggerStmt& stmt)
   def.name = stmt.name;
   def.table = stmt.table;
   def.granularity = stmt.granularity;
-  def.body = stmt.body;
+  // Each body statement becomes a handle of its own, so it carries its
+  // own plan slot like any prepared statement.
+  for (const auto& body_stmt : stmt.body) {
+    def.body.push_back(NewStatementHandle({}, *body_stmt));
+  }
   // Keep the original text only for top-level creates — it is how snapshots
   // persist the trigger (trigger-body DDL would capture the wrong text).
   if (trigger_depth_ == 0) def.sql = std::string(sql_text_);
@@ -641,15 +601,38 @@ Status Executor::FireDeleteTriggers(const Table* table,
           root(ex->trigger_depth_ == 0) {
       e->analyze_ = nullptr;
       e->analyze_select_ = nullptr;
+      ++e->trigger_depth_;
       if (root) t0 = MonotonicNanos();
     }
     ~CascadeScope() {
+      --e->trigger_depth_;
       e->analyze_ = saved_analyze;
       e->analyze_select_ = saved_select;
       if (root) e->db_->AddTriggerNs(MonotonicNanos() - t0);
     }
   } cascade_scope(this);
-  ++trigger_depth_;
+  // One firing: the body statements in order, each on its handle's plan
+  // slot, with `old_row` (null for statement triggers) as OLD.
+  auto fire = [&](const Database::TriggerDef& def,
+                  const Row* old_row) -> Status {
+    ++db_->stats_.trigger_firings;
+    const Row* saved_row = trigger_old_row_;
+    const TableSchema* saved_schema = trigger_old_schema_;
+    trigger_old_row_ = old_row;
+    trigger_old_schema_ = old_row != nullptr ? &table->schema() : nullptr;
+    Status status;
+    for (const StatementHandle& body_stmt : def.body) {
+      ++db_->stats_.trigger_statements;
+      auto r = Run(body_stmt->stmt, &body_stmt->plan_slot);
+      if (!r.ok()) {
+        status = r.status();
+        break;
+      }
+    }
+    trigger_old_row_ = saved_row;
+    trigger_old_schema_ = saved_schema;
+    return status;
+  };
   const std::string& table_name = table->schema().name();
   // Snapshot the trigger list: bodies may not add triggers, but the vector
   // could reallocate if they did.
@@ -658,47 +641,14 @@ Status Executor::FireDeleteTriggers(const Table* table,
     if (EqualsIgnoreCase(t.table, table_name)) defs.push_back(t);
   }
   for (const auto& def : defs) {
-    if (def.granularity == sql::TriggerGranularity::kRow) {
-      for (const Row& row : deleted_rows) {
-        ++db_->stats_.trigger_firings;
-        const Row* saved_row = trigger_old_row_;
-        const TableSchema* saved_schema = trigger_old_schema_;
-        trigger_old_row_ = &row;
-        trigger_old_schema_ = &table->schema();
-        for (const auto& body_stmt : def.body) {
-          ++db_->stats_.trigger_statements;
-          auto r = Run(*body_stmt, db_->TriggerPlanSlot(body_stmt.get()));
-          if (!r.ok()) {
-            trigger_old_row_ = saved_row;
-            trigger_old_schema_ = saved_schema;
-            --trigger_depth_;
-            return r.status();
-          }
-        }
-        trigger_old_row_ = saved_row;
-        trigger_old_schema_ = saved_schema;
-      }
-    } else {
-      ++db_->stats_.trigger_firings;
-      const Row* saved_row = trigger_old_row_;
-      const TableSchema* saved_schema = trigger_old_schema_;
-      trigger_old_row_ = nullptr;
-      trigger_old_schema_ = nullptr;
-      for (const auto& body_stmt : def.body) {
-        ++db_->stats_.trigger_statements;
-        auto r = Run(*body_stmt, db_->TriggerPlanSlot(body_stmt.get()));
-        if (!r.ok()) {
-          trigger_old_row_ = saved_row;
-          trigger_old_schema_ = saved_schema;
-          --trigger_depth_;
-          return r.status();
-        }
-      }
-      trigger_old_row_ = saved_row;
-      trigger_old_schema_ = saved_schema;
+    if (def.granularity != sql::TriggerGranularity::kRow) {
+      XUPD_RETURN_IF_ERROR(fire(def, nullptr));
+      continue;
+    }
+    for (const Row& row : deleted_rows) {
+      XUPD_RETURN_IF_ERROR(fire(def, &row));
     }
   }
-  --trigger_depth_;
   return Status::OK();
 }
 

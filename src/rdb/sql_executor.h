@@ -4,10 +4,10 @@
 // SELECT/INSERT/DELETE/UPDATE run through plan trees: the logical planner
 // (rdb/planner.h) resolves names and chooses access paths once, the physical
 // operators (rdb/exec_node.h) stream tuples through pull-based iterators.
-// Plans are cached per prepared-statement handle and per trigger-body
-// statement, guarded by Database::catalog_version(). DDL and transaction
-// control execute directly; EXPLAIN plans without executing and returns the
-// plan tree as rows.
+// Plans are cached in the plan slot of the statement's handle (prepared
+// statements and trigger-body statements alike; see PlanCacheSlot). DDL and
+// transaction control execute directly; EXPLAIN plans without executing and
+// returns the plan tree as rows.
 #ifndef XUPD_RDB_SQL_EXECUTOR_H_
 #define XUPD_RDB_SQL_EXECUTOR_H_
 
@@ -23,6 +23,10 @@
 #include "rdb/sql_ast.h"
 
 namespace xupd::rdb {
+
+/// The EXPLAIN result shape: one "plan" column, one row per rendered line.
+/// Writer EXPLAIN [ANALYZE] and reader-session EXPLAIN both return this.
+ResultSet PlanRows(const std::string& rendered);
 
 class Executor {
  public:
@@ -55,6 +59,8 @@ class Executor {
   Result<ResultSet> RunCreateIndex(const sql::CreateIndexStmt& stmt);
   Result<ResultSet> RunCreateTrigger(const sql::CreateTriggerStmt& stmt);
   Result<ResultSet> RunDrop(const sql::DropStmt& stmt);
+  /// Invalidates caches and logs the text after a successful DDL statement.
+  Result<ResultSet> FinishDdl(Result<ResultSet> result);
   Result<ResultSet> RunExplain(const sql::Statement& stmt,
                                PlanCacheSlot* slot, bool analyze);
   Result<ResultSet> RunShow(const sql::Statement& stmt);
@@ -65,8 +71,8 @@ class Executor {
   Result<ResultSet> RunPlannedDelete(const PlannedStatement& plan);
   Result<ResultSet> RunPlannedUpdate(const PlannedStatement& plan);
 
-  /// Returns the cached plan when `slot` holds one valid for the current
-  /// catalog version, else builds (and caches) a fresh plan.
+  /// Planner::PlanCached with this statement's trigger OLD-row schema,
+  /// counted into the writer's stats; remembers the plan for the slow log.
   Result<std::shared_ptr<const PlannedStatement>> GetPlan(
       const sql::Statement& stmt, PlanCacheSlot* slot);
 

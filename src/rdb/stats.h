@@ -60,16 +60,17 @@ class RelaxedU64 {
 // X(field, label): `field` is the struct member, `label` the short key used
 // by ToString() — bench logs and tests grep these, keep them stable.
 #define XUPD_RDB_STATS_FIELDS(X)                                             \
-  /* SQL statements issued through Database::Execute / ExecuteQuery /        \
-     ExecutePrepared (each pays the simulated round-trip latency once). */   \
+  /* SQL statements issued through Database::ExecuteQuery (by text or by     \
+     handle) / ExecuteQueryBound (each pays the simulated round-trip         \
+     latency once), or through a reader session's entry points. */           \
   X(statements, "stmts")                                                     \
-  /* Full ParseSql invocations: every Execute/ExecuteQuery call plus every   \
+  /* Full ParseSql invocations: every ExecuteQuery-by-text call plus every   \
      prepared-cache miss. Statement reuse shows up as this counter growing   \
      slower than `statements`. */                                            \
   X(sql_parses, "parses")                                                    \
-  /* Prepared-statement cache hits: Database::Prepare (or the ExecuteBound   \
-     convenience wrappers) found the SQL text already parsed and skipped     \
-     ParseSql entirely. */                                                   \
+  /* Prepared-statement cache hits: Prepare (or ExecuteQueryBound, on the    \
+     writer or a reader session) found the SQL text already parsed and       \
+     skipped ParseSql entirely. */                                           \
   X(prepared_hits, "prep_hits")                                              \
   /* Prepared-statement cache misses: Prepare had to parse. misses == the    \
      number of distinct statement shapes seen (modulo LRU eviction and DDL   \
@@ -79,12 +80,13 @@ class RelaxedU64 {
      statements (only statements carrying more than one row count). The     \
      batched bulk-load path drives this. */                                  \
   X(batched_rows, "batched")                                                 \
-  /* Plans built by the logical planner: every ad-hoc Execute/ExecuteQuery   \
+  /* Plans built by the logical planner: every ExecuteQuery-by-text call     \
      of a plannable statement, every plan-cache miss, and every EXPLAIN. */  \
   X(plans_built, "plans")                                                    \
-  /* Cached-plan reuses: ExecutePrepared/ExecuteBound (or a trigger body     \
-     re-firing) found a plan still valid for the current catalog version     \
-     and skipped name resolution + access-path selection entirely. */        \
+  /* Cached-plan reuses: a handle execution (ExecuteQuery by handle,         \
+     ExecuteQueryBound, or a trigger body re-firing) found its plan slot     \
+     still valid (PlanCacheSlot::Valid) and skipped name resolution +        \
+     access-path selection entirely. */                                      \
   X(plan_cache_hits, "plan_hits")                                            \
   /* Statements executed inside trigger bodies. */                           \
   X(trigger_statements, "trig_stmts")                                        \

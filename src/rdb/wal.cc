@@ -584,7 +584,7 @@ struct PendingRecord {
 
 Status ApplyRecord(Database* db, const PendingRecord& rec) {
   if (rec.kind == RecordKind::kDdl) {
-    return db->Execute(rec.sql);
+    return db->ExecuteQuery(rec.sql).status();
   }
   Table* table = db->FindTable(rec.table);
   if (table == nullptr) {

@@ -12,14 +12,18 @@ namespace xupd::shred {
 using rdb::Value;
 
 Status EdgeStore::CreateSchema() {
-  XUPD_RETURN_IF_ERROR(db_->Execute(
+  XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(
       std::string("CREATE TABLE ") + kTableName +
       " (source INTEGER, ordinal INTEGER, kind VARCHAR, name VARCHAR, "
-      "value VARCHAR, target INTEGER)"));
-  XUPD_RETURN_IF_ERROR(db_->Execute(std::string("CREATE INDEX idx_edge_source ON ") +
-                                    kTableName + " (source)"));
-  XUPD_RETURN_IF_ERROR(db_->Execute(std::string("CREATE INDEX idx_edge_target ON ") +
-                                    kTableName + " (target)"));
+      "value VARCHAR, target INTEGER)").status());
+  XUPD_RETURN_IF_ERROR(
+      db_->ExecuteQuery(std::string("CREATE INDEX idx_edge_source ON ") +
+                        kTableName + " (source)")
+          .status());
+  XUPD_RETURN_IF_ERROR(
+      db_->ExecuteQuery(std::string("CREATE INDEX idx_edge_target ON ") +
+                        kTableName + " (target)")
+          .status());
   return Status::OK();
 }
 

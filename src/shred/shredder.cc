@@ -11,7 +11,7 @@ using rdb::Value;
 
 Status Shredder::CreateSchema() {
   for (const std::string& sql : mapping_->SchemaSql()) {
-    XUPD_RETURN_IF_ERROR(db_->Execute(sql));
+    XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(sql).status());
   }
   return Status::OK();
 }
@@ -122,7 +122,7 @@ Status Shredder::InsertTuplesSql(const std::vector<ShreddedTuple>& tuples) {
     // The paper's original regime on every path: one literal single-row
     // INSERT statement per tuple, parsed on every execution.
     for (const ShreddedTuple& t : tuples) {
-      XUPD_RETURN_IF_ERROR(db_->Execute(InsertSql(t)));
+      XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(InsertSql(t)).status());
     }
     return Status::OK();
   }
@@ -152,7 +152,7 @@ Status Shredder::InsertTuplesSql(const std::vector<ShreddedTuple>& tuples) {
         const rdb::Row& row = group[start + i]->row;
         params.insert(params.end(), row.begin(), row.end());
       }
-      XUPD_RETURN_IF_ERROR(db_->ExecuteBound(sql, params));
+      XUPD_RETURN_IF_ERROR(db_->ExecuteQueryBound(sql, params).status());
     }
   }
   return Status::OK();

@@ -142,7 +142,9 @@ const std::vector<std::string>& WorkloadSteps() {
 Status RunWorkload(rdb::Database* db, std::vector<std::string>* states) {
   if (states != nullptr) states->push_back(DumpDurableState(*db));
   for (const std::string& step : WorkloadSteps()) {
-    Status s = step == "@checkpoint" ? db->Checkpoint() : db->Execute(step);
+    Status s =
+        step == "@checkpoint" ? db->Checkpoint() : db->ExecuteQuery(step)
+            .status();
     if (!s.ok()) return s;
     if (states != nullptr && !db->in_transaction()) {
       states->push_back(DumpDurableState(*db));
@@ -211,7 +213,8 @@ void RunFaultMatrix(FaultKind kind, const CleanSchedule& clean) {
       EXPECT_FALSE(db.health().cause.empty());
       // Degraded contract: writes are rejected with kUnavailable while the
       // fault persists, reads keep working.
-      Status rejected = db.Execute("INSERT INTO t VALUES (99, 'rejected')");
+      Status rejected =
+          db.ExecuteQuery("INSERT INTO t VALUES (99, 'rejected')").status();
       EXPECT_EQ(rejected.code(), StatusCode::kUnavailable) << rejected;
       fault.ClearFault();
       // (d) TryHeal returns to read-write once the fault clears...
@@ -229,7 +232,7 @@ void RunFaultMatrix(FaultKind kind, const CleanSchedule& clean) {
     if (!on_boundary && !db.read_only()) {
       // A power-loss fault can kill the WAL handle without any statement
       // noticing until the next write; force the heal path and re-check.
-      Status poke = db.Execute("DELETE FROM t WHERE id = 0");
+      Status poke = db.ExecuteQuery("DELETE FROM t WHERE id = 0").status();
       if (!poke.ok() && db.read_only()) {
         ASSERT_TRUE(db.TryHeal().ok());
         got = DumpDurableState(db);
@@ -241,14 +244,16 @@ void RunFaultMatrix(FaultKind kind, const CleanSchedule& clean) {
     // (d) Writes resume for real.
     if (db.FindTable("t") == nullptr) {
       ASSERT_TRUE(
-          db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+          db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
     }
-    Status resumed = db.Execute("INSERT INTO t VALUES (100, 'resumed')");
+    Status resumed =
+        db.ExecuteQuery("INSERT INTO t VALUES (100, 'resumed')").status();
     if (!resumed.ok()) {
       // Dead power-loss handle surfacing on first use: one heal allowed.
       ASSERT_TRUE(db.read_only()) << resumed;
       ASSERT_TRUE(db.TryHeal().ok());
-      ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (100, 'resumed')").ok());
+      ASSERT_TRUE(
+          db.ExecuteQuery("INSERT INTO t VALUES (100, 'resumed')").ok());
     }
     EXPECT_TRUE(db.VerifyIntegrity().empty());
   }
@@ -296,12 +301,13 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
   FaultVfs fault(rdb::Vfs::Default());
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path(), FaultOptions(&fault)).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 'a')").ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1, 'a')").ok());
 
   // Break the WAL on the next append.
   fault.ArmFault(FaultKind::kEio, 1, "wal");
-  Status broken = db.Execute("INSERT INTO t VALUES (2, 'b')");
+  Status broken = db.ExecuteQuery("INSERT INTO t VALUES (2, 'b')").status();
   ASSERT_FALSE(broken.ok());
   ASSERT_TRUE(db.read_only());
   rdb::Database::Health h = db.health();
@@ -319,14 +325,14 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
 
   // Writes to durable state are rejected with kUnavailable naming the
   // original fault and the healing path.
-  Status ins = db.Execute("INSERT INTO t VALUES (3, 'c')");
+  Status ins = db.ExecuteQuery("INSERT INTO t VALUES (3, 'c')").status();
   EXPECT_EQ(ins.code(), StatusCode::kUnavailable);
   EXPECT_NE(ins.message().find("read-only"), std::string::npos) << ins;
   EXPECT_NE(ins.message().find("EIO"), std::string::npos) << ins;
   EXPECT_NE(ins.message().find("TryHeal"), std::string::npos) << ins;
-  EXPECT_EQ(db.Execute("CREATE TABLE u (id INTEGER)").code(),
+  EXPECT_EQ(db.ExecuteQuery("CREATE TABLE u (id INTEGER)").status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(db.Execute("DELETE FROM t WHERE id = 1").code(),
+  EXPECT_EQ(db.ExecuteQuery("DELETE FROM t WHERE id = 1").status().code(),
             StatusCode::kUnavailable);
 
   // Ephemeral scratch tables bypass the WAL and stay writable.
@@ -349,7 +355,7 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
   rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows[0][0].AsInt(), 1);
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (2, 'b2')").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (2, 'b2')").ok());
   EXPECT_GE(db.stats().heal_attempts, 1u);
   EXPECT_TRUE(db.VerifyIntegrity().empty());
 }
@@ -504,7 +510,7 @@ TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
   ASSERT_TRUE(store.value()->VerifyStore().empty());
   // Deleting mid-level tuples directly (no strategy, no cascade) orphans
   // their children — exactly what the engine scrub exists to catch.
-  ASSERT_TRUE(store.value()->db()->Execute("DELETE FROM n2").ok());
+  ASSERT_TRUE(store.value()->db()->ExecuteQuery("DELETE FROM n2").ok());
   std::vector<std::string> violations = store.value()->VerifyStore();
   ASSERT_FALSE(violations.empty());
   bool mentions_orphan = false;
@@ -519,10 +525,10 @@ TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
 class IndexScrubTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(db_.Execute("CREATE TABLE t (k INTEGER, v VARCHAR)").ok());
-    ASSERT_TRUE(db_.Execute("CREATE INDEX idx_t_k ON t (k)").ok());
-    ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), "
-                            "(3, 'c'), (4, 'd'), (5, 'e')")
+    ASSERT_TRUE(db_.ExecuteQuery("CREATE TABLE t (k INTEGER, v VARCHAR)").ok());
+    ASSERT_TRUE(db_.ExecuteQuery("CREATE INDEX idx_t_k ON t (k)").ok());
+    ASSERT_TRUE(db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (2, 'b'), "
+                                 "(3, 'c'), (4, 'd'), (5, 'e')")
                     .ok());
     ASSERT_TRUE(db_.VerifyIntegrity().empty());
   }
@@ -544,7 +550,7 @@ TEST_F(IndexScrubTest, ErasedEntryIsMissingFromIndex) {
 }
 
 TEST_F(IndexScrubTest, StaleEntryOnATombstoneIsFlagged) {
-  ASSERT_TRUE(db_.Execute("DELETE FROM t WHERE k = 3").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("DELETE FROM t WHERE k = 3").ok());
   ASSERT_TRUE(db_.VerifyIntegrity().empty());
   Index()->Insert(rdb::Value::Int(3), 2);
   EXPECT_TRUE(ScrubReports("holds tombstoned rowid 2"));
@@ -561,8 +567,8 @@ TEST(IndexScrubCostTest, EqualKeyRunCostsOneProbePerDistinctKey) {
   // Every row shares one key (like the ASR root column): the forward check
   // must probe once per distinct key, not once per row.
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INTEGER, v INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("CREATE INDEX idx_t_k ON t (k)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (k INTEGER, v INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE INDEX idx_t_k ON t (k)").ok());
   constexpr int kRows = 5000;
   constexpr int kBatch = 500;
   for (int base = 0; base < kRows; base += kBatch) {
@@ -571,7 +577,7 @@ TEST(IndexScrubCostTest, EqualKeyRunCostsOneProbePerDistinctKey) {
       if (i > base) sql += ", ";
       sql += "(7, " + std::to_string(i) + ")";
     }
-    ASSERT_TRUE(db.Execute(sql).ok());
+    ASSERT_TRUE(db.ExecuteQuery(sql).ok());
   }
   const rdb::HashIndex* index = db.FindTable("t")->FindIndexByName("idx_t_k");
   ASSERT_NE(index, nullptr);
@@ -584,8 +590,8 @@ TEST(CheckIntegritySqlTest, ReportsOkThenFlagsOnDiskCorruption) {
   TempDir dir;
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
   auto clean = db.ExecuteQuery("CHECK INTEGRITY");
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_EQ(clean->columns.size(), 1u);
@@ -625,10 +631,10 @@ TEST(CheckIntegritySqlTest, IsRejectedUnderExplainButRunsInReadOnlyMode) {
   FaultVfs fault(rdb::Vfs::Default());
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path(), FaultOptions(&fault)).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   EXPECT_FALSE(db.ExecuteQuery("EXPLAIN CHECK INTEGRITY").ok());
   fault.ArmFault(FaultKind::kEio, 1, "wal");
-  ASSERT_FALSE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_FALSE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
   ASSERT_TRUE(db.read_only());
   // The scrub stays available while degraded (and while the fault is still
   // armed — it is strictly read-only).
@@ -646,7 +652,7 @@ TEST(StaleSnapshotTmpTest, LeftoverTmpFileIsRemovedOnOpen) {
   {
     rdb::Database db;
     ASSERT_TRUE(db.Open(dir.path()).ok());
-    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   }
   // A crash between writing snapshot.tmp and renaming it leaves the tmp
   // file behind; Open must clean it up instead of letting it shadow a
@@ -676,9 +682,9 @@ TEST(TryHealTest, WithoutDurabilityOrInsideTxnIsRejected) {
   FaultVfs fault(rdb::Vfs::Default());
   rdb::Database db2;
   ASSERT_TRUE(db2.Open(dir.path(), FaultOptions(&fault)).ok());
-  ASSERT_TRUE(db2.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db2.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   fault.ArmFault(FaultKind::kEio, 1, "wal");
-  ASSERT_FALSE(db2.Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_FALSE(db2.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
   ASSERT_TRUE(db2.read_only());
   fault.ClearFault();
   ASSERT_TRUE(db2.Begin().ok());

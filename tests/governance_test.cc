@@ -182,12 +182,12 @@ void ExpectScrubClean(RelationalStore* store) {
 
 TEST(StatementTimeoutTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   // The simulated per-statement latency dwarfs the timeout: SpinFor exits
   // early at the deadline and the admission check reports the expiry.
   db.set_statement_latency_us(50000);
   db.set_statement_timeout_us(100);
-  Status s = db.Execute("INSERT INTO t VALUES (1)");
+  Status s = db.ExecuteQuery("INSERT INTO t VALUES (1)").status();
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s;
   EXPECT_NE(s.message().find("deadline"), std::string::npos) << s;
   // Nothing landed.
@@ -201,38 +201,24 @@ TEST(StatementTimeoutTest, ExpiredDeadlineReturnsDeadlineExceeded) {
             1u);
 }
 
-TEST(StatementTimeoutTest, PerCallOverloadOverridesGlobalTimeout) {
-  rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
-  db.set_statement_latency_us(50000);
-  // No global timeout: the per-call deadline alone kills the statement.
-  ASSERT_EQ(db.statement_timeout_us(), 0);
-  EXPECT_EQ(db.Execute("INSERT INTO t VALUES (1)", 100).code(),
-            StatusCode::kDeadlineExceeded);
-  // A generous per-call deadline lets the statement through.
-  EXPECT_TRUE(db.Execute("INSERT INTO t VALUES (2)", 60000000).ok());
-  db.set_statement_latency_us(0);
-  auto rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->rows[0][0].AsInt(), 1);
-}
-
 TEST(StatementTimeoutTest, MidExecutionExpiryRollsBackPartialEffects) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   ASSERT_TRUE(db.Begin().ok());
   auto ins = db.Prepare("INSERT INTO t VALUES (?)");
   ASSERT_TRUE(ins.ok());
   for (int i = 0; i < 50000; ++i) {
     ASSERT_TRUE(
-        db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)}).ok());
+        db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
   }
   ASSERT_TRUE(db.Commit().ok());
   // A deadline short enough to expire inside the delete's pull loop but
   // long enough to pass admission (the absolute instant is checked at
   // every 64th pull; 50000 rows give hundreds of polls and comfortably
   // more than 250us of execution).
-  Status s = db.Execute("DELETE FROM t WHERE id >= 0", 250);
+  db.set_statement_timeout_us(250);
+  Status s = db.ExecuteQuery("DELETE FROM t WHERE id >= 0").status();
+  db.set_statement_timeout_us(0);
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s;
   // The partial delete rolled back: every row is still there.
   auto rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
@@ -243,24 +229,24 @@ TEST(StatementTimeoutTest, MidExecutionExpiryRollsBackPartialEffects) {
 
 TEST(SetStatementTimeoutSqlTest, SetsClampsAndClears) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("SET STATEMENT_TIMEOUT 2500").ok());
+  ASSERT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT 2500").ok());
   EXPECT_EQ(db.statement_timeout_us(), 2500);
-  ASSERT_TRUE(db.Execute("SET statement_timeout = 800").ok());
+  ASSERT_TRUE(db.ExecuteQuery("SET statement_timeout = 800").ok());
   EXPECT_EQ(db.statement_timeout_us(), 800);
   // Negative clamps to 0 (= disabled).
-  ASSERT_TRUE(db.Execute("SET STATEMENT_TIMEOUT -5").ok());
+  ASSERT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT -5").ok());
   EXPECT_EQ(db.statement_timeout_us(), 0);
-  ASSERT_TRUE(db.Execute("SET STATEMENT_TIMEOUT 0").ok());
+  ASSERT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT 0").ok());
   EXPECT_EQ(db.statement_timeout_us(), 0);
-  Status unknown = db.Execute("SET NO_SUCH_KNOB 1");
+  Status unknown = db.ExecuteQuery("SET NO_SUCH_KNOB 1").status();
   EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(unknown.message().find("STATEMENT_TIMEOUT"), std::string::npos)
       << unknown;
-  EXPECT_FALSE(db.Execute("SET STATEMENT_TIMEOUT abc").ok());
+  EXPECT_FALSE(db.ExecuteQuery("SET STATEMENT_TIMEOUT abc").ok());
   // SET is governance-exempt: it still runs with an absurd timeout armed.
-  ASSERT_TRUE(db.Execute("SET STATEMENT_TIMEOUT 1").ok());
+  ASSERT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT 1").ok());
   db.set_statement_latency_us(50000);
-  EXPECT_TRUE(db.Execute("SET STATEMENT_TIMEOUT 0").ok());
+  EXPECT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT 0").ok());
   db.set_statement_latency_us(0);
   EXPECT_EQ(db.statement_timeout_us(), 0);
 }
@@ -270,9 +256,9 @@ TEST(SetStatementTimeoutSqlTest, SetsClampsAndClears) {
 
 TEST(CancelTokenTest, CancelFromAnotherThreadKillsARunningStatement) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE a (x INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE b (y INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE c (z INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE a (x INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE b (y INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE c (z INTEGER)").ok());
   ASSERT_TRUE(db.Begin().ok());
   for (int t = 0; t < 3; ++t) {
     const char* names[] = {"a", "b", "c"};
@@ -280,7 +266,7 @@ TEST(CancelTokenTest, CancelFromAnotherThreadKillsARunningStatement) {
                           " VALUES (?)");
     ASSERT_TRUE(ins.ok());
     for (int i = 0; i < 120; ++i) {
-      ASSERT_TRUE(db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)}).ok());
+      ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
     }
   }
   ASSERT_TRUE(db.Commit().ok());
@@ -423,12 +409,13 @@ TEST(BudgetExhaustionMatrixTest, HardBudgetKillsAndRollsBackEveryStrategy) {
 
 TEST(SoftBudgetTest, ShedsNewStatementsButExemptsDiagnostics) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')").ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (2, 'b')").ok());
   MemoryAccountant& mem = db.memory_accountant();
   ASSERT_GT(mem.total_used(), 0u);
   mem.set_soft_budget(1);  // far below current usage: shed everything new
-  Status shed = db.Execute("INSERT INTO t VALUES (3, 'c')");
+  Status shed = db.ExecuteQuery("INSERT INTO t VALUES (3, 'c')").status();
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted) << shed;
   EXPECT_NE(shed.message().find("shedding"), std::string::npos) << shed;
   EXPECT_EQ(db.ExecuteQuery("SELECT * FROM t").status().code(),
@@ -438,7 +425,7 @@ TEST(SoftBudgetTest, ShedsNewStatementsButExemptsDiagnostics) {
   EXPECT_TRUE(db.ExecuteQuery("SHOW HEALTH").ok());
   EXPECT_TRUE(db.ExecuteQuery("SHOW METRICS").ok());
   EXPECT_TRUE(db.ExecuteQuery("CHECK INTEGRITY").ok());
-  EXPECT_TRUE(db.Execute("SET STATEMENT_TIMEOUT 0").ok());
+  EXPECT_TRUE(db.ExecuteQuery("SET STATEMENT_TIMEOUT 0").ok());
   EXPECT_GE(
       db.metrics().Counter("stmt.shed")->load(std::memory_order_relaxed), 2u);
   // SHOW HEALTH reports the pressure.
@@ -453,7 +440,7 @@ TEST(SoftBudgetTest, ShedsNewStatementsButExemptsDiagnostics) {
   EXPECT_TRUE(over_soft_reported);
   // Lifting the budget resumes admission; in-flight data was never lost.
   mem.set_soft_budget(0);
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (3, 'c')").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (3, 'c')").ok());
   auto rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows[0][0].AsInt(), 3);
@@ -463,7 +450,8 @@ TEST(WalPendingWatermarkTest, OversizedCommitUnitFailsCleanly) {
   TempDir dir;
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
   MemoryAccountant& mem = db.memory_accountant();
   mem.set_wal_pending_limit(2048);
   ASSERT_TRUE(db.Begin().ok());
@@ -471,7 +459,7 @@ TEST(WalPendingWatermarkTest, OversizedCommitUnitFailsCleanly) {
   ASSERT_TRUE(ins.ok());
   Status s = Status::OK();
   for (int i = 0; i < 10000 && s.ok(); ++i) {
-    s = db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)});
+    s = db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).status();
   }
   // The unit's staged bytes crossed the watermark: a clean failure instead
   // of unbounded growth.
@@ -489,7 +477,7 @@ TEST(WalPendingWatermarkTest, OversizedCommitUnitFailsCleanly) {
   mem.set_wal_pending_limit(0);
   ASSERT_TRUE(db.Begin().ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)}).ok());
+    ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
   }
   ASSERT_TRUE(db.Commit().ok());
   EXPECT_EQ(mem.used(MemoryAccountant::kWalPending), 0u);
@@ -499,12 +487,13 @@ TEST(MemoryAccountingTest, GaugesTrackTheDominantConsumers) {
   rdb::Database db;
   MemoryAccountant& mem = db.memory_accountant();
   const uint64_t before = mem.total_used();
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
   ASSERT_TRUE(db.Begin().ok());
   auto ins = db.Prepare("INSERT INTO t VALUES (?, 'some-interned-name')");
   ASSERT_TRUE(ins.ok());
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)}).ok());
+    ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
   }
   // Mid-transaction: slabs, the interner, and the undo log all carry
   // charges, mirrored into mem.* gauges.
@@ -568,8 +557,8 @@ TEST(FlusherWatchdogTest, BrokenWalStopsHeartbeatsAndReportsStall) {
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path(), opts).ok());
   db.set_watchdog_stall_windows(2);
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
   // A healthy flusher stamps its heartbeat every window; poll for it
   // (scheduling under sanitizers can briefly delay the thread past the
   // staleness budget right after startup).
@@ -587,7 +576,7 @@ TEST(FlusherWatchdogTest, BrokenWalStopsHeartbeatsAndReportsStall) {
   // Break the WAL: appends and fsyncs fail, the flusher stops stamping its
   // heartbeat, and the watchdog trips after 2 windows (1ms).
   fault.ArmFault(FaultKind::kEio, 1, "wal");
-  (void)db.Execute("INSERT INTO t VALUES (2)");
+  (void)db.ExecuteQuery("INSERT INTO t VALUES (2)");
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   rdb::Database::Health h = db.health();
   EXPECT_TRUE(h.flusher_stalled);
@@ -625,12 +614,13 @@ TEST(CheckpointWatchdogTest, SlowSnapshotTripsAndClearsAfterJoin) {
   TempDir dir;
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
   ASSERT_TRUE(db.Begin().ok());
   auto ins = db.Prepare("INSERT INTO t VALUES (?, 'payload-payload')");
   ASSERT_TRUE(ins.ok());
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(db.ExecutePrepared(ins.value(), {rdb::Value::Int(i)}).ok());
+    ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
   }
   ASSERT_TRUE(db.Commit().ok());
   // A 1us window on a 20k-row snapshot: while the write is in flight every
@@ -662,7 +652,7 @@ TEST(CheckpointWatchdogTest, SlowSnapshotTripsAndClearsAfterJoin) {
 
 TEST(ReaderAdmissionTest, ExhaustedSlotsReturnUnavailableWithRetryHint) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   std::vector<std::unique_ptr<rdb::ReaderSession>> sessions;
   for (int i = 0; i < rdb::EpochManager::kMaxReaders; ++i) {
     auto s = db.OpenReaderSession();
@@ -682,16 +672,16 @@ TEST(ReaderAdmissionTest, ExhaustedSlotsReturnUnavailableWithRetryHint) {
 
 TEST(ReaderGovernanceTest, SessionsHonorTimeoutAndCancelToken) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE a (x INTEGER)").ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE b (y INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE a (x INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE b (y INTEGER)").ok());
   ASSERT_TRUE(db.Begin().ok());
   auto ia = db.Prepare("INSERT INTO a VALUES (?)");
   auto ib = db.Prepare("INSERT INTO b VALUES (?)");
   ASSERT_TRUE(ia.ok());
   ASSERT_TRUE(ib.ok());
   for (int i = 0; i < 700; ++i) {
-    ASSERT_TRUE(db.ExecutePrepared(ia.value(), {rdb::Value::Int(i)}).ok());
-    ASSERT_TRUE(db.ExecutePrepared(ib.value(), {rdb::Value::Int(i)}).ok());
+    ASSERT_TRUE(db.ExecuteQuery(ia.value(), {rdb::Value::Int(i)}).ok());
+    ASSERT_TRUE(db.ExecuteQuery(ib.value(), {rdb::Value::Int(i)}).ok());
   }
   ASSERT_TRUE(db.Commit().ok());
   auto session = db.OpenReaderSession();
@@ -720,13 +710,13 @@ TEST(ReaderGovernanceTest, SessionsHonorTimeoutAndCancelToken) {
 
 TEST(SlowLogCauseTest, KilledStatementsAreLoggedWithCauseAndDelta) {
   rdb::Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   // The slow log's duration threshold stays DISABLED: governance kills are
   // captured regardless.
   ASSERT_LT(db.slow_statement_threshold_us(), 0.0);
   db.set_statement_latency_us(20000);
   db.set_statement_timeout_us(100);
-  ASSERT_EQ(db.Execute("INSERT INTO t VALUES (1)").code(),
+  ASSERT_EQ(db.ExecuteQuery("INSERT INTO t VALUES (1)").status().code(),
             StatusCode::kDeadlineExceeded);
   db.set_statement_timeout_us(0);
   db.set_statement_latency_us(0);
@@ -736,7 +726,7 @@ TEST(SlowLogCauseTest, KilledStatementsAreLoggedWithCauseAndDelta) {
   EXPECT_EQ(killed.sql, "INSERT INTO t VALUES (1)");
   // Cancelled statements record their cause too.
   db.cancel_token().Cancel();
-  ASSERT_EQ(db.Execute("INSERT INTO t VALUES (2)").code(),
+  ASSERT_EQ(db.ExecuteQuery("INSERT INTO t VALUES (2)").status().code(),
             StatusCode::kCancelled);
   db.cancel_token().Reset();
   EXPECT_EQ(db.slow_statements().back().cause, "cancelled");
@@ -773,9 +763,9 @@ TEST(TryHealBackoffTest, BackoffIsBoundedInterruptibleAndObservable) {
   opts.vfs = &fault;
   rdb::Database db;
   ASSERT_TRUE(db.Open(dir.path(), opts).ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
   fault.ArmFault(FaultKind::kEio, 1, "wal");
-  ASSERT_FALSE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_FALSE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
   ASSERT_TRUE(db.read_only());
   // Bounded: with the fault persisting, 3 attempts back off 2ms + 4ms and
   // return promptly (the per-attempt cap is kMaxHealBackoffMs).
@@ -807,7 +797,7 @@ TEST(TryHealBackoffTest, BackoffIsBoundedInterruptibleAndObservable) {
   Status healed = db.TryHeal();
   ASSERT_TRUE(healed.ok()) << healed;
   EXPECT_FALSE(db.read_only());
-  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (2)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (2)").ok());
 }
 
 }  // namespace

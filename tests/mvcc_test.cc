@@ -56,7 +56,7 @@ class TempDir {
 };
 
 void Must(rdb::Database* db, const std::string& sql) {
-  Status s = db->Execute(sql);
+  Status s = db->ExecuteQuery(sql).status();
   ASSERT_TRUE(s.ok()) << sql << ": " << s;
 }
 
@@ -245,6 +245,78 @@ TEST(MvccTest, ReaderPlanCacheTracksDdl) {
   Must(&db, "INSERT INTO t VALUES (7, 8)");
   EXPECT_EQ(ReaderCount(rs->get(), "SELECT COUNT(*) FROM t"), 1);
   EXPECT_EQ(ReaderCount(rs->get(), "SELECT SUM(v) FROM t"), 8);
+}
+
+TEST(MvccTest, ReaderPlanValidationHonoursPerTableDeps) {
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER)");
+  Must(&db, "INSERT INTO t VALUES (1)");
+  ASSERT_TRUE(db.CreateTableDirect(
+                    rdb::TableSchema("scratch",
+                                     {{"id", rdb::ColumnType::kInteger}}))
+                  .ok());
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  rdb::ReaderSession* session = rs->get();
+  const std::string sql = "SELECT COUNT(*) FROM t";
+  ASSERT_TRUE(session->ExecuteQueryBound(sql, {}).ok());
+
+  // A direct drop of an unrelated table leaves the cached plan hot.
+  ASSERT_TRUE(db.DropTableDirect("scratch").ok());
+  rdb::Stats before = session->stats();
+  auto r = session->ExecuteQueryBound(sql, {});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 1);
+  rdb::Stats delta = session->stats().Delta(before);
+  EXPECT_EQ(delta.plan_cache_hits, 1u);
+  EXPECT_EQ(delta.plans_built, 0u);
+
+  // Dropping and re-creating the referenced table (direct API: no global
+  // catalog-version bump) re-plans through its per-table dependency.
+  ASSERT_TRUE(db.DropTableDirect("t").ok());
+  auto t = db.CreateTableDirect(
+      rdb::TableSchema("t", {{"id", rdb::ColumnType::kInteger}}));
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_TRUE(db.InsertDirect(t.value(), {rdb::Value::Int(7)}).ok());
+  ASSERT_TRUE(db.InsertDirect(t.value(), {rdb::Value::Int(8)}).ok());
+  ASSERT_TRUE(db.WalFlush().ok());  // publish the direct writes
+  before = session->stats();
+  r = session->ExecuteQueryBound(sql, {});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 2);
+  delta = session->stats().Delta(before);
+  EXPECT_EQ(delta.plans_built, 1u);
+  EXPECT_EQ(delta.plan_cache_hits, 0u);
+}
+
+TEST(MvccTest, ReaderStatementCacheIsABoundedLru) {
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER)");
+  Must(&db, "INSERT INTO t VALUES (1)");
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  rdb::ReaderSession* session = rs->get();
+
+  // ExecuteQuery parses on every call, like the writer's.
+  uint64_t parses = session->stats().sql_parses;
+  EXPECT_EQ(ReaderCount(session, "SELECT COUNT(*) FROM t"), 1);
+  EXPECT_EQ(ReaderCount(session, "SELECT COUNT(*) FROM t"), 1);
+  EXPECT_EQ(session->stats().sql_parses, parses + 2);
+
+  // ExecuteQueryBound keeps at most the writer's default capacity of texts:
+  // one distinct literal text past it evicts the least recently used.
+  auto text = [](size_t n) {
+    return "SELECT COUNT(*) FROM t WHERE id = " + std::to_string(n);
+  };
+  const size_t capacity = rdb::StatementCache::kDefaultCapacity;
+  for (size_t n = 0; n <= capacity; ++n) {
+    ASSERT_TRUE(session->ExecuteQueryBound(text(n), {}).ok());
+  }
+  parses = session->stats().sql_parses;
+  ASSERT_TRUE(session->ExecuteQueryBound(text(capacity), {}).ok());
+  EXPECT_EQ(session->stats().sql_parses, parses);  // still cached
+  ASSERT_TRUE(session->ExecuteQueryBound(text(0), {}).ok());
+  EXPECT_EQ(session->stats().sql_parses, parses + 1);  // evicted: re-parsed
 }
 
 TEST(MvccTest, ReaderQueriesWithPredicatesJoinsAndParams) {
@@ -643,7 +715,9 @@ TEST(MvccStressTest, ConcurrentReadersWithBackgroundCheckpoint) {
 
   Status bg = Status::OK();
   for (int i = 0; i < 200 && bg.ok(); ++i) {
-    Status s = db.Execute("INSERT INTO t VALUES (" + std::to_string(i) + ")");
+    Status s =
+        db.ExecuteQuery("INSERT INTO t VALUES (" + std::to_string(i) + ")")
+            .status();
     if (!s.ok()) bg = s;
     if (i == 60 || i == 140) {
       // The first checkpoint may still be serializing; wait it out before

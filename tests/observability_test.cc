@@ -15,19 +15,20 @@ namespace {
 
 /// A small two-table parent/child database: 10 parents, 3 children each.
 void Populate(Database* db) {
-  ASSERT_TRUE(db->Execute("CREATE TABLE parent (id INT, v INT)").ok());
-  ASSERT_TRUE(db->Execute("CREATE TABLE child (id INT, parentId INT)").ok());
+  ASSERT_TRUE(db->ExecuteQuery("CREATE TABLE parent (id INT, v INT)").ok());
   ASSERT_TRUE(
-      db->Execute("CREATE INDEX child_parent ON child (parentId)").ok());
+      db->ExecuteQuery("CREATE TABLE child (id INT, parentId INT)").ok());
+  ASSERT_TRUE(
+      db->ExecuteQuery("CREATE INDEX child_parent ON child (parentId)").ok());
   for (int p = 0; p < 10; ++p) {
-    ASSERT_TRUE(db->Execute("INSERT INTO parent VALUES (" +
-                            std::to_string(p) + ", " + std::to_string(p * 10) +
-                            ")")
+    ASSERT_TRUE(db->ExecuteQuery("INSERT INTO parent VALUES (" +
+                                 std::to_string(p) + ", " +
+                                 std::to_string(p * 10) + ")")
                     .ok());
     for (int c = 0; c < 3; ++c) {
-      ASSERT_TRUE(db->Execute("INSERT INTO child VALUES (" +
-                              std::to_string(100 + p * 3 + c) + ", " +
-                              std::to_string(p) + ")")
+      ASSERT_TRUE(db->ExecuteQuery("INSERT INTO child VALUES (" +
+                                   std::to_string(100 + p * 3 + c) + ", " +
+                                   std::to_string(p) + ")")
                       .ok());
     }
   }
@@ -184,8 +185,8 @@ TEST(ShowTest, StatementKindsLandInTheirOwnHistogram) {
   Populate(&db);
   const uint64_t inserts_before =
       db.metrics().GetHistogram("stmt.insert")->count();
-  ASSERT_TRUE(db.Execute("INSERT INTO parent VALUES (99, 990)").ok());
-  ASSERT_TRUE(db.Execute("DELETE FROM parent WHERE id = 99").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO parent VALUES (99, 990)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM parent WHERE id = 99").ok());
   EXPECT_EQ(db.metrics().GetHistogram("stmt.insert")->count(),
             inserts_before + 1);
   EXPECT_EQ(db.metrics().GetHistogram("stmt.delete")->count(), 1u);
@@ -227,8 +228,8 @@ TEST(ShowTest, TableStatsCountAccessesPerTableAndIndex) {
   Populate(&db);
   // The join scans parent and probes child_parent once per parent row.
   ASSERT_TRUE(db.ExecuteQuery(kJoin).ok());
-  ASSERT_TRUE(db.Execute("UPDATE parent SET v = v + 1 WHERE id = 3").ok());
-  ASSERT_TRUE(db.Execute("DELETE FROM child WHERE parentId = 9").ok());
+  ASSERT_TRUE(db.ExecuteQuery("UPDATE parent SET v = v + 1 WHERE id = 3").ok());
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM child WHERE parentId = 9").ok());
 
   auto stats = db.ExecuteQuery("SHOW TABLE STATS");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

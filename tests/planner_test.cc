@@ -19,7 +19,7 @@ namespace {
 class PlannerTest : public ::testing::Test {
  protected:
   void Must(const std::string& sql) {
-    Status s = db_.Execute(sql);
+    Status s = db_.ExecuteQuery(sql).status();
     ASSERT_TRUE(s.ok()) << sql << "\n  -> " << s;
   }
   ResultSet Query(const std::string& sql) {
@@ -213,16 +213,16 @@ TEST_F(PlannerTest, DropTableInvalidatesCachedPlans) {
 }
 
 TEST_F(PlannerTest, DdlThroughEveryEntryPointInvalidatesPlans) {
-  // Regression: DDL issued via ExecuteQuery (not just Execute /
-  // ExecutePrepared) must version out cached plans — a stale plan holds the
-  // dropped Table* and would otherwise be dereferenced after free.
+  // Regression: DDL issued by text must version out plans cached on
+  // handles — a stale plan holds the dropped Table* and would otherwise be
+  // dereferenced after free.
   CreateEmpDept(/*indexed=*/true);
   const char kSql[] = "SELECT name FROM Emp WHERE deptId = ?";
   auto handle = db_.Prepare(kSql);
   ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(db_.ExecuteQueryPrepared(handle.value(), {Value::Int(1)}).ok());
+  ASSERT_TRUE(db_.ExecuteQuery(handle.value(), {Value::Int(1)}).ok());
   ASSERT_TRUE(db_.ExecuteQuery("DROP TABLE Emp").ok());
-  auto r = db_.ExecuteQueryPrepared(handle.value(), {Value::Int(1)});
+  auto r = db_.ExecuteQuery(handle.value(), {Value::Int(1)});
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
@@ -356,6 +356,36 @@ TEST_F(PlannerTest, TriggerBodyPlansAreCachedAcrossRows) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 0);
 }
 
+TEST_F(PlannerTest, TriggerBodyReplansOnceAfterCreateIndex) {
+  // The body's plan lives in its own handle's slot: the CREATE INDEX
+  // version bump must make the next firing re-plan (once) onto the index.
+  Must("CREATE TABLE parent (id INTEGER)");
+  Must("CREATE TABLE child (id INTEGER, parentId INTEGER)");
+  Must("CREATE TRIGGER cascade_del AFTER DELETE ON parent FOR EACH ROW "
+       "BEGIN DELETE FROM child WHERE parentId = OLD.id; END");
+  Must("INSERT INTO parent VALUES (1), (2), (3), (4)");
+  Must("INSERT INTO child VALUES (10, 1), (11, 2), (12, 3), (13, 4)");
+  Stats before = db_.stats();
+  Must("DELETE FROM parent WHERE id IN (1, 2)");
+  Stats first = db_.stats().Delta(before);
+  EXPECT_EQ(first.trigger_firings, 2u);
+  EXPECT_EQ(first.plans_built, 2u);  // the DELETE text + the body once
+  EXPECT_EQ(first.index_probes, 0u);
+
+  Must("CREATE INDEX child_pid ON child (parentId)");
+  before = db_.stats();
+  Must("DELETE FROM parent WHERE id IN (3, 4)");
+  Stats second = db_.stats().Delta(before);
+  EXPECT_EQ(second.trigger_firings, 2u);
+  // The DELETE text plans as always; the body re-plans once, then its
+  // second firing reuses the new plan.
+  EXPECT_EQ(second.plans_built, 2u);
+  EXPECT_EQ(second.plan_cache_hits, 1u);
+  EXPECT_GT(second.index_probes, 0u);
+  ResultSet r = Query("SELECT COUNT(*) FROM child");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN output shape.
 
@@ -389,15 +419,17 @@ TEST_F(PlannerTest, ExplainDeleteAndUpdateShowTargetAndPath) {
 
 TEST_F(PlannerTest, ExplainDoesNotExecute) {
   CreateEmpDept(/*indexed=*/false);
-  ASSERT_TRUE(db_.Execute("EXPLAIN DELETE FROM Emp").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("EXPLAIN DELETE FROM Emp").ok());
   ResultSet r = Query("SELECT COUNT(*) FROM Emp");
   EXPECT_EQ(r.rows[0][0].AsInt(), 4);
 }
 
 TEST_F(PlannerTest, ExplainRejectsNonPlannableStatements) {
-  EXPECT_EQ(db_.Execute("EXPLAIN BEGIN").code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Execute("EXPLAIN CREATE TABLE t (a INTEGER)").code(),
+  EXPECT_EQ(db_.ExecuteQuery("EXPLAIN BEGIN").status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      db_.ExecuteQuery("EXPLAIN CREATE TABLE t (a INTEGER)").status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST_F(PlannerTest, ExplainErrorsOnUnknownNames) {
@@ -430,7 +462,7 @@ class ParityTest : public PlannerTest {
   /// Customer/Order/OrderLine fixture: 8 customers x 3 orders x 2 lines.
   static void LoadParityData(Database* db, bool indexed) {
     auto must = [db](const std::string& sql) {
-      Status s = db->Execute(sql);
+      Status s = db->ExecuteQuery(sql).status();
       ASSERT_TRUE(s.ok()) << sql << "\n  -> " << s;
     };
     must("CREATE TABLE CustDB (id INTEGER)");
@@ -529,15 +561,15 @@ TEST_F(ParityTest, MutationsMatchUnderBothAccessPaths) {
   // Apply the same delete+update sequence on probed and scanned plans and
   // compare the full surviving contents.
   auto run_sequence = [&](Database* db) {
-    ASSERT_TRUE(db->Execute("DELETE FROM OrderLine WHERE parentId IN "
-                            "(SELECT id FROM Ord WHERE Status = 'st1')")
+    ASSERT_TRUE(db->ExecuteQuery("DELETE FROM OrderLine WHERE parentId IN "
+                                 "(SELECT id FROM Ord WHERE Status = 'st1')")
                     .ok());
-    ASSERT_TRUE(db->Execute("UPDATE Ord SET Status = 'gone' "
-                            "WHERE id IN (SELECT parentId FROM OrderLine "
-                            "WHERE Qty = 4)")
+    ASSERT_TRUE(db->ExecuteQuery("UPDATE Ord SET Status = 'gone' "
+                                 "WHERE id IN (SELECT parentId FROM OrderLine "
+                                 "WHERE Qty = 4)")
                     .ok());
     ASSERT_TRUE(
-        db->Execute("DELETE FROM Customer WHERE Name = 'cust0'").ok());
+        db->ExecuteQuery("DELETE FROM Customer WHERE Name = 'cust0'").ok());
   };
   auto dump = [&](Database* db) {
     std::vector<std::string> rows;
@@ -675,18 +707,19 @@ TEST_F(SavepointTest, RollbackToDiscardsNestedSavepoints) {
   Must("ROLLBACK TO outer_sp");
   EXPECT_EQ(CountRows(), 2);
   // inner_sp is gone with its enclosing rollback.
-  EXPECT_EQ(db_.Execute("ROLLBACK TO inner_sp").code(),
+  EXPECT_EQ(db_.ExecuteQuery("ROLLBACK TO inner_sp").status().code(),
             StatusCode::kInvalidArgument);
   Must("COMMIT");
 }
 
 TEST_F(SavepointTest, SavepointRequiresActiveTransaction) {
-  EXPECT_EQ(db_.Execute("SAVEPOINT sp1").code(),
+  EXPECT_EQ(db_.ExecuteQuery("SAVEPOINT sp1").status().code(),
             StatusCode::kInvalidArgument);
   Must("BEGIN");
-  EXPECT_EQ(db_.Execute("ROLLBACK TO nope").code(),
+  EXPECT_EQ(db_.ExecuteQuery("ROLLBACK TO nope").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Execute("RELEASE nope").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.ExecuteQuery("RELEASE nope").status().code(),
+            StatusCode::kInvalidArgument);
   Must("COMMIT");
 }
 

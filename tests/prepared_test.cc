@@ -14,7 +14,8 @@ namespace {
 class PreparedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(db_.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+    ASSERT_TRUE(
+        db_.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
   }
 
   int64_t CountRows() {
@@ -34,7 +35,7 @@ TEST_F(PreparedTest, RepeatedPrepareHitsTheCache) {
   Stats before = db_.stats();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        db_.ExecuteBound(kSql, {Value::Int(i), Value::Str("row")}).ok());
+        db_.ExecuteQueryBound(kSql, {Value::Int(i), Value::Str("row")}).ok());
   }
   Stats delta = db_.stats().Delta(before);
   EXPECT_EQ(delta.prepared_misses, 1u);
@@ -49,8 +50,8 @@ TEST_F(PreparedTest, HandleReuseSkipsTheCacheLookup) {
   ASSERT_TRUE(handle.ok()) << handle.status();
   Stats before = db_.stats();
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(db_.ExecutePrepared(handle.value(),
-                                    {Value::Int(i), Value::Str("h")})
+    ASSERT_TRUE(db_.ExecuteQuery(handle.value(),
+                                 {Value::Int(i), Value::Str("h")})
                     .ok());
   }
   Stats delta = db_.stats().Delta(before);
@@ -88,7 +89,7 @@ TEST_F(PreparedTest, LruEvictsLeastRecentlyUsed) {
 TEST_F(PreparedTest, DropInvalidatesCache) {
   ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());
   EXPECT_EQ(db_.prepared_cache_size(), 1u);
-  ASSERT_TRUE(db_.Execute("DROP TABLE t").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("DROP TABLE t").ok());
   EXPECT_EQ(db_.prepared_cache_size(), 0u);
   uint64_t misses = db_.stats().prepared_misses;
   ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());  // re-parse
@@ -97,20 +98,20 @@ TEST_F(PreparedTest, DropInvalidatesCache) {
 
 TEST_F(PreparedTest, CreateInvalidatesCache) {
   ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());
-  ASSERT_TRUE(db_.Execute("CREATE TABLE u (id INTEGER)").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("CREATE TABLE u (id INTEGER)").ok());
   EXPECT_EQ(db_.prepared_cache_size(), 0u);
-  ASSERT_TRUE(db_.Execute("CREATE INDEX t_id ON t (id)").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("CREATE INDEX t_id ON t (id)").ok());
   EXPECT_EQ(db_.prepared_cache_size(), 0u);
 }
 
 TEST_F(PreparedTest, HandleSurvivesInvalidation) {
   auto handle = db_.Prepare("INSERT INTO t VALUES (?, ?)");
   ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(db_.Execute("CREATE TABLE u (id INTEGER)").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("CREATE TABLE u (id INTEGER)").ok());
   // The cache is empty, but the outstanding handle still executes (name
   // resolution happens at run time).
-  ASSERT_TRUE(db_.ExecutePrepared(handle.value(),
-                                  {Value::Int(1), Value::Str("x")})
+  ASSERT_TRUE(db_.ExecuteQuery(handle.value(),
+                               {Value::Int(1), Value::Str("x")})
                   .ok());
   EXPECT_EQ(CountRows(), 1);
 }
@@ -124,11 +125,11 @@ TEST_F(PreparedTest, DdlIsNotCached) {
 // Parameter binding.
 
 TEST_F(PreparedTest, BindsAllValueTypes) {
-  ASSERT_TRUE(db_.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {Value::Int(7), Value::Str("seven")})
+  ASSERT_TRUE(db_.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                    {Value::Int(7), Value::Str("seven")})
                   .ok());
-  ASSERT_TRUE(db_.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {Value::Int(8), Value::Null()})
+  ASSERT_TRUE(db_.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                    {Value::Int(8), Value::Null()})
                   .ok());
   auto r = db_.ExecuteQueryBound("SELECT name FROM t WHERE id = ?",
                                  {Value::Int(7)});
@@ -142,7 +143,7 @@ TEST_F(PreparedTest, BindsAllValueTypes) {
 }
 
 TEST_F(PreparedTest, NullParamInComparisonMatchesNothing) {
-  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a')").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a')").ok());
   auto r = db_.ExecuteQueryBound("SELECT id FROM t WHERE name = ?",
                                  {Value::Null()});
   ASSERT_TRUE(r.ok()) << r.status();
@@ -150,25 +151,26 @@ TEST_F(PreparedTest, NullParamInComparisonMatchesNothing) {
 }
 
 TEST_F(PreparedTest, ParamsWorkInUpdateAndDelete) {
-  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a')").ok());
-  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (2, 'b')").ok());
-  ASSERT_TRUE(db_.ExecuteBound("UPDATE t SET name = ? WHERE id = ?",
-                               {Value::Str("z"), Value::Int(1)})
+  ASSERT_TRUE(db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a')").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("INSERT INTO t VALUES (2, 'b')").ok());
+  ASSERT_TRUE(db_.ExecuteQueryBound("UPDATE t SET name = ? WHERE id = ?",
+                                    {Value::Str("z"), Value::Int(1)})
                   .ok());
   auto r = db_.ExecuteQueryBound("SELECT name FROM t WHERE id = ?",
                                  {Value::Int(1)});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0].AsString(), "z");
-  ASSERT_TRUE(db_.ExecuteBound("DELETE FROM t WHERE id = ?", {Value::Int(2)})
-                  .ok());
+  ASSERT_TRUE(
+      db_.ExecuteQueryBound("DELETE FROM t WHERE id = ?", {Value::Int(2)})
+          .ok());
   EXPECT_EQ(CountRows(), 1);
 }
 
 TEST_F(PreparedTest, ParamProbeUsesIndex) {
-  ASSERT_TRUE(db_.Execute("CREATE INDEX t_id ON t (id)").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("CREATE INDEX t_id ON t (id)").ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db_.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                                 {Value::Int(i), Value::Str("r")})
+    ASSERT_TRUE(db_.ExecuteQueryBound("INSERT INTO t VALUES (?, ?)",
+                                      {Value::Int(i), Value::Str("r")})
                     .ok());
   }
   Stats before = db_.stats();
@@ -183,16 +185,17 @@ TEST_F(PreparedTest, ParamProbeUsesIndex) {
 TEST_F(PreparedTest, ArityMismatchIsAnError) {
   auto handle = db_.Prepare("INSERT INTO t VALUES (?, ?)");
   ASSERT_TRUE(handle.ok());
-  Status s = db_.ExecutePrepared(handle.value(), {Value::Int(1)});
+  Status s = db_.ExecuteQuery(handle.value(), {Value::Int(1)}).status();
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  Status s2 = db_.ExecutePrepared(
-      handle.value(), {Value::Int(1), Value::Str("a"), Value::Int(2)});
+  Status s2 = db_.ExecuteQuery(
+      handle.value(), {Value::Int(1), Value::Str("a"), Value::Int(2)}).status();
   EXPECT_EQ(s2.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(PreparedTest, UnboundParamViaExecuteIsAnError) {
-  // Plain Execute never binds parameters; evaluating ? must fail cleanly.
-  Status s = db_.Execute("INSERT INTO t VALUES (?, 'x')");
+  // The parse-per-call ExecuteQuery binds no parameters; a ? must fail
+  // cleanly.
+  Status s = db_.ExecuteQuery("INSERT INTO t VALUES (?, 'x')").status();
   EXPECT_FALSE(s.ok());
 }
 
@@ -208,7 +211,8 @@ TEST_F(PreparedTest, MultiRowValuesParses) {
 TEST_F(PreparedTest, MultiRowValuesExecutesAndCounts) {
   Stats before = db_.stats();
   ASSERT_TRUE(
-      db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')").ok());
+      db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+          .ok());
   Stats delta = db_.stats().Delta(before);
   EXPECT_EQ(delta.rows_inserted, 3u);
   EXPECT_EQ(delta.batched_rows, 3u);
@@ -218,47 +222,36 @@ TEST_F(PreparedTest, MultiRowValuesExecutesAndCounts) {
 
 TEST_F(PreparedTest, SingleRowInsertIsNotCountedAsBatched) {
   Stats before = db_.stats();
-  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a')").ok());
+  ASSERT_TRUE(db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a')").ok());
   EXPECT_EQ(db_.stats().Delta(before).batched_rows, 0u);
 }
 
 TEST_F(PreparedTest, MultiRowInsertSqlHelperRoundTrips) {
   EXPECT_EQ(MultiRowInsertSql("t", 2, 2), "INSERT INTO t VALUES (?, ?), (?, ?)");
   std::string sql = MultiRowInsertSql("t", 2, 3);
-  ASSERT_TRUE(db_.ExecuteBound(sql, {Value::Int(1), Value::Str("a"),
-                                     Value::Int(2), Value::Null(),
-                                     Value::Int(3), Value::Str("c")})
+  ASSERT_TRUE(db_.ExecuteQueryBound(sql, {Value::Int(1), Value::Str("a"),
+                                          Value::Int(2), Value::Null(),
+                                          Value::Int(3), Value::Str("c")})
                   .ok());
   EXPECT_EQ(CountRows(), 3);
   EXPECT_EQ(db_.stats().batched_rows, 3u);
 }
 
 TEST_F(PreparedTest, MultiRowArityMismatchRejected) {
-  Status s = db_.Execute("INSERT INTO t VALUES (1, 'a'), (2)");
+  Status s = db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (2)").status();
   EXPECT_FALSE(s.ok());
 }
 
 TEST_F(PreparedTest, MultiRowInsertIsAtomic) {
   // A bad row anywhere in the VALUES list must leave the table untouched
   // and must not inflate batched_rows.
-  Status s = db_.Execute("INSERT INTO t VALUES (1, 'a'), (nosuchcol, 'b')");
+  Status s =
+      db_.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (nosuchcol, 'b')")
+          .status();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(CountRows(), 0);
   EXPECT_EQ(db_.stats().batched_rows, 0u);
   EXPECT_EQ(db_.stats().rows_inserted, 0u);
-}
-
-TEST_F(PreparedTest, OneShotTextsStayOutOfTheCache) {
-  ASSERT_TRUE(db_.ExecuteBound("INSERT INTO t VALUES (?, ?)",
-                               {Value::Int(1), Value::Str("a")},
-                               /*cacheable=*/false)
-                  .ok());
-  EXPECT_EQ(db_.prepared_cache_size(), 0u);
-  // But an uncacheable Prepare still reuses an existing entry.
-  ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());
-  uint64_t hits = db_.stats().prepared_hits;
-  ASSERT_TRUE(db_.Prepare("SELECT id FROM t", /*cacheable=*/false).ok());
-  EXPECT_EQ(db_.stats().prepared_hits, hits + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,22 +10,25 @@ namespace {
 class RdbEdgeTest : public ::testing::Test {
  protected:
   void Must(const std::string& sql) {
-    Status s = db_.Execute(sql);
+    Status s = db_.ExecuteQuery(sql).status();
     ASSERT_TRUE(s.ok()) << sql << " -> " << s;
   }
   Database db_;
 };
 
 TEST_F(RdbEdgeTest, UnknownTableAndColumnErrors) {
-  EXPECT_EQ(db_.Execute("SELECT * FROM nosuch").code(), StatusCode::kNotFound);
+  EXPECT_EQ(db_.ExecuteQuery("SELECT * FROM nosuch").status().code(),
+            StatusCode::kNotFound);
   Must("CREATE TABLE t (a INTEGER)");
-  EXPECT_EQ(db_.Execute("SELECT b FROM t").code(), StatusCode::kNotFound);
-  EXPECT_EQ(db_.Execute("INSERT INTO t (b) VALUES (1)").code(),
+  EXPECT_EQ(db_.ExecuteQuery("SELECT b FROM t").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(db_.Execute("UPDATE t SET b = 1").code(), StatusCode::kNotFound);
-  EXPECT_EQ(db_.Execute("CREATE INDEX i ON t (b)").code(),
+  EXPECT_EQ(db_.ExecuteQuery("INSERT INTO t (b) VALUES (1)").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(db_.Execute("CREATE INDEX i ON nosuch (a)").code(),
+  EXPECT_EQ(db_.ExecuteQuery("UPDATE t SET b = 1").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.ExecuteQuery("CREATE INDEX i ON t (b)").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.ExecuteQuery("CREATE INDEX i ON nosuch (a)").status().code(),
             StatusCode::kNotFound);
 }
 
@@ -73,9 +76,10 @@ TEST_F(RdbEdgeTest, OrderByUnknownColumn) {
 
 TEST_F(RdbEdgeTest, TriggerOnlyAfterDeleteSupported) {
   Must("CREATE TABLE t (a INTEGER)");
-  EXPECT_FALSE(db_.Execute("CREATE TRIGGER x AFTER INSERT ON t FOR EACH ROW "
-                           "BEGIN DELETE FROM t; END")
-                   .ok());
+  EXPECT_FALSE(
+      db_.ExecuteQuery("CREATE TRIGGER x AFTER INSERT ON t FOR EACH ROW "
+                       "BEGIN DELETE FROM t; END")
+          .ok());
 }
 
 TEST_F(RdbEdgeTest, DuplicateTriggerNameRejected) {
@@ -83,8 +87,9 @@ TEST_F(RdbEdgeTest, DuplicateTriggerNameRejected) {
   Must("CREATE TABLE c (id INTEGER, parentId INTEGER)");
   Must("CREATE TRIGGER x AFTER DELETE ON p FOR EACH ROW BEGIN "
        "DELETE FROM c WHERE parentId = OLD.id; END");
-  EXPECT_EQ(db_.Execute("CREATE TRIGGER x AFTER DELETE ON p FOR EACH ROW "
-                        "BEGIN DELETE FROM c WHERE parentId = OLD.id; END")
+  EXPECT_EQ(db_.ExecuteQuery("CREATE TRIGGER x AFTER DELETE ON p FOR EACH ROW "
+                             "BEGIN DELETE FROM c WHERE parentId = OLD.id; END")
+                .status()
                 .code(),
             StatusCode::kAlreadyExists);
 }

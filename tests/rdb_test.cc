@@ -11,7 +11,7 @@ namespace {
 class RdbTest : public ::testing::Test {
  protected:
   void Must(const std::string& sql) {
-    Status s = db_.Execute(sql);
+    Status s = db_.ExecuteQuery(sql).status();
     ASSERT_TRUE(s.ok()) << sql << "\n  -> " << s;
   }
   ResultSet Query(const std::string& sql) {
@@ -72,16 +72,16 @@ TEST_F(RdbTest, CreateTableAndInsertSelect) {
 
 TEST_F(RdbTest, DuplicateTableFails) {
   Must("CREATE TABLE t (a INTEGER)");
-  EXPECT_EQ(db_.Execute("CREATE TABLE t (a INTEGER)").code(),
+  EXPECT_EQ(db_.ExecuteQuery("CREATE TABLE t (a INTEGER)").status().code(),
             StatusCode::kAlreadyExists);
 }
 
 TEST_F(RdbTest, ParseErrors) {
-  EXPECT_FALSE(db_.Execute("SELEC 1").ok());
-  EXPECT_FALSE(db_.Execute("CREATE TABLE ()").ok());
-  EXPECT_FALSE(db_.Execute("INSERT t VALUES (1)").ok());
-  EXPECT_FALSE(db_.Execute("DELETE t").ok());
-  EXPECT_FALSE(db_.Execute("SELECT * FROM t WHERE").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("SELEC 1").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("CREATE TABLE ()").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("INSERT t VALUES (1)").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("DELETE t").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("SELECT * FROM t WHERE").ok());
 }
 
 TEST_F(RdbTest, TypeCoercionOnInsert) {
@@ -90,8 +90,9 @@ TEST_F(RdbTest, TypeCoercionOnInsert) {
   ResultSet r = Query("SELECT a, b FROM t");
   EXPECT_EQ(r.rows[0][0].AsInt(), 42);
   EXPECT_EQ(r.rows[0][1].AsString(), "7");
-  EXPECT_EQ(db_.Execute("INSERT INTO t VALUES ('abc', 'x')").code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      db_.ExecuteQuery("INSERT INTO t VALUES ('abc', 'x')").status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST_F(RdbTest, NullHandling) {
@@ -352,9 +353,10 @@ TEST_F(RdbTest, DropTriggerAndTable) {
   Must("CREATE TRIGGER t1 AFTER DELETE ON Customer FOR EACH ROW BEGIN "
        "DELETE FROM Ord WHERE parentId = OLD.id; END");
   Must("DROP TRIGGER t1");
-  EXPECT_EQ(db_.Execute("DROP TRIGGER t1").code(), StatusCode::kNotFound);
+  EXPECT_EQ(db_.ExecuteQuery("DROP TRIGGER t1").status().code(),
+            StatusCode::kNotFound);
   Must("DROP TABLE OrderLine");
-  EXPECT_FALSE(db_.Execute("SELECT * FROM OrderLine").ok());
+  EXPECT_FALSE(db_.ExecuteQuery("SELECT * FROM OrderLine").ok());
 }
 
 TEST_F(RdbTest, StatementCountTracksAppStatements) {

@@ -105,7 +105,7 @@ std::string DumpDurableState(const rdb::Database& db) {
 class RdbRecoveryTest : public ::testing::Test {
  protected:
   void Must(rdb::Database* db, const std::string& sql) {
-    Status s = db->Execute(sql);
+    Status s = db->ExecuteQuery(sql).status();
     ASSERT_TRUE(s.ok()) << sql << ": " << s;
   }
   void Setup(rdb::Database* db) {
@@ -414,13 +414,13 @@ class WalCorruptionTest : public RdbRecoveryTest {
     rdb::Database db;
     (void)db.Open(dir_.path());
     states.push_back(DumpDurableState(db));
-    (void)db.Execute("CREATE TABLE t (id INTEGER, name VARCHAR)");
+    (void)db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)");
     states.push_back(DumpDurableState(db));
-    (void)db.Execute("CREATE INDEX idx_t_id ON t (id)");
+    (void)db.ExecuteQuery("CREATE INDEX idx_t_id ON t (id)");
     states.push_back(DumpDurableState(db));
     for (int i = 0; i < units; ++i) {
-      (void)db.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
-                       ", 'u')");
+      (void)db.ExecuteQuery("INSERT INTO t VALUES (" + std::to_string(i) +
+                            ", 'u')");
       states.push_back(DumpDurableState(db));
     }
     return states;
@@ -523,7 +523,7 @@ TEST_F(WalCorruptionTest, SnapshotBitFlipSweepNeverRecoversGarbage) {
     ASSERT_TRUE(db.Open(dir_.path()).ok());
     ASSERT_TRUE(db.Checkpoint().ok());
     at_checkpoint = DumpDurableState(db);
-    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (100, 'post')").ok());
+    ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (100, 'post')").ok());
     final_state = DumpDurableState(db);
   }
   std::string snap = ReadFile(dir_.path() + "/snapshot.xupd");
@@ -565,7 +565,7 @@ TEST_F(WalCorruptionTest, SnapshotVersionMismatchIsACleanError) {
   {
     rdb::Database db;
     ASSERT_TRUE(db.Open(dir_.path()).ok());
-    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
     ASSERT_TRUE(db.Checkpoint().ok());
   }
   std::string snap = ReadFile(dir_.path() + "/snapshot.xupd");
@@ -582,8 +582,8 @@ TEST_F(WalCorruptionTest, CorruptSnapshotFailsItsCrcCheckCleanly) {
   {
     rdb::Database db;
     ASSERT_TRUE(db.Open(dir_.path()).ok());
-    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
     ASSERT_TRUE(db.Checkpoint().ok());
   }
   std::string snap = ReadFile(dir_.path() + "/snapshot.xupd");
@@ -601,8 +601,8 @@ TEST_F(WalCorruptionTest, StaleEpochWalIsIgnoredAfterCheckpoint) {
   {
     rdb::Database db;
     ASSERT_TRUE(db.Open(dir_.path()).ok());
-    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+    ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
     old_wal = ReadFile(dir_.path() + "/wal.xupd");  // epoch 1
     ASSERT_TRUE(db.Checkpoint().ok());              // snapshot epoch 2
     expected = DumpDurableState(db);
@@ -824,7 +824,8 @@ TEST(EngineRecoveryTest, IncompleteStoreCreationIsReportedNotRecovered) {
     rdb::Database db;
     ASSERT_TRUE(db.Open(dir.path()).ok());
     ASSERT_TRUE(
-        db.Execute("CREATE TABLE doc (id INTEGER, parentId INTEGER)").ok());
+        db.ExecuteQuery("CREATE TABLE doc (id INTEGER, parentId INTEGER)")
+            .ok());
   }
   RelationalStore::Options options;
   options.durability = true;

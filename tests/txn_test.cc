@@ -35,7 +35,7 @@ class RdbTxnTest : public ::testing::Test {
   }
 
   void Must(const std::string& sql) {
-    Status s = db_.Execute(sql);
+    Status s = db_.ExecuteQuery(sql).status();
     ASSERT_TRUE(s.ok()) << sql << ": " << s;
   }
 
@@ -89,7 +89,7 @@ TEST_F(RdbTxnTest, CommitMakesChangesDurable) {
   EXPECT_FALSE(db_.in_transaction());
   EXPECT_EQ(db_.undo_log_size(), 0u);
   // A rollback after commit has nothing to undo.
-  Status s = db_.Execute("ROLLBACK");
+  Status s = db_.ExecuteQuery("ROLLBACK").status();
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Count("t"), 3);
 }
@@ -126,7 +126,7 @@ TEST_F(RdbTxnTest, DdlInsideTransactionIsRejected) {
         "DROP TABLE t", "DROP INDEX idx_t_id ON t",
         "CREATE TRIGGER trg AFTER DELETE ON t FOR EACH ROW BEGIN "
         "DELETE FROM t WHERE id = OLD.id; END"}) {
-    Status s = db_.Execute(ddl);
+    Status s = db_.ExecuteQuery(ddl).status();
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << ddl << ": " << s;
   }
   Must("COMMIT");
@@ -134,8 +134,10 @@ TEST_F(RdbTxnTest, DdlInsideTransactionIsRejected) {
 }
 
 TEST_F(RdbTxnTest, CommitAndRollbackWithoutBeginFail) {
-  EXPECT_EQ(db_.Execute("COMMIT").code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Execute("ROLLBACK").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.ExecuteQuery("COMMIT").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.ExecuteQuery("ROLLBACK").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(RdbTxnTest, RollbackRestoresNextId) {
@@ -184,7 +186,7 @@ TEST_F(RdbTxnTest, InjectedFailureInsideStatementSequence) {
   ASSERT_TRUE(db_.Begin().ok());
   Must("INSERT INTO t VALUES (3, 'c')");
   db_.InjectFailureAfterStatements(0);
-  Status s = db_.Execute("INSERT INTO t VALUES (4, 'd')");
+  Status s = db_.ExecuteQuery("INSERT INTO t VALUES (4, 'd')").status();
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   ASSERT_TRUE(db_.Rollback().ok());
   EXPECT_EQ(Count("t"), 2);
