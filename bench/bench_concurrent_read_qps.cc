@@ -220,17 +220,22 @@ int main(int argc, char** argv) {
     const uint64_t gc_rows = db.metrics().Counter("mvcc.version_gc_rows")->load();
     const uint64_t reclaims =
         db.metrics().Counter("mvcc.slab_reclaims")->load();
+    // No 1-thread point to divide by (a single-point run): null, not 0.
+    char speedup[32] = "null";
+    if (qps1 > 0) {
+      std::snprintf(speedup, sizeof(speedup), "%.2f", p.qps() / qps1);
+    }
     std::printf("%-8d %12llu %12.0f   lag_max=%lld\n", threads,
                 static_cast<unsigned long long>(p.queries), p.qps(),
                 static_cast<long long>(p.epoch_lag_max));
     std::printf(
         "{\"bench\":\"concurrent_read_qps\",\"series\":\"read_qps\","
         "\"writer\":\"churn\",\"duration_ms\":%d,\"queries\":%llu,"
-        "\"qps\":%.0f,\"speedup_vs_1\":%.2f,\"epoch_lag_max\":%lld,"
+        "\"qps\":%.0f,\"speedup_vs_1\":%s,\"epoch_lag_max\":%lld,"
         "\"version_rows\":%lld,\"version_bytes\":%lld,"
         "\"version_gc_rows\":%llu,\"slab_reclaims\":%llu,%s\n",
         duration_ms, static_cast<unsigned long long>(p.queries), p.qps(),
-        qps1 > 0 ? p.qps() / qps1 : 0.0,
+        speedup,
         static_cast<long long>(p.epoch_lag_max),
         static_cast<long long>(version_rows),
         static_cast<long long>(version_bytes),

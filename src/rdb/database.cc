@@ -71,10 +71,13 @@ Result<StatementHandle> StatementCache::Prepare(std::string_view sql,
   auto stmt = sql::ParseSql(sql);
   if (!stmt.ok()) return stmt.status();
   StatementHandle handle = NewStatementHandle(sql, std::move(stmt).value());
-  if (!IsDdl(handle->stmt) && capacity_ > 0) {
+  if (!IsDdl(handle->stmt)) {
     lru_.push_front(handle);
     index_.emplace(handle->sql, lru_.begin());
-    Trim();
+    if (lru_.size() > kDefaultCapacity) {
+      index_.erase(lru_.back()->sql);
+      lru_.pop_back();
+    }
   }
   return handle;
 }
@@ -82,18 +85,6 @@ Result<StatementHandle> StatementCache::Prepare(std::string_view sql,
 void StatementCache::Clear() {
   index_.clear();
   lru_.clear();
-}
-
-void StatementCache::set_capacity(size_t capacity) {
-  capacity_ = capacity;
-  Trim();
-}
-
-void StatementCache::Trim() {
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back()->sql);
-    lru_.pop_back();
-  }
 }
 
 std::string MultiRowInsertSql(std::string_view table, size_t columns,
@@ -325,25 +316,10 @@ Status Database::RecoverFromDir() {
     wal_offset = loaded.value().wal_offset;
     have_snapshot = true;
   }
-  WalReplayResult replay;
-  if (vfs_->Exists(WalPath(data_dir_))) {
-    auto replayed = ReplayWal(this, vfs_, WalPath(data_dir_), epoch,
-                              wal_offset);
-    if (!replayed.ok()) return replayed.status();
-    replay = replayed.value();
-  }
-  if (replay.valid_bytes < wal_offset) {
-    // The snapshot (written by a background checkpoint) contains every
-    // commit up to wal_offset, but the WAL's valid prefix ends short of
-    // that — a synced region was lost or corrupted. Resuming appends at
-    // valid_bytes would alias NEW commits into the byte range the next
-    // recovery skips as snapshot-covered, silently dropping them; fail
-    // loudly instead.
-    return Status::Internal(
-        "WAL valid prefix (" + std::to_string(replay.valid_bytes) +
-        " bytes) ends before the snapshot's recorded offset (" +
-        std::to_string(wal_offset) + "): a synced WAL region was lost");
-  }
+  auto replayed =
+      ReplayWal(this, vfs_, WalPath(data_dir_), epoch, wal_offset);
+  if (!replayed.ok()) return replayed.status();
+  WalReplayResult replay = std::move(replayed).value();
   stats_.recovery_replayed += replay.applied_records;
   recovered_ = have_snapshot || replay.applied_records > 0;
 

@@ -74,8 +74,7 @@ StatementHandle NewStatementHandle(std::string_view sql, sql::Statement stmt);
 /// writer.
 class StatementCache {
  public:
-  /// Capacity of the writer's cache (until set_prepared_cache_capacity) and
-  /// of every reader session's.
+  /// Capacity of the writer's cache and of every reader session's.
   static constexpr size_t kDefaultCapacity = 128;
 
   /// The prepare step: returns the cached handle for `sql` (refreshed to
@@ -87,17 +86,12 @@ class StatementCache {
 
   void Clear();
   size_t size() const { return lru_.size(); }
-  size_t capacity() const { return capacity_; }
-  void set_capacity(size_t capacity);
 
  private:
-  void Trim();
-
   /// Front = most recently used. The index keys view each handle's own
   /// text, so lookups copy nothing.
   std::list<StatementHandle> lru_;
   std::map<std::string_view, std::list<StatementHandle>::iterator> index_;
-  size_t capacity_ = kDefaultCapacity;
 };
 
 /// Renders "INSERT INTO <table> VALUES (?, ...), (?, ...), ..." with `rows`
@@ -450,12 +444,6 @@ class Database {
 
   /// Prepared-statement cache introspection (tests/benches).
   size_t prepared_cache_size() const { return statement_cache_.size(); }
-  size_t prepared_cache_capacity() const {
-    return statement_cache_.capacity();
-  }
-  void set_prepared_cache_capacity(size_t capacity) {
-    statement_cache_.set_capacity(capacity);
-  }
 
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture

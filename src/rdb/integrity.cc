@@ -5,7 +5,6 @@
 // re-walks the on-disk WAL and snapshot CRCs without installing anything —
 // so it stays runnable while the database is degraded to read-only mode, and
 // tests can assert invariants right after an injected storage fault.
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -130,15 +129,15 @@ std::vector<std::string> Database::VerifyIntegrity() {
   // On-disk: re-walk the WAL frames and the snapshot CRC. Reads only, so
   // this works even while a write fault is being injected.
   if (!data_dir_.empty() && vfs_ != nullptr) {
-    // The WAL may legally be one epoch ahead of a fail-stopped writer (a
-    // checkpoint that reset the log before breaking), so the expected epoch
-    // is whichever of the writer and the on-disk snapshot is newest.
+    // The WAL is judged against the anchors recovery would use (the
+    // on-disk snapshot's epoch and WAL offset) and the open writer's
+    // durably committed bytes.
     uint64_t writer_epoch = wal_ != nullptr ? wal_->epoch() : 0;
     uint64_t writer_bytes = wal_ != nullptr ? wal_->committed_bytes() : 0;
     SnapshotScrub snap = VerifySnapshotFile(vfs_, SnapshotPath(data_dir_));
-    const uint64_t epoch = std::max(writer_epoch, snap.epoch);
-    for (std::string& v : VerifyWalFile(vfs_, WalPath(data_dir_), epoch,
-                                        writer_epoch, writer_bytes)) {
+    for (std::string& v :
+         VerifyWalFile(vfs_, WalPath(data_dir_), snap.epoch, snap.wal_offset,
+                       writer_epoch, writer_bytes)) {
       violations.push_back(std::move(v));
     }
     for (std::string& v : snap.violations) violations.push_back(std::move(v));

@@ -229,6 +229,7 @@ SnapshotScrub VerifySnapshotFile(Vfs* vfs, const std::string& path) {
   }
   SnapshotHeader header = ParseSnapshotHeader(read.value(), path);
   scrub.epoch = header.epoch;
+  scrub.wal_offset = header.wal_offset;
   if (!header.status.ok()) scrub.violations.push_back(header.status.message());
   return scrub;
 }

@@ -111,6 +111,9 @@ struct SnapshotScrub {
   /// WAL already reset to the epoch of a checkpoint whose old writer then
   /// fail-stopped.
   uint64_t epoch = 0;
+  /// The header's WAL offset, read alongside `epoch`: the WAL scrub checks
+  /// the log still reaches it, as recovery does.
+  uint64_t wal_offset = 0;
 };
 
 /// Integrity scrub: re-checks the on-disk snapshot without installing

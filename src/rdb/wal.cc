@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -306,52 +307,6 @@ void WalWriter::FrameEnd(size_t header_at) {
   SyncPendingCharge();
 }
 
-namespace {
-
-/// Raw little-endian writer over a stack buffer — the delete/update fast
-/// path assembles its whole frame (header included) in one cache-hot
-/// buffer and lands it in the pending buffer with a single append.
-struct BufWriter {
-  explicit BufWriter(char* begin) : p(begin), begin_(begin) {}
-  void U8(uint8_t v) { *p++ = static_cast<char>(v); }
-  void U16(uint16_t v) {
-    *p++ = static_cast<char>(v & 0xFFu);
-    *p++ = static_cast<char>((v >> 8) & 0xFFu);
-  }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      *p++ = static_cast<char>((v >> (8 * i)) & 0xFFu);
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      *p++ = static_cast<char>((v >> (8 * i)) & 0xFFu);
-    }
-  }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    std::memcpy(p, s.data(), s.size());
-    p += s.size();
-  }
-  size_t size() const { return static_cast<size_t>(p - begin_); }
-
-  char* p;
-  char* begin_;
-};
-
-}  // namespace
-
-void WalWriter::AppendFixedFrame(const char* buf, size_t payload_size) {
-  char header[8];
-  BufWriter h(header);
-  h.U32(static_cast<uint32_t>(payload_size));
-  h.U32(binio::Crc32(buf + 8, payload_size));
-  std::memcpy(const_cast<char*>(buf), header, 8);
-  pending_.append(buf, 8 + payload_size);
-  ++pending_records_;
-  SyncPendingCharge();
-}
-
 uint16_t WalWriter::TableId(const std::string& name) {
   auto it = table_ids_.find(name);
   if (it != table_ids_.end()) return it->second;
@@ -389,34 +344,16 @@ void WalWriter::PendInsert(const Table& table, size_t rowid) {
 
 void WalWriter::PendDelete(const Table& table, size_t rowid) {
   uint16_t tid = TableId(table.schema().name());
-  char buf[8 + 1 + 2 + 8];
-  BufWriter w(buf + 8);
-  w.U8(static_cast<uint8_t>(RecordKind::kDelete));
-  w.U16(tid);
-  w.U64(rowid);
-  AppendFixedFrame(buf, w.size());
+  size_t frame = FrameBegin();
+  binio::PutU8(&pending_, static_cast<uint8_t>(RecordKind::kDelete));
+  binio::PutU16(&pending_, tid);
+  binio::PutU64(&pending_, rowid);
+  FrameEnd(frame);
 }
 
 void WalWriter::PendUpdate(const Table& table, size_t rowid, int column,
                            const Value& new_value) {
   uint16_t tid = TableId(table.schema().name());
-  if (new_value.type() != ValueType::kString ||
-      new_value.AsString().size() <= 128) {
-    char buf[8 + 1 + 2 + 8 + 4 + 1 + 4 + 128 + 8];
-    BufWriter w(buf + 8);
-    w.U8(static_cast<uint8_t>(RecordKind::kUpdate));
-    w.U16(tid);
-    w.U64(rowid);
-    w.U32(static_cast<uint32_t>(column));
-    w.U8(static_cast<uint8_t>(new_value.type()));
-    if (new_value.type() == ValueType::kInt) {
-      w.U64(static_cast<uint64_t>(new_value.AsInt()));
-    } else if (new_value.type() == ValueType::kString) {
-      w.Str(new_value.AsString());
-    }
-    AppendFixedFrame(buf, w.size());
-    return;
-  }
   size_t frame = FrameBegin();
   binio::PutU8(&pending_, static_cast<uint8_t>(RecordKind::kUpdate));
   binio::PutU16(&pending_, tid);
@@ -568,21 +505,187 @@ Status WalWriter::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// Replay
+// Reading: one header parser and one frame walker behind replay and scrub
 
 namespace {
 
-/// One decoded data record held until its unit's commit frame arrives.
-struct PendingRecord {
+/// The fixed header of a WAL image and the outcome of its checks.
+struct WalHeader {
+  /// 0 when the image holds no whole header (an empty file, or a crash tore
+  /// the header write): nothing was ever committed through it.
+  uint64_t epoch = 0;
+  Status status;  // bad magic or version; OK otherwise.
+};
+
+/// The one parser of the WAL header.
+WalHeader ParseWalHeader(const std::string& data, const std::string& path) {
+  WalHeader h;
+  if (std::memcmp(data.data(), kWalMagic,
+                  std::min(data.size(), sizeof(kWalMagic))) != 0) {
+    h.status = Status::Internal("'" + path + "' is not a WAL file");
+    return h;
+  }
+  if (data.size() < kWalHeaderSize) return h;
+  binio::Reader r(data.data() + sizeof(kWalMagic),
+                  kWalHeaderSize - sizeof(kWalMagic));
+  const uint32_t version = r.U32();
+  h.epoch = r.U64();
+  if (version != kWalFormatVersion) {
+    h.status = Status::Internal("WAL format version mismatch: file has " +
+                                std::to_string(version) +
+                                ", this build reads " +
+                                std::to_string(kWalFormatVersion));
+  }
+  return h;
+}
+
+/// One decoded data record, held until its unit's commit frame arrives.
+struct WalRecord {
   RecordKind kind = RecordKind::kInsert;
   std::string table;
   uint64_t rowid = 0;
   uint32_t column = 0;
-  Row values;    ///< kInsert row / kUpdate single value at [0].
+  Row values;       ///< kInsert row / kUpdate single value at [0].
   std::string sql;  ///< kDdl.
 };
 
-Status ApplyRecord(Database* db, const PendingRecord& rec) {
+/// Applies one committed unit, then its commit frame's next-id counter.
+using ApplyUnit =
+    std::function<Status(const std::vector<WalRecord>& unit, int64_t next_id)>;
+
+/// The one WAL walker, behind both ReplayWal and VerifyWalFile. Checks the
+/// header against the snapshot's `snapshot_epoch` (>= 1), decodes every
+/// frame and hands each committed unit ending past `start_offset` to `apply`
+/// (null: decode only). A torn, CRC-failing or undecodable frame ends the
+/// log. A bad header, a WAL epoch ahead of the snapshot's, a record naming an
+/// undefined table id, a failed apply, or a committed prefix ending short of
+/// `start_offset` is a hard error.
+Result<WalReplayResult> WalkWal(const std::string& data,
+                                const std::string& path,
+                                uint64_t snapshot_epoch, uint64_t start_offset,
+                                const ApplyUnit& apply) {
+  const WalHeader header = ParseWalHeader(data, path);
+  if (!header.status.ok()) return header.status;
+  if (header.epoch > snapshot_epoch) {
+    return Status::Internal("WAL epoch " + std::to_string(header.epoch) +
+                            " is ahead of snapshot epoch " +
+                            std::to_string(snapshot_epoch) +
+                            " (snapshot file lost?)");
+  }
+  WalReplayResult out;
+  // A headerless file, or a pre-checkpoint WAL a crash kept around (every
+  // record in it is already in the snapshot), keeps nothing: valid_bytes
+  // stays 0 and the writer resets the file.
+  if (header.epoch == snapshot_epoch) {
+    out.valid_bytes = kWalHeaderSize;
+    std::vector<WalRecord> unit;
+    // Per-file table-name dictionary: defs decode into `defs` in frame
+    // order; data records resolve ids through it immediately (a def always
+    // precedes its first use in the same or an earlier unit). Only the defs
+    // seen before the last commit frame are handed to the resuming writer —
+    // later ones die with their uncommitted unit.
+    std::vector<std::pair<std::string, uint16_t>> defs;
+    std::unordered_map<uint16_t, std::string> id_names;
+    size_t committed_defs = 0;
+    size_t pos = kWalHeaderSize;
+    while (pos + 8 <= data.size()) {
+      binio::Reader frame(data.data() + pos, 8);
+      const uint32_t len = frame.U32();
+      const uint32_t crc = frame.U32();
+      if (len > kMaxFramePayload || pos + 8 + len > data.size()) break;
+      const char* payload = data.data() + pos + 8;
+      if (binio::Crc32(payload, len) != crc) break;
+      binio::Reader r(payload, len);
+      WalRecord rec;
+      rec.kind = static_cast<RecordKind>(r.U8());
+      bool known = true;
+      bool names_table = true;
+      uint16_t tid = 0;
+      int64_t next_id = 0;
+      switch (rec.kind) {
+        case RecordKind::kTableDef:
+          tid = r.U16();
+          rec.table = r.String();
+          names_table = false;
+          break;
+        case RecordKind::kInsert: {
+          tid = r.U16();
+          rec.rowid = r.U64();
+          const uint32_t n = r.U32();
+          for (uint32_t i = 0; r.ok() && i < n; ++i) {
+            rec.values.push_back(r.ReadValue());
+          }
+          break;
+        }
+        case RecordKind::kDelete:
+          tid = r.U16();
+          rec.rowid = r.U64();
+          break;
+        case RecordKind::kUpdate:
+          tid = r.U16();
+          rec.rowid = r.U64();
+          rec.column = r.U32();
+          rec.values.push_back(r.ReadValue());
+          break;
+        case RecordKind::kDdl:
+          rec.sql = r.String();
+          names_table = false;
+          break;
+        case RecordKind::kCommit:
+          next_id = r.I64();
+          names_table = false;
+          break;
+        default:
+          known = false;
+          break;
+      }
+      if (!known || !r.ok()) break;  // undecodable: ends the log.
+      if (names_table) {
+        auto it = id_names.find(tid);
+        if (it == id_names.end()) {
+          return Status::Internal(
+              "WAL record references undefined table id " +
+              std::to_string(tid));
+        }
+        rec.table = it->second;
+      }
+      pos += 8 + len;
+      if (rec.kind == RecordKind::kTableDef) {
+        id_names[tid] = rec.table;
+        defs.emplace_back(std::move(rec.table), tid);
+      } else if (rec.kind != RecordKind::kCommit) {
+        unit.push_back(std::move(rec));
+      } else {
+        // A unit ending at or before start_offset is already folded into
+        // the snapshot (off-thread checkpoint): keep the dictionary and the
+        // commit boundary, but neither re-apply it nor move next_id.
+        if (pos > start_offset && apply) {
+          XUPD_RETURN_IF_ERROR(apply(unit, next_id));
+          out.applied_records += unit.size();
+        }
+        unit.clear();
+        out.valid_bytes = pos;
+        committed_defs = defs.size();
+      }
+    }
+    defs.resize(committed_defs);
+    out.table_ids = std::move(defs);
+  }
+  if (out.valid_bytes < start_offset) {
+    // The snapshot (written by a background checkpoint) contains every
+    // commit up to start_offset, but the WAL's valid prefix ends short of
+    // it — a synced region was lost or corrupted. Resuming appends at
+    // valid_bytes would alias new commits into the byte range the next
+    // recovery skips as snapshot-covered, silently dropping them.
+    return Status::Internal(
+        "WAL valid prefix (" + std::to_string(out.valid_bytes) +
+        " bytes) ends before the snapshot's recorded offset (" +
+        std::to_string(start_offset) + "): a synced WAL region was lost");
+  }
+  return out;
+}
+
+Status ApplyRecord(Database* db, const WalRecord& rec) {
   if (rec.kind == RecordKind::kDdl) {
     return db->ExecuteQuery(rec.sql).status();
   }
@@ -607,11 +710,19 @@ Status ApplyRecord(Database* db, const PendingRecord& rec) {
       return table->Delete(rec.rowid);
     case RecordKind::kUpdate:
       return table->SetColumn(rec.rowid, static_cast<int>(rec.column),
-                              rec.values.empty() ? Value::Null()
-                                                 : rec.values[0]);
+                              rec.values[0]);
     default:
       return Status::Internal("WAL replay: unexpected record kind");
   }
+}
+
+/// The WAL file's bytes; a missing file reads as empty (nothing committed).
+Result<std::string> ReadWal(Vfs* vfs, const std::string& path) {
+  auto read = ReadWholeFile(vfs, path);
+  if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
+    return std::string();
+  }
+  return read;
 }
 
 }  // namespace
@@ -622,240 +733,47 @@ Result<WalReplayResult> ReplayWal(Database* db, Vfs* vfs,
                                   uint64_t start_offset) {
   // Read the whole file (WALs are truncated at every checkpoint; between
   // checkpoints they are bounded by the update volume since the last one).
-  auto read = ReadWholeFile(vfs, path);
-  if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) {
-      return WalReplayResult{};  // no WAL: start fresh.
-    }
-    return read.status();
-  }
-  const std::string& data = read.value();
-  if (data.empty()) return WalReplayResult{};  // created but never written.
-  if (std::memcmp(data.data(), kWalMagic,
-                  std::min(data.size(), sizeof(kWalMagic))) != 0) {
-    return Status::Internal("'" + path + "' is not a WAL file");
-  }
-  if (data.size() < kWalHeaderSize) {
-    // A crash tore the header write itself: nothing was ever committed
-    // through this file, so reset it.
-    return WalReplayResult{};
-  }
-  binio::Reader header(data.data() + sizeof(kWalMagic),
-                       kWalHeaderSize - sizeof(kWalMagic));
-  uint32_t version = header.U32();
-  uint64_t epoch = header.U64();
-  if (version != kWalFormatVersion) {
-    return Status::Internal("WAL format version mismatch: file has " +
-                            std::to_string(version) + ", this build reads " +
-                            std::to_string(kWalFormatVersion));
-  }
-  if (epoch < snapshot_epoch) {
-    // Pre-checkpoint WAL that a crash kept around: every record in it is
-    // already contained in the snapshot. Reset it.
-    return WalReplayResult{};
-  }
-  if (epoch > snapshot_epoch) {
-    return Status::Internal(
-        "WAL epoch " + std::to_string(epoch) + " is ahead of snapshot epoch " +
-        std::to_string(snapshot_epoch) + " (snapshot file lost?)");
-  }
-
-  WalReplayResult out;
-  out.valid_bytes = kWalHeaderSize;
-  std::vector<PendingRecord> unit;
-  // Per-file table-name dictionary: defs decode into `defs` in frame order;
-  // data records resolve ids through it immediately (a def always precedes
-  // its first use in the same or an earlier unit). Only the defs seen
-  // before the last commit marker are handed to the resuming writer —
-  // later ones die with their uncommitted unit.
-  std::vector<std::pair<std::string, uint16_t>> defs;
-  std::unordered_map<uint16_t, std::string> id_names;
-  size_t committed_defs = 0;
-  size_t pos = kWalHeaderSize;
-  while (pos + 8 <= data.size()) {
-    binio::Reader frame(data.data() + pos, 8);
-    uint32_t len = frame.U32();
-    uint32_t crc = frame.U32();
-    if (len > kMaxFramePayload || pos + 8 + len > data.size()) break;  // torn.
-    const char* payload = data.data() + pos + 8;
-    if (binio::Crc32(payload, len) != crc) break;  // corrupt: end of log.
-    binio::Reader r(payload, len);
-    PendingRecord rec;
-    rec.kind = static_cast<RecordKind>(r.U8());
-    bool end_of_log = false;
-    bool is_def = false;
-    int64_t commit_next_id = 0;
-    auto resolve_table = [&](uint16_t id) -> bool {
-      auto it = id_names.find(id);
-      if (it == id_names.end()) return false;
-      rec.table = it->second;
-      return true;
-    };
-    switch (rec.kind) {
-      case RecordKind::kTableDef: {
-        uint16_t id = r.U16();
-        std::string name = r.String();
-        if (!r.ok()) break;
-        id_names[id] = name;
-        defs.emplace_back(std::move(name), id);
-        is_def = true;
-        break;
-      }
-      case RecordKind::kInsert: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        uint32_t n = r.U32();
-        for (uint32_t i = 0; r.ok() && i < n; ++i) {
-          rec.values.push_back(r.ReadValue());
-        }
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kDelete: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kUpdate: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        rec.column = r.U32();
-        rec.values.push_back(r.ReadValue());
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kDdl:
-        rec.sql = r.String();
-        break;
-      case RecordKind::kCommit:
-        commit_next_id = r.I64();
-        break;
-      default:
-        end_of_log = true;  // unknown kind: treat like a torn frame.
-        break;
-    }
-    if (end_of_log || !r.ok()) break;
-    pos += 8 + len;
-    if (rec.kind == RecordKind::kCommit) {
-      if (pos <= start_offset) {
-        // This unit is already folded into the snapshot (off-thread
-        // checkpoint): keep the dictionary and the commit boundary but do
-        // not re-apply it — and leave next_id to the snapshot's value.
-        unit.clear();
-      } else {
-        for (const PendingRecord& pending : unit) {
-          XUPD_RETURN_IF_ERROR(ApplyRecord(db, pending));
-          ++out.applied_records;
-        }
-        unit.clear();
-        db->set_next_id(commit_next_id);
-      }
-      out.valid_bytes = pos;
-      committed_defs = defs.size();
-    } else if (!is_def) {
-      unit.push_back(std::move(rec));
-    }
-  }
-  defs.resize(committed_defs);
-  out.table_ids = std::move(defs);
+  auto data = ReadWal(vfs, path);
+  if (!data.ok()) return data.status();
   // Records after the last commit frame (an uncommitted or torn unit) are
   // discarded; the caller truncates the file back to valid_bytes.
-  return out;
+  return WalkWal(data.value(), path, snapshot_epoch, start_offset,
+                 [db](const std::vector<WalRecord>& unit, int64_t next_id) {
+                   for (const WalRecord& rec : unit) {
+                     XUPD_RETURN_IF_ERROR(ApplyRecord(db, rec));
+                   }
+                   db->set_next_id(next_id);
+                   return Status::OK();
+                 });
 }
 
 std::vector<std::string> VerifyWalFile(Vfs* vfs, const std::string& path,
-                                       uint64_t expected_epoch,
+                                       uint64_t snapshot_epoch,
+                                       uint64_t snapshot_wal_offset,
                                        uint64_t writer_epoch,
                                        uint64_t writer_bytes) {
-  std::vector<std::string> violations;
-  auto read = ReadWholeFile(vfs, path);
-  if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) {
-      if (expected_epoch != 0) {
-        violations.push_back("WAL file missing: '" + path + "'");
-      }
-      return violations;
-    }
-    violations.push_back("WAL unreadable: " + read.status().message());
-    return violations;
+  if (writer_epoch != 0 && !vfs->Exists(path)) {
+    return {"WAL file missing: '" + path + "'"};
   }
-  const std::string& data = read.value();
-  if (data.empty()) return violations;  // created but never written: clean.
-  if (std::memcmp(data.data(), kWalMagic,
-                  std::min(data.size(), sizeof(kWalMagic))) != 0) {
-    violations.push_back("WAL header corrupt: '" + path + "'");
-    return violations;
+  auto data = ReadWal(vfs, path);
+  if (!data.ok()) return {"WAL unreadable: " + data.status().message()};
+  // Recovery anchors a WAL without a snapshot at epoch 1.
+  const uint64_t anchor = std::max<uint64_t>(snapshot_epoch, 1);
+  auto walk = WalkWal(data.value(), path, anchor, snapshot_wal_offset,
+                      nullptr);
+  if (!walk.ok()) return {walk.status().message()};
+  // The open writer knows how many bytes it durably committed; recovery
+  // keeping fewer loses committed units. Only meaningful when the writer's
+  // epoch is the one recovery replays (a writer fail-stopped by a checkpoint
+  // that renamed a newer snapshot has every unit in that snapshot).
+  const uint64_t kept =
+      std::max<uint64_t>(walk.value().valid_bytes, kWalHeaderSize);
+  if (writer_epoch == anchor && writer_bytes > kept) {
+    return {"WAL lost committed data: recovery keeps " +
+            std::to_string(kept) + " bytes, writer committed " +
+            std::to_string(writer_bytes) + " bytes"};
   }
-  if (data.size() < kWalHeaderSize) {
-    // A torn header write — ReplayWal resets such a file, so it is clean.
-    return violations;
-  }
-  binio::Reader header(data.data() + sizeof(kWalMagic),
-                       kWalHeaderSize - sizeof(kWalMagic));
-  uint32_t version = header.U32();
-  uint64_t epoch = header.U64();
-  if (version != kWalFormatVersion) {
-    violations.push_back("WAL version mismatch: file has " +
-                         std::to_string(version));
-  }
-  // A file epoch BEHIND the expected one is a stale pre-checkpoint log that
-  // recovery ignores (and a failed post-checkpoint reset legitimately leaves
-  // the file one epoch ahead of the broken old writer — the caller folds the
-  // snapshot's epoch into expected_epoch). Only a file ahead of everything
-  // durable is inconsistent: replay would have no snapshot to anchor it.
-  if (expected_epoch != 0 && epoch > expected_epoch) {
-    violations.push_back("WAL epoch " + std::to_string(epoch) +
-                         " is ahead of the expected epoch " +
-                         std::to_string(expected_epoch));
-  }
-  size_t pos = kWalHeaderSize;
-  size_t last_boundary = kWalHeaderSize;
-  while (pos < data.size()) {
-    // Any tear — a partial frame header, a frame running past EOF, a CRC
-    // mismatch — ends the log exactly as it ends it for ReplayWal: the
-    // bytes beyond the last commit boundary are a discardable crash
-    // artifact (e.g. the torn tail a power loss leaves when the writer's
-    // fail-stop truncate could no longer run), not corruption of anything
-    // committed. Lost committed data is caught below instead.
-    if (pos + 8 > data.size()) break;
-    binio::Reader frame(data.data() + pos, 8);
-    uint32_t len = frame.U32();
-    uint32_t crc = frame.U32();
-    if (len > kMaxFramePayload || pos + 8 + len > data.size()) break;
-    const char* payload = data.data() + pos + 8;
-    if (binio::Crc32(payload, len) != crc) break;
-    if (len > 0 &&
-        static_cast<RecordKind>(static_cast<uint8_t>(payload[0])) ==
-            RecordKind::kCommit) {
-      last_boundary = pos + 8 + len;
-    }
-    pos += 8 + len;
-  }
-  // The open writer knows how many bytes it durably committed; a replay of
-  // this file ending short of that loses committed units. Only meaningful
-  // when the file belongs to that writer's epoch (a failed post-checkpoint
-  // reset leaves a fresh next-epoch file the old writer's count predates).
-  if (writer_epoch != 0 && epoch == writer_epoch && writer_bytes != 0 &&
-      last_boundary < writer_bytes) {
-    violations.push_back(
-        "WAL lost committed data: last commit boundary at " +
-        std::to_string(last_boundary) + ", writer committed " +
-        std::to_string(writer_bytes) + " bytes");
-  }
-  return violations;
+  return {};
 }
 
 }  // namespace xupd::rdb

@@ -17,7 +17,15 @@
 // File format (little-endian):
 //   header:  "XUPDWAL1" (8 bytes) | u32 format version | u64 epoch
 //   frame:   u32 payload length | u32 CRC32(payload) | payload
-//   payload: u8 kind | kind-specific fields (see wal.cc)
+//   payload: u8 kind | kind-specific fields:
+//     1 insert     u16 table id | u64 row id | u32 count | count values
+//     2 delete     u16 table id | u64 row id
+//     3 update     u16 table id | u64 row id | u32 column | value
+//     4 ddl        str sql
+//     5 commit     i64 next id
+//     6 table-def  u16 table id | str name
+//   str = u32 length | bytes; value = u8 tag (0 NULL, 1 int, 2 string),
+//   then an i64 for an int or a str for a string.
 //
 // Since format version 2 each WAL file carries a table-name dictionary:
 // the first data record naming a durable table is preceded by a table-def
@@ -34,12 +42,21 @@
 // checkpoints instead keep the WAL (same epoch) and stamp the snapshot with
 // the byte offset it folds in; replay skips applying that prefix.
 //
-// Recovery (ReplayWal) buffers decoded records and applies them only when
-// their commit frame arrives; a torn or corrupt frame ends the log — the
+// Every record kind is framed in place in the pending buffer (FrameBegin,
+// binio::Put*, FrameEnd), so there is one encoder.
+//
+// One header parser and one frame walker read the file, behind both
+// recovery (ReplayWal) and the integrity scrub (VerifyWalFile). The walker
+// buffers decoded records and releases them only when their commit frame
+// arrives; a torn, CRC-failing or undecodable frame ends the log — the
 // committed prefix is kept, everything at and after the bad frame is
 // discarded (the file is truncated back to the last commit boundary before
-// new writes append). A bad header (wrong magic / unsupported version) is a
-// hard error: that file is not a WAL we can interpret.
+// new writes append). A bad header (wrong magic / unsupported version), an
+// epoch ahead of the snapshot's, a record naming an undefined table id, or a
+// committed prefix ending short of the snapshot's WAL offset is a hard
+// error. The scrub judges the same walk without applying records, so it
+// flags every file the walk rejects and every kept prefix short of what the
+// open writer committed.
 #ifndef XUPD_RDB_WAL_H_
 #define XUPD_RDB_WAL_H_
 
@@ -260,10 +277,6 @@ class WalWriter {
   /// returns its offset; FrameEnd patches it over the bytes appended since.
   size_t FrameBegin();
   void FrameEnd(size_t header_at);
-  /// Fast path: `buf` holds 8 reserved header bytes + `payload_size` payload
-  /// bytes on the caller's stack; fills the header and appends the whole
-  /// frame with one copy.
-  void AppendFixedFrame(const char* buf, size_t payload_size);
 
   /// Interns `name` into the per-file table-id dictionary, pending a
   /// table-def record on first sight. Each WAL file carries each durable
@@ -352,30 +365,33 @@ struct WalReplayResult {
 
 /// Replays the committed prefix of the WAL at `path` into `db` (which must
 /// already hold the snapshot state of `snapshot_epoch`). Torn or corrupt
-/// frames end the log silently (crash semantics); a WAL whose epoch predates
-/// the snapshot is ignored; a bad header or a record that cannot be applied
-/// (e.g. an insert whose row id does not line up) is a hard error.
+/// frames end the log silently (crash semantics); a missing file or a WAL
+/// whose epoch predates the snapshot is ignored; a bad header, an undefined
+/// table id or a record that cannot be applied (e.g. an insert whose row id
+/// does not line up) is a hard error.
 /// `start_offset` (the snapshot's wal_offset, from an off-thread checkpoint
 /// that kept the WAL) marks the prefix already folded into the snapshot:
 /// frames before it are still decoded — the table-name dictionary and
 /// commit boundaries span the whole file — but their units are not applied
-/// and their commit frames do not move next_id.
+/// and their commit frames do not move next_id. A committed prefix ending
+/// short of `start_offset` is a hard error (a synced region was lost).
 Result<WalReplayResult> ReplayWal(Database* db, Vfs* vfs,
                                   const std::string& path,
                                   uint64_t snapshot_epoch,
                                   uint64_t start_offset = 0);
 
-/// Integrity scrub: re-walks the WAL file's header and frame CRCs with the
-/// same tolerance as ReplayWal — a torn or CRC-failing tail is a crash
-/// artifact recovery discards, not a violation. What IS flagged: a corrupt
-/// header, a version mismatch, a file epoch ahead of `expected_epoch`
-/// (nothing durable could anchor it), and — when `writer_epoch`/
-/// `writer_bytes` describe the open writer and the file is that writer's
-/// epoch — a last commit boundary short of `writer_bytes`, meaning committed
-/// data was lost. Returns human-readable violations (empty = clean). A
-/// missing file is clean when `expected_epoch` is 0 (no writer open).
+/// Integrity scrub: walks the WAL file exactly as ReplayWal does, against
+/// the on-disk snapshot's `snapshot_epoch` (0 = no snapshot) and
+/// `snapshot_wal_offset`, without applying anything. Flagged: every file
+/// recovery would reject, and — when `writer_epoch`/`writer_bytes` describe
+/// the open writer and that epoch is the one recovery replays — a committed
+/// prefix short of `writer_bytes`, meaning committed data would be lost. A
+/// torn or CRC-failing tail is a crash artifact recovery discards, not a
+/// violation. Returns human-readable violations (empty = clean). A missing
+/// file is clean unless a writer is open.
 std::vector<std::string> VerifyWalFile(Vfs* vfs, const std::string& path,
-                                       uint64_t expected_epoch,
+                                       uint64_t snapshot_epoch,
+                                       uint64_t snapshot_wal_offset,
                                        uint64_t writer_epoch = 0,
                                        uint64_t writer_bytes = 0);
 

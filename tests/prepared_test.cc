@@ -70,16 +70,22 @@ TEST_F(PreparedTest, DistinctTextsAreDistinctEntries) {
 }
 
 TEST_F(PreparedTest, LruEvictsLeastRecentlyUsed) {
-  db_.set_prepared_cache_capacity(2);
-  ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());
-  ASSERT_TRUE(db_.Prepare("SELECT name FROM t").ok());
-  ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());        // refresh id
-  ASSERT_TRUE(db_.Prepare("SELECT id, name FROM t").ok());  // evicts name
-  EXPECT_EQ(db_.prepared_cache_size(), 2u);
+  // Fill the cache to capacity with distinct texts, refresh the oldest, then
+  // one text past capacity evicts the least recently used: text(1).
+  auto text = [](size_t n) {
+    return "SELECT id FROM t WHERE id = " + std::to_string(n);
+  };
+  const size_t capacity = StatementCache::kDefaultCapacity;
+  for (size_t n = 0; n < capacity; ++n) {
+    ASSERT_TRUE(db_.Prepare(text(n)).ok());
+  }
+  ASSERT_TRUE(db_.Prepare(text(0)).ok());         // refresh text(0)
+  ASSERT_TRUE(db_.Prepare(text(capacity)).ok());  // evicts text(1)
+  EXPECT_EQ(db_.prepared_cache_size(), capacity);
   uint64_t misses = db_.stats().prepared_misses;
-  ASSERT_TRUE(db_.Prepare("SELECT id FROM t").ok());  // still cached
+  ASSERT_TRUE(db_.Prepare(text(0)).ok());  // still cached
   EXPECT_EQ(db_.stats().prepared_misses, misses);
-  ASSERT_TRUE(db_.Prepare("SELECT name FROM t").ok());  // evicted -> miss
+  ASSERT_TRUE(db_.Prepare(text(1)).ok());  // evicted -> miss
   EXPECT_EQ(db_.stats().prepared_misses, misses + 1);
 }
 

@@ -22,6 +22,7 @@
 
 #include "engine/store.h"
 #include "rdb/database.h"
+#include "rdb/wal.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 #include "xml/serializer.h"
@@ -425,6 +426,33 @@ class WalCorruptionTest : public RdbRecoveryTest {
     }
     return states;
   }
+
+  /// Rewrites the payload of the `nth` (0-based) insert frame in the WAL
+  /// with `mutate` and recomputes the frame's CRC, so the frame still passes
+  /// the CRC check and only its decoding can reject it.
+  void RewriteInsertFrame(int nth,
+                          const std::function<void(std::string*)>& mutate) {
+    const std::string path = dir_.path() + "/wal.xupd";
+    std::string wal = ReadFile(path);
+    size_t pos = 20;  // header: magic | u32 version | u64 epoch
+    while (pos + 8 <= wal.size()) {
+      rdb::binio::Reader header(wal.data() + pos, 8);
+      const uint32_t len = header.U32();
+      std::string payload = wal.substr(pos + 8, len);
+      if (payload[0] == 1 && nth-- == 0) {  // kind 1 = insert
+        mutate(&payload);
+        std::string frame;
+        rdb::binio::PutU32(&frame, len);
+        rdb::binio::PutU32(&frame,
+                           rdb::binio::Crc32(payload.data(), payload.size()));
+        wal.replace(pos, 8 + len, frame + payload);
+        WriteFile(path, wal);
+        return;
+      }
+      pos += 8 + len;
+    }
+    FAIL() << "the WAL has too few insert frames";
+  }
 };
 
 TEST_F(WalCorruptionTest, TruncatedTailRecoversACommittedPrefix) {
@@ -550,6 +578,71 @@ TEST_F(WalCorruptionTest, SnapshotBitFlipSweepNeverRecoversGarbage) {
   }
 }
 
+TEST_F(WalCorruptionTest, UnknownKindFrameIsFlaggedByTheScrubAndEndsReplay) {
+  std::string after_first;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "INSERT INTO t VALUES (1, 'a')");
+    after_first = DumpDurableState(db);
+    Must(&db, "INSERT INTO t VALUES (2, 'b')");
+    Must(&db, "INSERT INTO t VALUES (3, 'c')");
+    ASSERT_TRUE(db.VerifyIntegrity().empty());
+    // The second insert's frame becomes an unknown record kind with a valid
+    // CRC. Recovery ends the log there, so the scrub must report the
+    // committed units past it as lost.
+    RewriteInsertFrame(1, [](std::string* payload) { (*payload)[0] = 0x7F; });
+    std::vector<std::string> v = db.VerifyIntegrity();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].find("lost committed data"), std::string::npos) << v[0];
+  }
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db), after_first);
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
+}
+
+TEST_F(WalCorruptionTest, UndefinedTableIdIsFlaggedByTheScrubAndFailsRecovery) {
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "INSERT INTO t VALUES (1, 'a')");
+    Must(&db, "INSERT INTO t VALUES (2, 'b')");
+    Must(&db, "INSERT INTO t VALUES (3, 'c')");
+    // The second insert names table id 0x7F7F, which no table-def frame
+    // defines (the u16 id follows the kind byte).
+    RewriteInsertFrame(1, [](std::string* payload) {
+      (*payload)[1] = 0x7F;
+      (*payload)[2] = 0x7F;
+    });
+    std::vector<std::string> v = db.VerifyIntegrity();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].find("undefined table id 32639"), std::string::npos)
+        << v[0];
+  }
+  rdb::Database db;
+  Status s = db.Open(dir_.path());
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("undefined table id 32639"), std::string::npos)
+      << s;
+  EXPECT_TRUE(db.TableNames().empty());  // no half-recovered catalog.
+}
+
+TEST_F(WalCorruptionTest, ScrubFlagsAWalEndingBeforeTheSnapshotOffset) {
+  BuildUnits(2);
+  const std::string path = dir_.path() + "/wal.xupd";
+  const uint64_t size = ReadFile(path).size();
+  rdb::Vfs* vfs = rdb::Vfs::Default();
+  // A background checkpoint's snapshot folds in the WAL up to its
+  // wal_offset. Recovery rejects a log whose committed prefix ends before
+  // that offset, and so must the scrub.
+  EXPECT_TRUE(rdb::VerifyWalFile(vfs, path, 1, size).empty());
+  std::vector<std::string> v = rdb::VerifyWalFile(vfs, path, 1, size + 1);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].find("snapshot's recorded offset"), std::string::npos)
+      << v[0];
+}
+
 TEST_F(WalCorruptionTest, WalVersionMismatchIsACleanError) {
   BuildUnits(2);
   std::string wal = ReadFile(dir_.path() + "/wal.xupd");
@@ -615,6 +708,134 @@ TEST_F(WalCorruptionTest, StaleEpochWalIsIgnoredAfterCheckpoint) {
   ASSERT_TRUE(db.Open(dir_.path()).ok());
   EXPECT_EQ(db.stats().recovery_replayed, 0u);
   EXPECT_EQ(DumpDurableState(db), expected);
+}
+
+// ---------------------------------------------------------------------------
+// WAL byte format: every record kind, pended through WalWriter, against an
+// image assembled by hand from the format documented in rdb/wal.h.
+
+/// Little-endian append of the low `bytes` bytes of `v`.
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  }
+}
+
+/// u32 length + bytes.
+void PutStr(std::string* out, const std::string& s) {
+  PutLe(out, s.size(), 4);
+  *out += s;
+}
+
+/// u32 payload length | u32 CRC32(payload) | payload.
+void PutFrame(std::string* out, const std::string& payload) {
+  PutLe(out, payload.size(), 4);
+  PutLe(out, rdb::binio::Crc32(payload.data(), payload.size()), 4);
+  *out += payload;
+}
+
+TEST(WalFormatTest, EveryRecordKindEncodesToTheDocumentedBytes) {
+  TempDir dir;
+  const std::string path = dir.path() + "/wal.xupd";
+  const std::string s14 = "fourteen bytes";
+  const std::string s200(200, 'l');
+  const std::string s130(130, 'u');
+  const std::string ddl = "CREATE TABLE u (x INTEGER)";
+
+  rdb::Table table(rdb::TableSchema(
+      "items", {{"a", rdb::ColumnType::kInteger},
+                {"b", rdb::ColumnType::kInteger},
+                {"c", rdb::ColumnType::kVarchar},
+                {"d", rdb::ColumnType::kVarchar}}));
+  ASSERT_TRUE(table
+                  .Insert({rdb::Value::Null(), rdb::Value::Int(-7),
+                           rdb::Value::Str(s14), rdb::Value::Str(s200)})
+                  .ok());
+  rdb::DurabilityOptions options;
+  options.sync_mode = rdb::SyncMode::kNone;
+  rdb::Stats stats;
+  {
+    auto opened = rdb::WalWriter::Open(rdb::Vfs::Default(), path, 9, 0,
+                                       options, &stats);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    rdb::WalWriter& wal = *opened.value();
+    wal.PendInsert(table, 0);
+    wal.PendDelete(table, 0);
+    wal.PendUpdate(table, 0, 1, rdb::Value::Int(123456789));
+    wal.PendUpdate(table, 0, 0, rdb::Value::Null());
+    wal.PendUpdate(table, 0, 2, rdb::Value::Str("short"));
+    wal.PendUpdate(table, 0, 3, rdb::Value::Str(s130));
+    wal.PendDdl(ddl);
+    ASSERT_TRUE(wal.CommitPending(42).ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+
+  // Header: "XUPDWAL1" | u32 version 2 | u64 epoch.
+  std::string want = "XUPDWAL1";
+  PutLe(&want, 2, 4);
+  PutLe(&want, 9, 8);
+  // Value tags: 0 = NULL, 1 = int (i64), 2 = string (u32 len + bytes).
+  std::string p;
+  // Table-def (kind 6): u16 id | str name, before the first use of the name.
+  PutLe(&p, 6, 1);
+  PutLe(&p, 0, 2);
+  PutStr(&p, "items");
+  PutFrame(&want, p);
+  // Insert (kind 1): u16 table id | u64 row id | u32 count | values.
+  p.clear();
+  PutLe(&p, 1, 1);
+  PutLe(&p, 0, 2);
+  PutLe(&p, 0, 8);
+  PutLe(&p, 4, 4);
+  PutLe(&p, 0, 1);
+  PutLe(&p, 1, 1);
+  PutLe(&p, static_cast<uint64_t>(int64_t{-7}), 8);
+  PutLe(&p, 2, 1);
+  PutStr(&p, s14);
+  PutLe(&p, 2, 1);
+  PutStr(&p, s200);
+  PutFrame(&want, p);
+  // Delete (kind 2): u16 table id | u64 row id.
+  p.clear();
+  PutLe(&p, 2, 1);
+  PutLe(&p, 0, 2);
+  PutLe(&p, 0, 8);
+  PutFrame(&want, p);
+  // Update (kind 3): u16 table id | u64 row id | u32 column | value.
+  auto update = [&](uint32_t column, const std::string& value) {
+    std::string u;
+    PutLe(&u, 3, 1);
+    PutLe(&u, 0, 2);
+    PutLe(&u, 0, 8);
+    PutLe(&u, column, 4);
+    u += value;
+    PutFrame(&want, u);
+  };
+  std::string v;
+  PutLe(&v, 1, 1);
+  PutLe(&v, 123456789, 8);
+  update(1, v);
+  update(0, std::string(1, '\0'));
+  v.assign(1, '\2');
+  PutStr(&v, "short");
+  update(2, v);
+  v.assign(1, '\2');
+  PutStr(&v, s130);
+  update(3, v);
+  // DDL (kind 4): str sql.
+  p.clear();
+  PutLe(&p, 4, 1);
+  PutStr(&p, ddl);
+  PutFrame(&want, p);
+  // Commit (kind 5): i64 next id.
+  p.clear();
+  PutLe(&p, 5, 1);
+  PutLe(&p, 42, 8);
+  PutFrame(&want, p);
+
+  EXPECT_EQ(ReadFile(path), want);
+  EXPECT_EQ(stats.wal_appends, 9u);
+  EXPECT_EQ(stats.wal_bytes, want.size() - 20);
 }
 
 // ---------------------------------------------------------------------------
