@@ -98,8 +98,8 @@ static void BM_ShredDocument(benchmark::State& state) {
     rdb::Database db;
     shred::Shredder shredder(&mapping.value(), &db);
     (void)shredder.CreateSchema();
-    auto id = shredder.LoadDocument(*gen->doc, /*via_sql=*/false);
-    benchmark::DoNotOptimize(id);
+    auto tuples = shredder.LoadDocument(*gen->doc);
+    benchmark::DoNotOptimize(tuples);
   }
 }
 BENCHMARK(BM_ShredDocument);

@@ -8,7 +8,9 @@
 #ifndef XUPD_ASR_ASR_H_
 #define XUPD_ASR_ASR_H_
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -20,10 +22,12 @@ namespace xupd::asr {
 
 class AsrManager {
  public:
-  AsrManager(const shred::Mapping* mapping, rdb::Database* db)
-      : mapping_(mapping), db_(db) {}
+  AsrManager(const shred::Mapping* mapping, rdb::Database* db);
 
   static constexpr const char* kTableName = "asr";
+
+  /// (table, id) pairs naming one element and its ancestors, root first.
+  using PathPrefix = std::vector<std::pair<const shred::TableMapping*, int64_t>>;
 
   /// The ASR column holding ids of `t`'s tuples.
   static std::string IdColumn(const shred::TableMapping* t) {
@@ -33,8 +37,15 @@ class AsrManager {
   /// CREATE TABLE asr(...) + an index on every id column.
   Status CreateSchema();
 
-  /// Builds all path rows from freshly shredded tuples (bulk, direct API).
+  /// Builds all path rows from a loaded document's tuples (bulk, direct API).
   Status BuildFromTuples(const std::vector<shred::ShreddedTuple>& tuples);
+
+  /// Inserts the path rows through `tuples` (a ShredSubtree result) hanging
+  /// below `prefix`, one prepared "INSERT INTO asr VALUES (?, ..., ?, 0)" per
+  /// row. With no tuples it inserts the one row ending at the prefix's last
+  /// element (the ASR delete's left-completeness repair).
+  Status InsertPathRows(const PathPrefix& prefix,
+                        const std::vector<shred::ShreddedTuple>& tuples);
 
   /// Number of ASR rows (live).
   size_t RowCount() const;
@@ -44,6 +55,7 @@ class AsrManager {
  private:
   const shred::Mapping* mapping_;
   rdb::Database* db_;
+  std::string insert_row_sql_;  ///< the InsertPathRows statement text
 };
 
 }  // namespace xupd::asr

@@ -233,27 +233,12 @@ Status RelationalStore::InstallTriggers() {
 
 Status RelationalStore::Load(const xml::Document& doc) {
   EngineSpan span(&db_, "load");
-  if (options_.build_asr) {
-    // Shred once; feed both the tables and the ASR.
-    auto tuples = shredder_->ShredSubtree(*doc.root(), 0);
-    if (!tuples.ok()) return tuples.status();
-    root_id_ = tuples->front().id;
-    if (options_.load_via_sql) {
-      XUPD_RETURN_IF_ERROR(shredder_->InsertTuplesSql(*tuples));
-    } else {
-      for (const ShreddedTuple& t : *tuples) {
-        rdb::Table* table = db_.FindTable(t.table->table);
-        XUPD_RETURN_IF_ERROR(db_.InsertDirect(table, t.row));
-      }
-    }
-    XUPD_RETURN_IF_ERROR(asr_->BuildFromTuples(*tuples));
-    // Direct bulk-API writes do not cross a statement boundary; flush them
-    // as one committed WAL unit so the load survives a crash.
-    return db_.WalFlush();
-  }
-  auto root_id = shredder_->LoadDocument(doc, options_.load_via_sql);
-  if (!root_id.ok()) return root_id.status();
-  root_id_ = root_id.value();
+  auto tuples = shredder_->LoadDocument(doc);
+  if (!tuples.ok()) return tuples.status();
+  root_id_ = tuples->front().id;
+  if (asr_ != nullptr) XUPD_RETURN_IF_ERROR(asr_->BuildFromTuples(*tuples));
+  // Direct bulk-API writes do not cross a statement boundary; flush them as
+  // one committed WAL unit so the load survives a crash.
   return db_.WalFlush();
 }
 
@@ -433,47 +418,18 @@ Status RelationalStore::AsrDelete(const TableMapping* tm,
         AsrManager::IdColumn(parent) + " FROM " + AsrManager::kTableName +
         " WHERE " + AsrManager::IdColumn(parent) + " IS NOT NULL)");
     if (!orphans.ok()) return orphans.status();
-    // One prepared INSERT shape serves every repaired row: all id columns
-    // are placeholders, only the bound values differ per orphan.
-    std::string sql = AsrInsertRowSql();
     for (const rdb::Row& row : orphans->rows) {
-      int64_t pid = row[0].AsInt();
-      auto chain = AncestorChain(parent, pid);
-      if (!chain.ok()) return chain.status();
-      chain->emplace_back(parent, pid);
-      std::map<const TableMapping*, int64_t> ids(chain->begin(), chain->end());
-      XUPD_RETURN_IF_ERROR(
-          db_.ExecuteQueryBound(sql, AsrRowParams(ids)).status());
+      auto path = PathTo(parent, row[0].AsInt());
+      if (!path.ok()) return path.status();
+      XUPD_RETURN_IF_ERROR(asr_->InsertPathRows(*path, {}));
     }
   }
   return Status::OK();
 }
 
-std::string RelationalStore::AsrInsertRowSql() const {
-  std::string sql = std::string("INSERT INTO ") + AsrManager::kTableName +
-                    " VALUES (";
-  for (size_t i = 0; i < mapping_->tables().size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += "?";
-  }
-  sql += ", 0)";
-  return sql;
-}
-
-std::vector<Value> RelationalStore::AsrRowParams(
-    const std::map<const TableMapping*, int64_t>& ids) const {
-  std::vector<Value> params;
-  params.reserve(mapping_->tables().size());
-  for (const TableMapping& t : mapping_->tables()) {
-    auto it = ids.find(&t);
-    params.push_back(it == ids.end() ? Value::Null() : Value::Int(it->second));
-  }
-  return params;
-}
-
-Result<std::vector<std::pair<const TableMapping*, int64_t>>>
-RelationalStore::AncestorChain(const TableMapping* tm, int64_t id) {
-  std::vector<std::pair<const TableMapping*, int64_t>> chain;
+Result<AsrManager::PathPrefix> RelationalStore::PathTo(const TableMapping* tm,
+                                                      int64_t id) {
+  AsrManager::PathPrefix chain{{tm, id}};
   const TableMapping* cur = tm;
   int64_t cur_id = id;
   while (!cur->parent_element.empty()) {
@@ -526,10 +482,10 @@ Status RelationalStore::TupleInsert(const TableMapping* tm,
                                     const std::string& predicate,
                                     int64_t dest_parent_id) {
   // 6.2.1: read the source subtrees through the Sorted Outer Union, remap
-  // ids tuple by tuple (old->new kept in memory), then insert through
-  // prepared statements — per-table batches of up to insert_batch_size rows
-  // per multi-row INSERT. Batch size 1 restores the paper's regime exactly:
-  // one literal INSERT statement per tuple, parsed every time.
+  // ids tuple by tuple (old->new kept in memory), then hand the remapped
+  // tuples to the shredder's SQL writer (per-table batches of up to
+  // insert_batch_size rows; batch size 1 is the paper's literal
+  // one-INSERT-per-tuple regime).
   shred::OuterUnionQuery query =
       shred::BuildOuterUnion(*mapping_, tm, predicate);
   // When the root predicate rides in the xupd_idlist scratch table (or is
@@ -540,23 +496,8 @@ Status RelationalStore::TupleInsert(const TableMapping* tm,
                     ? db_.ExecuteQueryBound(query.sql, {})
                     : db_.ExecuteQuery(query.sql);
   if (!result.ok()) return result.status();
-  const size_t batch = options_.insert_batch_size < 1
-                           ? 1
-                           : static_cast<size_t>(options_.insert_batch_size);
-  struct PendingBatch {
-    std::vector<Value> params;
-    size_t rows = 0;
-  };
-  std::map<const TableMapping*, PendingBatch> pending;
-  auto flush = [&](const TableMapping* t, PendingBatch* b) -> Status {
-    if (b->rows == 0) return Status::OK();
-    std::string sql =
-        rdb::MultiRowInsertSql(t->table, 2 + t->fields.size(), b->rows);
-    Status s = db_.ExecuteQueryBound(sql, b->params).status();
-    b->params.clear();
-    b->rows = 0;
-    return s;
-  };
+  std::vector<ShreddedTuple> tuples;
+  tuples.reserve(result->rows.size());
   std::map<int64_t, int64_t> id_map;  // old id -> new id
   for (const rdb::Row& row : result->rows) {
     // Deepest non-null segment owns the row.
@@ -565,44 +506,27 @@ Status RelationalStore::TupleInsert(const TableMapping* tm,
       if (!row[static_cast<size_t>(s.id_col)].is_null()) seg = &s;
     }
     if (seg == nullptr) continue;
-    int64_t old_id = row[static_cast<size_t>(seg->id_col)].AsInt();
-    int64_t new_id = db_.AllocateId();
-    id_map[old_id] = new_id;
-    int64_t parent;
+    ShreddedTuple& t = tuples.emplace_back();
+    t.table = seg->table;
+    t.id = db_.AllocateId();
+    id_map[row[static_cast<size_t>(seg->id_col)].AsInt()] = t.id;
     if (seg->parent_id_col < 0) {
-      parent = dest_parent_id;
+      t.parent_id = dest_parent_id;
     } else {
       int64_t old_parent = row[static_cast<size_t>(seg->parent_id_col)].AsInt();
       auto it = id_map.find(old_parent);
       if (it == id_map.end()) {
         return Status::Internal("outer-union stream out of order");
       }
-      parent = it->second;
+      t.parent_id = it->second;
     }
-    if (batch == 1) {
-      std::string sql = "INSERT INTO " + seg->table->table + " VALUES (" +
-                        std::to_string(new_id) + ", " + std::to_string(parent);
-      for (size_t f = 0; f < seg->field_count; ++f) {
-        sql += ", " +
-               row[static_cast<size_t>(seg->first_field_col) + f].ToSqlLiteral();
-      }
-      sql += ")";
-      XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(sql).status());
-      continue;
-    }
-    PendingBatch& b = pending[seg->table];
-    b.params.push_back(Value::Int(new_id));
-    b.params.push_back(Value::Int(parent));
-    for (size_t f = 0; f < seg->field_count; ++f) {
-      b.params.push_back(row[static_cast<size_t>(seg->first_field_col) + f]);
-    }
-    ++b.rows;
-    if (b.rows >= batch) XUPD_RETURN_IF_ERROR(flush(seg->table, &b));
+    t.row.reserve(2 + seg->field_count);
+    t.row.push_back(Value::Int(t.id));
+    t.row.push_back(Value::Int(t.parent_id));
+    auto fields = row.begin() + seg->first_field_col;
+    t.row.insert(t.row.end(), fields, fields + seg->field_count);
   }
-  for (auto& [t, b] : pending) {
-    XUPD_RETURN_IF_ERROR(flush(t, &b));
-  }
-  return Status::OK();
+  return shredder_->InsertTuplesSql(tuples);
 }
 
 Status RelationalStore::TableInsert(const TableMapping* tm,
@@ -772,7 +696,7 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
   // New ASR paths: destination ancestor chain above the copy, offset ids for
   // the copied region, NULL elsewhere.
   const TableMapping* dest_table = nullptr;
-  std::vector<std::pair<const TableMapping*, int64_t>> dest_chain;
+  AsrManager::PathPrefix dest_chain;
   if (dest_parent_id != 0) {
     // Locate the destination parent's table by probing candidates.
     for (const TableMapping& t : mapping_->tables()) {
@@ -786,10 +710,9 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
     if (dest_table == nullptr) {
       return Status::NotFound("destination parent tuple not found");
     }
-    auto chain = AncestorChain(dest_table, dest_parent_id);
+    auto chain = PathTo(dest_table, dest_parent_id);
     if (!chain.ok()) return chain.status();
     dest_chain = std::move(chain).value();
-    dest_chain.emplace_back(dest_table, dest_parent_id);
   }
   std::map<const TableMapping*, int64_t> dest_ids(dest_chain.begin(),
                                                   dest_chain.end());
@@ -825,45 +748,16 @@ Status RelationalStore::InsertConstructedImpl(const xml::Element& content,
   auto tuples = shredder_->ShredSubtree(content, dest_parent_id);
   if (!tuples.ok()) return tuples.status();
   XUPD_RETURN_IF_ERROR(shredder_->InsertTuplesSql(*tuples));
-  if (options_.build_asr) {
-    // Maintain the ASR for the constructed content.
-    const TableMapping* tm = tuples->front().table;
-    std::map<const TableMapping*, int64_t> dest_ids;
-    if (dest_parent_id != 0 && !tm->parent_element.empty()) {
-      const TableMapping* parent = mapping_->ForElement(tm->parent_element);
-      auto chain = AncestorChain(parent, dest_parent_id);
-      if (!chain.ok()) return chain.status();
-      for (auto& [t, id] : *chain) dest_ids[t] = id;
-      dest_ids[parent] = dest_parent_id;
-    }
-    // Build adjacency and emit leaf-complete rows via SQL inserts.
-    std::map<int64_t, std::vector<const ShreddedTuple*>> children;
-    for (const ShreddedTuple& t : *tuples) {
-      if (t.parent_id != 0 && t.id != tuples->front().id) {
-        children[t.parent_id].push_back(&t);
-      }
-    }
-    std::map<const TableMapping*, int64_t> current = dest_ids;
-    // One prepared INSERT shape for every leaf-complete ASR row.
-    std::string asr_sql = AsrInsertRowSql();
-    std::function<Status(const ShreddedTuple*)> walk =
-        [&](const ShreddedTuple* node) -> Status {
-      current[node->table] = node->id;
-      auto it = children.find(node->id);
-      if (it == children.end() || it->second.empty()) {
-        XUPD_RETURN_IF_ERROR(
-            db_.ExecuteQueryBound(asr_sql, AsrRowParams(current)).status());
-      } else {
-        for (const ShreddedTuple* c : it->second) {
-          XUPD_RETURN_IF_ERROR(walk(c));
-        }
-      }
-      current.erase(node->table);
-      return Status::OK();
-    };
-    XUPD_RETURN_IF_ERROR(walk(&tuples->front()));
+  if (asr_ == nullptr) return Status::OK();
+  // The new ASR paths hang below the destination's ancestor chain.
+  AsrManager::PathPrefix prefix;
+  const TableMapping* tm = tuples->front().table;
+  if (dest_parent_id != 0 && !tm->parent_element.empty()) {
+    auto path = PathTo(mapping_->ForElement(tm->parent_element), dest_parent_id);
+    if (!path.ok()) return path.status();
+    prefix = std::move(path).value();
   }
-  return Status::OK();
+  return asr_->InsertPathRows(prefix, *tuples);
 }
 
 // ---------------------------------------------------------------------------

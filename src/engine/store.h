@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <utility>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,15 +45,17 @@ class RelationalStore {
   struct Options {
     DeleteStrategy delete_strategy = DeleteStrategy::kPerTupleTrigger;
     InsertStrategy insert_strategy = InsertStrategy::kTable;
-    /// Build and maintain the ASR (implied by the ASR strategies).
+    /// Build the ASR (implied by the ASR strategies). Loads, constructed
+    /// inserts and the ASR strategies keep it in step with the element
+    /// tables; the trigger and cascade deletes and the tuple and table
+    /// copies do not, so mixing those with an ASR leaves it stale.
     bool build_asr = false;
-    /// Load documents through INSERT statements instead of the bulk API.
-    bool load_via_sql = false;
-    /// Rows per multi-row INSERT on the SQL insert paths (tuple-strategy
-    /// copies, constructed-content inserts, SQL loads). 1 restores the
-    /// paper's one-statement-per-tuple regime exactly — literal SQL text,
-    /// parsed per tuple (§6.2.1); larger values batch tuples of the same
-    /// table into one prepared multi-row statement.
+    /// Rows per multi-row INSERT on the SQL tuple writer
+    /// (Shredder::InsertTuplesSql: tuple-strategy copies and
+    /// constructed-content inserts). 1 restores the paper's
+    /// one-statement-per-tuple regime exactly — literal SQL text, parsed per
+    /// tuple (§6.2.1); larger values batch tuples of the same table into one
+    /// prepared multi-row statement.
     int insert_batch_size = 64;
     /// Wrap every update entry point (DeleteWhere/DeleteByIds/CopySubtree*/
     /// InsertConstructed/ExecuteXQueryUpdate) in a transaction, so a
@@ -122,7 +123,9 @@ class RelationalStore {
                            int64_t dest_parent_id);
 
   /// Inserts newly constructed content (an element subtree that maps to a
-  /// table) under `dest_parent_id`. Issues one INSERT per shredded tuple.
+  /// table) under `dest_parent_id`: the shredded tuples go through
+  /// Shredder::InsertTuplesSql and, with an ASR, their path rows through
+  /// AsrManager::InsertPathRows.
   Status InsertConstructed(const xml::Element& content, int64_t dest_parent_id);
 
   // --- queries -------------------------------------------------------------
@@ -224,16 +227,11 @@ class RelationalStore {
                                int64_t dest_parent_id);
   Status AsrInsert(const shred::TableMapping* tm, const std::string& predicate,
                    int64_t dest_parent_id);
-  /// (table, id) chain from the mapping root down to `id`'s parent — used to
-  /// rebuild ASR rows. Walks parentId pointers with point queries.
-  Result<std::vector<std::pair<const shred::TableMapping*, int64_t>>>
-  AncestorChain(const shred::TableMapping* tm, int64_t id);
-
-  /// "INSERT INTO asr VALUES (?, ..., ?, 0)" — one placeholder per mapping
-  /// table, unmarked. Pair with AsrRowParams for the bound values.
-  std::string AsrInsertRowSql() const;
-  std::vector<rdb::Value> AsrRowParams(
-      const std::map<const shred::TableMapping*, int64_t>& ids) const;
+  /// (table, id) chain from the mapping root down to `id` itself — the
+  /// prefix of the ASR rows through `id`. Walks parentId pointers with point
+  /// queries.
+  Result<asr::AsrManager::PathPrefix> PathTo(const shred::TableMapping* tm,
+                                             int64_t id);
 
   Options options_;
   std::unique_ptr<shred::Mapping> mapping_;

@@ -219,34 +219,37 @@ Result<bool> EvalBoolBound(const BoundExpr& expr,
 namespace {
 
 /// Gathers candidate rowids for an index-driven access path (one Lookup per
-/// probe value; counts each as an index probe).
+/// probe value; counts each as an index probe). A NULL probe value matches
+/// no row under `=` or IN, but the hash index keys NULL like any other value,
+/// so NULL probes are skipped: DELETE and UPDATE drop the probed conjunct
+/// and would otherwise also hit the rows whose column is NULL.
 Status GatherCandidates(const AccessPath& path,
                         const std::vector<const Value*>& slots,
                         ExecContext& ctx, std::vector<size_t>* out) {
+  auto probe = [&](const Value& v) {
+    if (v.is_null()) return;
+    path.index->Lookup(v, out);
+    ++ctx.stats->index_probes;
+  };
   switch (path.kind) {
     case AccessPath::Kind::kScan:
       return Status::Internal("scan path has no candidates");
     case AccessPath::Kind::kIndexEq: {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(path.probe, slots, ctx));
-      path.index->Lookup(v, out);
-      ++ctx.stats->index_probes;
+      probe(v);
       return Status::OK();
     }
     case AccessPath::Kind::kIndexIn: {
       for (const BoundExpr& item : path.probe_list) {
         XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(item, slots, ctx));
-        path.index->Lookup(v, out);
-        ++ctx.stats->index_probes;
+        probe(v);
       }
       return Status::OK();
     }
     case AccessPath::Kind::kIndexInSubquery: {
       XUPD_ASSIGN_OR_RETURN(const auto* set,
                             SubquerySet(*path.probe_subquery, ctx));
-      for (const Value& v : *set) {
-        path.index->Lookup(v, out);
-        ++ctx.stats->index_probes;
-      }
+      for (const Value& v : *set) probe(v);
       return Status::OK();
     }
   }

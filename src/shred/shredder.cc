@@ -29,6 +29,17 @@ const xml::Element* Navigate(const xml::Element& e,
   return cur;
 }
 
+/// A literal single-row INSERT for `tuple`, parsed on every execution.
+std::string LiteralInsertSql(const ShreddedTuple& tuple) {
+  std::string sql = "INSERT INTO " + tuple.table->table + " VALUES (";
+  for (size_t i = 0; i < tuple.row.size(); ++i) {
+    if (i > 0) sql += ", ";
+    sql += tuple.row[i].ToSqlLiteral();
+  }
+  sql += ")";
+  return sql;
+}
+
 }  // namespace
 
 Status Shredder::FillFields(const xml::Element& element, const TableMapping* tm,
@@ -107,22 +118,12 @@ Result<std::vector<ShreddedTuple>> Shredder::ShredSubtree(
   return out;
 }
 
-std::string Shredder::InsertSql(const ShreddedTuple& tuple) {
-  std::string sql = "INSERT INTO " + tuple.table->table + " VALUES (";
-  for (size_t i = 0; i < tuple.row.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += tuple.row[i].ToSqlLiteral();
-  }
-  sql += ")";
-  return sql;
-}
-
 Status Shredder::InsertTuplesSql(const std::vector<ShreddedTuple>& tuples) {
   if (sql_batch_size_ == 1) {
     // The paper's original regime on every path: one literal single-row
     // INSERT statement per tuple, parsed on every execution.
     for (const ShreddedTuple& t : tuples) {
-      XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(InsertSql(t)).status());
+      XUPD_RETURN_IF_ERROR(db_->ExecuteQuery(LiteralInsertSql(t)).status());
     }
     return Status::OK();
   }
@@ -158,7 +159,8 @@ Status Shredder::InsertTuplesSql(const std::vector<ShreddedTuple>& tuples) {
   return Status::OK();
 }
 
-Result<int64_t> Shredder::LoadDocument(const xml::Document& doc, bool via_sql) {
+Result<std::vector<ShreddedTuple>> Shredder::LoadDocument(
+    const xml::Document& doc) {
   if (doc.root() == nullptr) {
     return Status::InvalidArgument("document has no root");
   }
@@ -169,19 +171,14 @@ Result<int64_t> Shredder::LoadDocument(const xml::Document& doc, bool via_sql) {
   }
   auto tuples = ShredSubtree(*doc.root(), 0);
   if (!tuples.ok()) return tuples.status();
-  int64_t root_id = tuples->front().id;
-  if (via_sql) {
-    XUPD_RETURN_IF_ERROR(InsertTuplesSql(*tuples));
-  } else {
-    for (ShreddedTuple& t : *tuples) {
-      rdb::Table* table = db_->FindTable(t.table->table);
-      if (table == nullptr) {
-        return Status::Internal("table '" + t.table->table + "' missing");
-      }
-      XUPD_RETURN_IF_ERROR(db_->InsertDirect(table, std::move(t.row)));
+  for (ShreddedTuple& t : *tuples) {
+    rdb::Table* table = db_->FindTable(t.table->table);
+    if (table == nullptr) {
+      return Status::Internal("table '" + t.table->table + "' missing");
     }
+    XUPD_RETURN_IF_ERROR(db_->InsertDirect(table, std::move(t.row)));
   }
-  return root_id;
+  return tuples;
 }
 
 }  // namespace xupd::shred

@@ -1,6 +1,7 @@
 // Shredder: walks an XML document and produces relational tuples according
-// to a Mapping. Loading can go through SQL INSERT statements (authentic but
-// slower) or the direct bulk API.
+// to a Mapping. It owns the engine's two element-tuple writers: the document
+// load, through the direct bulk API, and InsertTuplesSql, the one SQL writer
+// behind constructed-content inserts and tuple-strategy copies (§6.2.1).
 #ifndef XUPD_SHRED_SHREDDER_H_
 #define XUPD_SHRED_SHREDDER_H_
 
@@ -24,36 +25,33 @@ struct ShreddedTuple {
 
 class Shredder {
  public:
-  /// `sql_batch_size` caps the number of rows per multi-row INSERT when
-  /// loading through SQL (1 = one single-row INSERT per tuple, the paper's
-  /// original per-statement regime).
+  /// `sql_batch_size` caps the number of rows per multi-row INSERT issued by
+  /// InsertTuplesSql (1 = one literal single-row INSERT per tuple, the
+  /// paper's original per-statement regime).
   Shredder(const Mapping* mapping, rdb::Database* db, int sql_batch_size = 64)
       : mapping_(mapping), db_(db),
         sql_batch_size_(sql_batch_size < 1 ? 1 : sql_batch_size) {}
 
-  int sql_batch_size() const { return sql_batch_size_; }
-
   /// Creates all tables and id/parentId indexes (always through SQL DDL).
   Status CreateSchema();
 
-  /// Shreds and loads a whole document. Returns the root tuple id.
-  /// `via_sql` loads through INSERT statements instead of the bulk API.
-  Result<int64_t> LoadDocument(const xml::Document& doc, bool via_sql);
+  /// Shreds a whole document and loads it through the direct bulk API.
+  /// Returns the tuples in pre-order, root first; each row has been moved
+  /// into its table, so only table, id and parent_id remain set.
+  Result<std::vector<ShreddedTuple>> LoadDocument(const xml::Document& doc);
 
   /// Shreds the subtree rooted at `element` (which must map to a table),
   /// assigning fresh ids from the database id counter, with the subtree root
-  /// attached to `parent_id`. Does not insert.
+  /// attached to `parent_id`. Returns the tuples in pre-order, root first.
+  /// Does not insert.
   Result<std::vector<ShreddedTuple>> ShredSubtree(const xml::Element& element,
                                                   int64_t parent_id);
 
-  /// Renders an INSERT statement for a shredded tuple (literal SQL text,
-  /// parsed on every execution — the pre-prepared-statement path).
-  static std::string InsertSql(const ShreddedTuple& tuple);
-
-  /// Inserts shredded tuples through SQL using cached prepared statements:
-  /// tuples are grouped per table and issued as multi-row INSERTs of at most
-  /// sql_batch_size rows, with all values bound as parameters. Every batch
-  /// of the same (table, batch size) shape reuses one parsed statement.
+  /// Inserts tuples through SQL. Tuples are grouped per table and issued as
+  /// prepared multi-row INSERTs of at most sql_batch_size rows, with all
+  /// values bound as parameters, so every batch of the same (table, batch
+  /// size) shape reuses one parsed statement. With sql_batch_size 1 each
+  /// tuple is one literal INSERT, parsed on every execution.
   Status InsertTuplesSql(const std::vector<ShreddedTuple>& tuples);
 
  private:

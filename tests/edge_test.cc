@@ -98,7 +98,7 @@ TEST(EdgeTest, FragmentationVsInlining) {
   ASSERT_TRUE(mapping.ok());
   Shredder shredder(&mapping.value(), &inline_db);
   ASSERT_TRUE(shredder.CreateSchema().ok());
-  ASSERT_TRUE(shredder.LoadDocument(*gen->doc, false).ok());
+  ASSERT_TRUE(shredder.LoadDocument(*gen->doc).ok());
 
   size_t inlined_tuples = 0;
   for (const auto& name : inline_db.TableNames()) {

@@ -293,6 +293,33 @@ TEST(InsertShapeTest, RepeatedTupleCopiesReuseThePreparedPlan) {
   EXPECT_GE(delta.prepared_hits, 3u);
 }
 
+TEST(InsertShapeTest, TupleCopyStoresTheSameRowsAtEveryBatchSize) {
+  // Batch size changes how the copied tuples are grouped into statements,
+  // never which rows land or in what order within a table.
+  std::vector<std::vector<std::string>> dumps;
+  for (int batch : {1, 64}) {
+    auto store = MakeStoreWithBatch(DeleteStrategy::kPerTupleTrigger,
+                                    InsertStrategy::kTuple, batch);
+    auto john = store->SelectIds("Customer", "Address_City = 'Seattle'");
+    ASSERT_TRUE(john.ok());
+    ASSERT_TRUE(
+        store->CopySubtree("Customer", john->front(), store->root_id()).ok());
+    std::vector<std::string> rows;
+    for (const shred::TableMapping& t : store->mapping().tables()) {
+      auto r = store->db()->ExecuteQuery("SELECT * FROM " + t.table);
+      ASSERT_TRUE(r.ok()) << r.status();
+      for (const rdb::Row& row : r->rows) {
+        std::string line = t.table + ":";
+        for (const rdb::Value& v : row) line += " " + v.ToSqlLiteral();
+        rows.push_back(std::move(line));
+      }
+    }
+    dumps.push_back(std::move(rows));
+  }
+  EXPECT_EQ(dumps[0].size(), 11u + 6u);  // the document + the copied subtree
+  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
 TEST(InsertShapeTest, TableInsertStatementsIndependentOfTupleCount) {
   auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, InsertStrategy::kTable);
   auto john = store->SelectIds("Customer", "Address_City = 'Seattle'");
@@ -363,6 +390,41 @@ TEST(AsrTest, BulkDeleteRepairsLeftCompleteness) {
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(row->rows.size(), 1u);
   EXPECT_EQ(row->rows[0][0].AsInt(), store->root_id());
+}
+
+TEST(AsrTest, ConstructedInsertWritesLeftCompletePaths) {
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  RelationalStore::Options options;
+  options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
+  auto store_or = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(store_or.ok());
+  auto store = std::move(store_or).value();
+  auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
+  ASSERT_TRUE(store->Load(*doc).ok());
+  Status s = store->ExecuteXQueryUpdate(R"(
+    FOR $c IN document("custdb.xml")/Customer[Name="Mary"]
+    UPDATE $c {
+      INSERT <Order><Date>2001-02-03</Date>
+               <OrderLine><ItemName>nut</ItemName><Qty>5</Qty></OrderLine>
+               <OrderLine><ItemName>bolt</ItemName><Qty>6</Qty></OrderLine>
+             </Order>
+    })");
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(Count(store.get(), "Order"), 4);
+  EXPECT_EQ(Count(store.get(), "OrderLine"), 6);
+  EXPECT_TRUE(store->VerifyStore().empty());
+
+  // The ASR must hold exactly the paths a fresh load of the same document
+  // builds: the new order adds one path per order line.
+  auto rebuilt = store->Reconstruct();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  auto fresh_or = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(fresh_or.ok());
+  auto fresh = std::move(fresh_or).value();
+  ASSERT_TRUE(fresh->Load(*rebuilt.value()).ok());
+  EXPECT_EQ(Count(fresh.get(), "asr"), 7);
+  EXPECT_EQ(Count(store.get(), "asr"), Count(fresh.get(), "asr"));
 }
 
 // ---------------------------------------------------------------------------

@@ -570,6 +570,25 @@ TEST_F(ParityTest, MutationsMatchUnderBothAccessPaths) {
                     .ok());
     ASSERT_TRUE(
         db->ExecuteQuery("DELETE FROM Customer WHERE Name = 'cust0'").ok());
+    // A NULL probe value matches no row, not the rows whose parentId is
+    // NULL: each table gets one such row and one statement of its own.
+    for (const char* sql : {"INSERT INTO Ord VALUES (2000, NULL, 'loose')",
+                            "INSERT INTO OrderLine VALUES (30000, NULL, "
+                            "'loose', 0)",
+                            "INSERT INTO Customer VALUES (200, NULL, 'loose', "
+                            "'city0')"}) {
+      ASSERT_TRUE(db->ExecuteQuery(sql).ok()) << sql;
+    }
+    ASSERT_TRUE(db->ExecuteQuery("DELETE FROM Ord WHERE parentId = NULL").ok());
+    ASSERT_TRUE(db->ExecuteQueryBound("DELETE FROM OrderLine WHERE parentId = ?",
+                                      {Value::Null()})
+                    .ok());
+    ASSERT_TRUE(
+        db->ExecuteQuery("DELETE FROM Customer WHERE parentId IN (NULL, 5)")
+            .ok());
+    ASSERT_TRUE(db->ExecuteQuery("UPDATE Ord SET Status = 'hit' "
+                                 "WHERE parentId IN (NULL, 105)")
+                    .ok());
   };
   auto dump = [&](Database* db) {
     std::vector<std::string> rows;

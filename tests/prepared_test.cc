@@ -261,19 +261,28 @@ TEST_F(PreparedTest, MultiRowInsertIsAtomic) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end through the store: batched SQL load.
+// End-to-end through the store: the shredder's SQL tuple writer.
 
-TEST(PreparedStoreTest, SqlLoadBatchesAndSkipsReparse) {
+/// Shreds the customer document in a fresh store with `batch` rows per
+/// INSERT and writes it through Shredder::InsertTuplesSql; returns the
+/// statistics delta of the write alone.
+Stats SqlInsertDocumentDelta(int batch) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   engine::RelationalStore::Options options;
-  options.load_via_sql = true;
-  options.insert_batch_size = 64;
+  options.insert_batch_size = batch;
   auto store = engine::RelationalStore::Create(dtd, options);
-  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_TRUE(store.ok()) << store.status();
   auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
+  shred::Shredder* shredder = store.value()->shredder();
+  auto tuples = shredder->ShredSubtree(*doc->root(), 0);
+  EXPECT_TRUE(tuples.ok()) << tuples.status();
   Stats before = store.value()->stats();
-  ASSERT_TRUE(store.value()->Load(*doc).ok());
-  Stats delta = store.value()->stats().Delta(before);
+  EXPECT_TRUE(shredder->InsertTuplesSql(*tuples).ok());
+  return store.value()->stats().Delta(before);
+}
+
+TEST(PreparedStoreTest, SqlInsertBatchesAndSkipsReparse) {
+  Stats delta = SqlInsertDocumentDelta(64);
   // 11 tuples over 4 tables: one multi-row INSERT per table with >1 row
   // (Customer 3 + Order 3 + OrderLine 4 = 10 batched rows).
   EXPECT_EQ(delta.rows_inserted, 11u);
@@ -281,17 +290,8 @@ TEST(PreparedStoreTest, SqlLoadBatchesAndSkipsReparse) {
   EXPECT_EQ(delta.statements, 4u);
 }
 
-TEST(PreparedStoreTest, BatchSizeOneLoadMatchesPaperRegime) {
-  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
-  engine::RelationalStore::Options options;
-  options.load_via_sql = true;
-  options.insert_batch_size = 1;
-  auto store = engine::RelationalStore::Create(dtd, options);
-  ASSERT_TRUE(store.ok()) << store.status();
-  auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
-  Stats before = store.value()->stats();
-  ASSERT_TRUE(store.value()->Load(*doc).ok());
-  Stats delta = store.value()->stats().Delta(before);
+TEST(PreparedStoreTest, BatchSizeOneInsertMatchesPaperRegime) {
+  Stats delta = SqlInsertDocumentDelta(1);
   EXPECT_EQ(delta.statements, 11u);  // one statement per tuple
   EXPECT_EQ(delta.sql_parses, 11u);  // literal SQL, parsed every time
   EXPECT_EQ(delta.batched_rows, 0u);
