@@ -3,8 +3,10 @@
 // One relation `asr` indexes every root-to-leaf path instance of the table
 // hierarchy: one column `id_<table>` per mapped table (pre-order) plus a
 // `marked` work column used by the ASR delete/insert marking scheme
-// (§6.1.3/§6.2.3). Left-complete extension: NULLs appear only below the
-// deepest existing element of a path.
+// (§6.1.3/§6.2.3). Every column is hash-indexed, `marked` included, so the
+// steps that select the marked paths probe them instead of scanning the
+// ASR. `marked` is 0 outside an operation. Left-complete extension: NULLs
+// appear only below the deepest existing element of a path.
 #ifndef XUPD_ASR_ASR_H_
 #define XUPD_ASR_ASR_H_
 
@@ -34,7 +36,7 @@ class AsrManager {
     return "id_" + t->table;
   }
 
-  /// CREATE TABLE asr(...) + an index on every id column.
+  /// CREATE TABLE asr(...) + an index on every id column and on `marked`.
   Status CreateSchema();
 
   /// Builds all path rows from a loaded document's tuples (bulk, direct API).

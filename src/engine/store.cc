@@ -403,26 +403,52 @@ Status RelationalStore::AsrDelete(const TableMapping* tm,
   if (!predicate.empty()) del += " WHERE " + predicate;
   XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(del).status());
 
+  // Left-completeness repair: a target's parent that lost its last path gets
+  // a fresh row ending at its level. Only the targets' parents can lose one;
+  // the marked rows name them, and those that still have a child keep its
+  // paths. Apart from one probe per childless parent, the statement count
+  // does not grow with the number of targets.
+  const TableMapping* parent = tm->parent_element.empty()
+                                   ? nullptr
+                                   : mapping_->ForElement(tm->parent_element);
+  std::set<int64_t> childless;
+  if (parent != nullptr) {
+    const std::string marked_parents = "SELECT " +
+                                       AsrManager::IdColumn(parent) + " FROM " +
+                                       AsrManager::kTableName +
+                                       " WHERE marked = 1";
+    auto candidates = db_.ExecuteQuery(marked_parents);
+    if (!candidates.ok()) return candidates.status();
+    for (const rdb::Row& row : candidates->rows) {
+      if (!row[0].is_null()) childless.insert(row[0].AsInt());
+    }
+    for (const TableMapping* child : mapping_->ChildTables(parent->element)) {
+      if (childless.empty()) break;
+      auto kept = db_.ExecuteQuery("SELECT parentId FROM " + child->table +
+                                   " WHERE parentId IN (" + marked_parents +
+                                   ")");
+      if (!kept.ok()) return kept.status();
+      for (const rdb::Row& row : kept->rows) childless.erase(row[0].AsInt());
+    }
+  }
+
   XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(std::string("DELETE FROM ") +
                                         AsrManager::kTableName +
                                         " WHERE marked = 1").status());
 
-  // Left-completeness repair: ancestors that lost all their paths get a
-  // fresh row ending at their level.
-  const TableMapping* parent = tm->parent_element.empty()
-                                   ? nullptr
-                                   : mapping_->ForElement(tm->parent_element);
-  if (parent != nullptr) {
-    auto orphans = db_.ExecuteQuery(
-        "SELECT id FROM " + parent->table + " WHERE id NOT IN (SELECT " +
-        AsrManager::IdColumn(parent) + " FROM " + AsrManager::kTableName +
-        " WHERE " + AsrManager::IdColumn(parent) + " IS NOT NULL)");
-    if (!orphans.ok()) return orphans.status();
-    for (const rdb::Row& row : orphans->rows) {
-      auto path = PathTo(parent, row[0].AsInt());
-      if (!path.ok()) return path.status();
-      XUPD_RETURN_IF_ERROR(asr_->InsertPathRows(*path, {}));
-    }
+  for (int64_t id : childless) {
+    // A childless parent may still hold its own terminal row (one written
+    // before a constructed insert gave it the child just deleted).
+    auto terminal = db_.ExecuteQueryBound(
+        "SELECT " + AsrManager::IdColumn(parent) + " FROM " +
+            AsrManager::kTableName + " WHERE " + AsrManager::IdColumn(parent) +
+            " = ?",
+        {Value::Int(id)});
+    if (!terminal.ok()) return terminal.status();
+    if (!terminal->rows.empty()) continue;
+    auto path = PathTo(parent, id);
+    if (!path.ok()) return path.status();
+    XUPD_RETURN_IF_ERROR(asr_->InsertPathRows(*path, {}));
   }
   return Status::OK();
 }
@@ -700,8 +726,9 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
   if (dest_parent_id != 0) {
     // Locate the destination parent's table by probing candidates.
     for (const TableMapping& t : mapping_->tables()) {
-      auto r = db_.ExecuteQuery("SELECT id FROM " + t.table + " WHERE id = " +
-                                std::to_string(dest_parent_id));
+      auto r = db_.ExecuteQueryBound("SELECT id FROM " + t.table +
+                                         " WHERE id = ?",
+                                     {Value::Int(dest_parent_id)});
       if (r.ok() && !r->rows.empty()) {
         dest_table = &t;
         break;

@@ -4,10 +4,12 @@
 // relational layer cannot see: every element tuple's parent chain resolves
 // through the mapping hierarchy up to the root without cycles or orphans,
 // and the ASR — when built — agrees with the element tables in both
-// directions (every ASR id exists; every tuple appears on some path row).
+// directions (every ASR id exists; every tuple appears on some path row)
+// and holds each path row once.
 // Read-only, so it runs in degraded (read-only) mode and right after an
 // injected storage fault.
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -139,7 +141,8 @@ std::vector<std::string> RelationalStore::VerifyStore() {
   // ASR: every non-null id on a path row exists in its element table, path
   // rows extend from the root (left-complete: a present child implies a
   // present, matching parent), no stale marks linger outside an operation,
-  // and every element tuple appears on at least one path row.
+  // no two rows hold the same ids (a repair that double-inserts), and every
+  // element tuple appears on at least one path row.
   if (asr_ != nullptr) {
     const rdb::Table* asr_table = db_.FindTable(asr::AsrManager::kTableName);
     if (asr_table == nullptr) {
@@ -149,9 +152,13 @@ std::vector<std::string> RelationalStore::VerifyStore() {
     const rdb::TableSchema& schema = asr_table->schema();
     int marked_col = schema.ColumnIndex("marked");
     std::unordered_map<const TableMapping*, std::unordered_set<int64_t>> seen;
+    // Id columns (NULL as 0, which no tuple holds) -> first row holding them.
+    std::map<std::vector<int64_t>, size_t> path_rows;
+    std::vector<int64_t> path;
     for (size_t rowid = 0; rowid < asr_table->capacity(); ++rowid) {
       if (!asr_table->is_live(rowid)) continue;
       const rdb::Value* row = asr_table->row(rowid);
+      path.clear();
       if (marked_col >= 0 && !row[marked_col].is_null() &&
           row[marked_col].AsInt() != 0) {
         violations.push_back("asr row " + std::to_string(rowid) +
@@ -165,6 +172,7 @@ std::vector<std::string> RelationalStore::VerifyStore() {
           continue;
         }
         const rdb::Value& v = row[col];
+        path.push_back(v.is_null() ? 0 : v.AsInt());
         if (v.is_null()) continue;
         int64_t id = v.AsInt();
         auto table_ids = ids.find(&tm);
@@ -198,6 +206,12 @@ std::vector<std::string> RelationalStore::VerifyStore() {
                 std::to_string(expect) + ")");
           }
         }
+      }
+      auto [prior, inserted] = path_rows.emplace(path, rowid);
+      if (!inserted) {
+        violations.push_back("asr row " + std::to_string(rowid) +
+                             " duplicates the path of asr row " +
+                             std::to_string(prior->second));
       }
     }
     for (const TableMapping& tm : mapping_->tables()) {

@@ -427,6 +427,90 @@ TEST(AsrTest, ConstructedInsertWritesLeftCompletePaths) {
   EXPECT_EQ(Count(store.get(), "asr"), Count(fresh.get(), "asr"));
 }
 
+// The ASR delete's left-completeness repair: only a target's parent that
+// loses its last child gets a row ending at its level, and one that still
+// holds its own terminal row gets none. The expected counts equal those of
+// a repair that scans the whole parent table for tuples without a path.
+
+int64_t AsrRowsEndingAt(RelationalStore* store, const std::string& table,
+                        const std::string& child_table, int64_t id) {
+  auto r = store->db()->ExecuteQuery(
+      "SELECT COUNT(*) FROM asr WHERE id_" + table + " = " +
+      std::to_string(id) + " AND id_" + child_table + " IS NULL");
+  EXPECT_TRUE(r.ok()) << r.status();
+  return r.ok() ? r->rows[0][0].AsInt() : -1;
+}
+
+/// The Seattle John's first order: the one holding the wrench line.
+int64_t WrenchOrderId(RelationalStore* store) {
+  auto order = store->db()->ExecuteQuery(
+      "SELECT parentId FROM OrderLine WHERE ItemName = 'wrench'");
+  EXPECT_TRUE(order.ok() && order->rows.size() == 1u);
+  return order.ok() && order->rows.size() == 1u ? order->rows[0][0].AsInt()
+                                                : -1;
+}
+
+TEST(AsrTest, DeletingOneOfSeveralChildrenAddsNoRepairRow) {
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  int64_t order_id = WrenchOrderId(store.get());
+  ASSERT_TRUE(store->DeleteWhere("OrderLine", "ItemName = 'wrench'").ok());
+  EXPECT_EQ(Count(store.get(), "asr"), 4);
+  EXPECT_EQ(AsrRowsEndingAt(store.get(), "Order", "OrderLine", order_id), 0);
+  std::vector<std::string> v = store->VerifyStore();
+  EXPECT_TRUE(v.empty()) << v[0];
+}
+
+TEST(AsrTest, DeletingEveryChildLeavesOneRowEndingAtTheParent) {
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  int64_t order_id = WrenchOrderId(store.get());
+  ASSERT_TRUE(store->DeleteWhere("OrderLine",
+                                 "parentId = " + std::to_string(order_id))
+                  .ok());
+  EXPECT_EQ(Count(store.get(), "OrderLine"), 2);
+  EXPECT_EQ(Count(store.get(), "asr"), 4);
+  EXPECT_EQ(AsrRowsEndingAt(store.get(), "Order", "OrderLine", order_id), 1);
+  std::vector<std::string> v = store->VerifyStore();
+  EXPECT_TRUE(v.empty()) << v[0];
+}
+
+TEST(AsrTest, RepairKeepsAParentsOwnTerminalRow) {
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  auto customer = store->SelectIds("Customer", "Address_City = 'Portland'");
+  ASSERT_TRUE(customer.ok() && customer->size() == 1u);
+  int64_t customer_id = customer->front();
+  EXPECT_EQ(AsrRowsEndingAt(store.get(), "Customer", "Order", customer_id), 1);
+
+  // The constructed order's path joins the customer's own terminal row.
+  auto content = xupd::testing::MustParse(
+      "<Order><Date>2001-02-03</Date>"
+      "<OrderLine><ItemName>nut</ItemName><Qty>5</Qty></OrderLine></Order>");
+  ASSERT_TRUE(store->InsertConstructed(*content->root(), customer_id).ok());
+  EXPECT_EQ(Count(store.get(), "asr"), 6);
+  auto order = store->SelectIds("Order", "parentId = " +
+                                             std::to_string(customer_id));
+  ASSERT_TRUE(order.ok() && order->size() == 1u);
+
+  ASSERT_TRUE(store->DeleteByIds("Order", *order).ok());
+  EXPECT_EQ(Count(store.get(), "asr"), 5);
+  EXPECT_EQ(AsrRowsEndingAt(store.get(), "Customer", "Order", customer_id), 1);
+  std::vector<std::string> v = store->VerifyStore();
+  EXPECT_TRUE(v.empty()) << v[0];
+}
+
+TEST(AsrTest, MarkedRowsArePlannedAsAnIndexProbe) {
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  auto plan = store->db()->ExecuteQuery(
+      "EXPLAIN SELECT id_Customer FROM asr WHERE marked = 1");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::string text;
+  for (const rdb::Row& row : plan->rows) {
+    text += row[0].AsString();
+    text += '\n';
+  }
+  EXPECT_NE(text.find("IndexProbe asr via idx_asr_marked"), std::string::npos)
+      << text;
+}
+
 // ---------------------------------------------------------------------------
 // Path queries (§5.3 / §7.2).
 

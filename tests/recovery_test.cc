@@ -1077,6 +1077,18 @@ TEST(EngineRecoveryTest, CheckpointThenMutateThenRecover) {
   EXPECT_EQ(DumpDurableState(*reopened->db()), expected);
   EXPECT_TRUE(reopened->db()->VerifyIntegrity().empty());
   EXPECT_TRUE(reopened->VerifyStore().empty());
+  // The `marked` index came back from the snapshot, so the restored ASR's
+  // marked rows are probed, not scanned.
+  auto plan = reopened->db()->ExecuteQuery(
+      "EXPLAIN SELECT id_n1 FROM asr WHERE marked = 1");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::string text;
+  for (const rdb::Row& row : plan->rows) {
+    text += row[0].AsString();
+    text += '\n';
+  }
+  EXPECT_NE(text.find("IndexProbe asr via idx_asr_marked"), std::string::npos)
+      << text;
 }
 
 // ---------------------------------------------------------------------------
