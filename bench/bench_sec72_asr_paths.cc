@@ -5,15 +5,75 @@
 //
 // Expected shape (§7.2): with fanout 4 the ASR is large (one row per full
 // path) and loses on short paths; with small fanout or long paths it wins.
+//
+// Besides the text table of averages (the paper's protocol), each
+// (fanout, path_len, plan) point emits one JSON row with the min / median /
+// max seconds of the counted runs and the rows each query scanned (a Stats
+// delta, identical on every run).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "harness.h"
 
 using namespace xupd;
 
+namespace {
+
+/// Wall seconds and rows scanned of the counted runs of one plan.
+struct PlanRuns {
+  std::vector<double> seconds;
+  uint64_t rows_scanned = 0;  ///< summed over the counted runs.
+
+  double avg() const {
+    double total = 0;
+    for (double s : seconds) total += s;
+    return total / static_cast<double>(seconds.size());
+  }
+};
+
+/// Runs one path query, timing it and charging its rows scanned to `runs`
+/// when the run is counted.
+template <typename Query>
+bool TimeQuery(engine::RelationalStore* store, Query query, bool counted,
+               PlanRuns* runs, std::vector<int64_t>* ids) {
+  rdb::Stats before = store->stats();
+  Stopwatch sw;
+  auto result = query();
+  double seconds = sw.ElapsedSeconds();
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return false;
+  }
+  if (counted) {
+    runs->seconds.push_back(seconds);
+    runs->rows_scanned += store->stats().Delta(before).rows_scanned;
+  }
+  *ids = std::move(result).value();
+  return true;
+}
+
+void PrintJsonRow(int fanout, int path_len, const char* plan,
+                  size_t asr_rows, PlanRuns runs) {
+  std::vector<double>& s = runs.seconds;
+  std::sort(s.begin(), s.end());
+  const size_t n = s.size();
+  const double median = n % 2 == 1 ? s[n / 2] : (s[n / 2 - 1] + s[n / 2]) / 2;
+  std::printf(
+      "{\"bench\":\"sec72_asr_paths\",\"fanout\":%d,\"path_len\":%d,"
+      "\"plan\":\"%s\",\"asr_rows\":%zu,\"runs\":%zu,\"min_sec\":%.6f,"
+      "\"median_sec\":%.6f,\"max_sec\":%.6f,\"rows_scanned\":%llu,%s\n",
+      fanout, path_len, plan, asr_rows, n, s.front(), median, s.back(),
+      static_cast<unsigned long long>(runs.rows_scanned / n),
+      bench::JsonTail().c_str());
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  int runs = argc > 1 ? std::atoi(argv[1]) : 5;
+  // One discarded warm-up run, then at least one counted run.
+  int runs = std::max(2, argc > 1 ? std::atoi(argv[1]) : 5);
   std::printf("# Section 7.2: path-expression evaluation, joins vs ASR\n");
   std::printf("%-7s %-9s %10s %12s %12s %10s\n", "fanout", "path_len",
               "asr_rows", "joins_sec", "asr_sec", "asr_wins");
@@ -37,39 +97,27 @@ int main(int argc, char** argv) {
       std::string leaf = "n" + std::to_string(path_len);
       std::string joins_pred = "l0.v" + std::to_string(path_len) + " < '200000'";
       std::string asr_pred = "l.v" + std::to_string(path_len) + " < '200000'";
-      double joins_total = 0, asr_total = 0;
-      size_t joins_n = 0, asr_n = 0;
+      PlanRuns joins, asr;
       for (int r = 0; r < runs; ++r) {
-        Stopwatch sw;
-        auto a = store->PathQueryJoins("n1", leaf, joins_pred);
-        double tj = sw.ElapsedSeconds();
-        if (!a.ok()) {
-          std::fprintf(stderr, "%s\n", a.status().ToString().c_str());
+        auto by_joins = [&] {
+          return store->PathQueryJoins("n1", leaf, joins_pred);
+        };
+        auto by_asr = [&] { return store->PathQueryAsr("n1", leaf, asr_pred); };
+        std::vector<int64_t> a, b;
+        if (!TimeQuery(store.get(), by_joins, r > 0, &joins, &a) ||
+            !TimeQuery(store.get(), by_asr, r > 0, &asr, &b)) {
           return 1;
         }
-        sw.Restart();
-        auto b = store->PathQueryAsr("n1", leaf, asr_pred);
-        double ta = sw.ElapsedSeconds();
-        if (!b.ok()) {
-          std::fprintf(stderr, "%s\n", b.status().ToString().c_str());
-          return 1;
-        }
-        if (*a != *b) {
+        if (a != b) {
           std::fprintf(stderr, "plan results differ!\n");
           return 1;
         }
-        if (r > 0) {
-          joins_total += tj;
-          asr_total += ta;
-          ++joins_n;
-          ++asr_n;
-        }
       }
-      double joins_avg = joins_total / static_cast<double>(joins_n);
-      double asr_avg = asr_total / static_cast<double>(asr_n);
       std::printf("%-7d %-9d %10zu %12.6f %12.6f %10s\n", fanout, path_len,
-                  asr_rows, joins_avg, asr_avg,
-                  asr_avg < joins_avg ? "yes" : "no");
+                  asr_rows, joins.avg(), asr.avg(),
+                  asr.avg() < joins.avg() ? "yes" : "no");
+      PrintJsonRow(fanout, path_len, "joins", asr_rows, joins);
+      PrintJsonRow(fanout, path_len, "asr", asr_rows, asr);
     }
   }
   return 0;

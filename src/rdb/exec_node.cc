@@ -1,6 +1,7 @@
 #include "rdb/exec_node.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -49,6 +50,33 @@ bool Truthy(const Value& v) {
   if (v.is_null()) return false;
   if (v.type() == ValueType::kInt) return v.AsInt() != 0;
   return !v.AsString().empty();
+}
+
+/// SQL integers are int64; a result outside that range is an error, never
+/// a wrapped value.
+Status IntegerOverflow() { return Status::InvalidArgument("integer overflow"); }
+
+bool IsComparison(Expr::Op op) {
+  return op == Expr::Op::kEq || op == Expr::Op::kNe || op == Expr::Op::kLt ||
+         op == Expr::Op::kLe || op == Expr::Op::kGt || op == Expr::Op::kGe;
+}
+
+/// Whether comparison `op` holds for a three-way Compare result `cmp`.
+bool ComparisonHolds(Expr::Op op, int cmp) {
+  switch (op) {
+    case Expr::Op::kEq:
+      return cmp == 0;
+    case Expr::Op::kNe:
+      return cmp != 0;
+    case Expr::Op::kLt:
+      return cmp < 0;
+    case Expr::Op::kLe:
+      return cmp <= 0;
+    case Expr::Op::kGt:
+      return cmp > 0;
+    default:
+      return cmp >= 0;
+  }
 }
 
 }  // namespace
@@ -103,7 +131,11 @@ Result<Value> EvalBound(const BoundExpr& expr,
       if (expr.op == Expr::Op::kNeg) {
         if (v.is_null()) return Value::Null();
         XUPD_ASSIGN_OR_RETURN(Value i, CoerceValue(v, ColumnType::kInteger));
-        return Value::Int(-i.AsInt());
+        int64_t out = 0;
+        if (__builtin_sub_overflow(int64_t{0}, i.AsInt(), &out)) {
+          return IntegerOverflow();
+        }
+        return Value::Int(out);
       }
       return Status::Internal("unknown unary op");
     }
@@ -134,46 +166,32 @@ Result<Value> EvalBound(const BoundExpr& expr,
           if (l.is_null() || r.is_null()) return Value::Null();
           XUPD_ASSIGN_OR_RETURN(Value li, CoerceValue(l, ColumnType::kInteger));
           XUPD_ASSIGN_OR_RETURN(Value ri, CoerceValue(r, ColumnType::kInteger));
-          int64_t a = li.AsInt(), b = ri.AsInt();
+          int64_t a = li.AsInt(), b = ri.AsInt(), out = 0;
+          bool overflow = false;
           switch (expr.op) {
             case Expr::Op::kAdd:
-              return Value::Int(a + b);
+              overflow = __builtin_add_overflow(a, b, &out);
+              break;
             case Expr::Op::kSub:
-              return Value::Int(a - b);
+              overflow = __builtin_sub_overflow(a, b, &out);
+              break;
             case Expr::Op::kMul:
-              return Value::Int(a * b);
+              overflow = __builtin_mul_overflow(a, b, &out);
+              break;
             default:
               if (b == 0) return Status::InvalidArgument("division by zero");
-              return Value::Int(a / b);
+              overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+              if (!overflow) out = a / b;
           }
+          if (overflow) return IntegerOverflow();
+          return Value::Int(out);
         }
         default: {
           if (l.is_null() || r.is_null()) return Value::Null();
-          int cmp = l.Compare(r);
-          bool result = false;
-          switch (expr.op) {
-            case Expr::Op::kEq:
-              result = cmp == 0;
-              break;
-            case Expr::Op::kNe:
-              result = cmp != 0;
-              break;
-            case Expr::Op::kLt:
-              result = cmp < 0;
-              break;
-            case Expr::Op::kLe:
-              result = cmp <= 0;
-              break;
-            case Expr::Op::kGt:
-              result = cmp > 0;
-              break;
-            case Expr::Op::kGe:
-              result = cmp >= 0;
-              break;
-            default:
-              return Status::Internal("unknown binary op");
+          if (!IsComparison(expr.op)) {
+            return Status::Internal("unknown binary op");
           }
-          return Value::Int(result ? 1 : 0);
+          return Value::Int(ComparisonHolds(expr.op, l.Compare(r)) ? 1 : 0);
         }
       }
     }
@@ -261,29 +279,108 @@ void SortUnique(std::vector<size_t>* rowids) {
   rowids->erase(std::unique(rowids->begin(), rowids->end()), rowids->end());
 }
 
-/// Emits exactly one empty tuple (SELECT with no FROM clause).
+/// Rows one pull (or one DML gather) examined. The shared counters are
+/// atomics that reader sessions and SHOW TABLE STATS read concurrently, so
+/// the count is added to them once, when the pull returns — on error
+/// returns too — instead of once per row. Null targets are not counted.
+class RowTally {
+ public:
+  RowTally(RelaxedU64* scanned, RelaxedU64* read)
+      : scanned_(scanned), read_(read) {}
+  RowTally(const RowTally&) = delete;
+  RowTally& operator=(const RowTally&) = delete;
+  ~RowTally() {
+    if (rows_ == 0) return;
+    if (scanned_ != nullptr) *scanned_ += rows_;
+    if (read_ != nullptr) *read_ += rows_;
+  }
+  void Add() { ++rows_; }
+
+ private:
+  RelaxedU64* scanned_;
+  RelaxedU64* read_;
+  uint64_t rows_ = 0;
+};
+
+/// The operand of a direct comparison, in place: the current tuple's
+/// column cell, the literal, or the bound parameter. Null for every other
+/// operand shape and for a ? with no bound value (EvalBound reports it).
+const Value* DirectOperand(const BoundExpr& e,
+                           const std::vector<const Value*>& slots,
+                           const ExecContext& ctx) {
+  switch (e.kind) {
+    case Expr::Kind::kColumn:
+      return &slots[e.rel][e.col];
+    case Expr::Kind::kLiteral:
+      return &e.literal;
+    case Expr::Kind::kParam:
+      if (ctx.params == nullptr || e.param_index < 0 ||
+          e.param_index >= static_cast<int>(ctx.params->size())) {
+        return nullptr;
+      }
+      return &(*ctx.params)[static_cast<size_t>(e.param_index)];
+    default:
+      return nullptr;
+  }
+}
+
+/// Whether every conjunct holds for the current tuple (NULL counts as
+/// not-true): the one predicate evaluator behind scans, index probes and
+/// the DML gather. A comparison of two direct operands is decided by
+/// Value::Compare on the operands in place; every other conjunct goes
+/// through EvalBoolBound.
+Result<bool> ConjunctsHold(const std::vector<BoundExpr>& conjuncts,
+                           const std::vector<const Value*>& slots,
+                           ExecContext& ctx) {
+  for (const BoundExpr& c : conjuncts) {
+    const Value* l = nullptr;
+    const Value* r = nullptr;
+    if (c.kind == Expr::Kind::kBinary && IsComparison(c.op)) {
+      l = DirectOperand(c.children[0], slots, ctx);
+      if (l != nullptr) r = DirectOperand(c.children[1], slots, ctx);
+    }
+    bool holds;
+    if (r != nullptr) {
+      holds = !l->is_null() && !r->is_null() &&
+              ComparisonHolds(c.op, l->Compare(*r));
+    } else {
+      XUPD_ASSIGN_OR_RETURN(holds, EvalBoolBound(c, slots, ctx));
+    }
+    if (!holds) return false;
+  }
+  return true;
+}
+
+/// Emits one empty tuple when the FROM-less WHERE holds.
 class OneRowNode : public ExecNode {
  public:
+  OneRowNode(const std::vector<BoundExpr>* filters,
+             std::vector<const Value*>* slots)
+      : filters_(filters), slots_(slots) {}
+
   Status Open(ExecContext&) override {
     emitted_ = false;
     return Status::OK();
   }
-  Result<bool> Next(ExecContext&) override {
+  Result<bool> Next(ExecContext& ctx) override {
     if (emitted_) return false;
     emitted_ = true;
-    return true;
+    return ConjunctsHold(*filters_, *slots_, ctx);
   }
 
  private:
+  const std::vector<BoundExpr>* filters_;
+  std::vector<const Value*>* slots_;
   bool emitted_ = false;
 };
 
-/// Full scan over a catalog table or a materialized CTE.
+/// Full scan over a catalog table or a materialized CTE, emitting only the
+/// rows that satisfy the relation's pushed-down conjuncts.
 class ScanNode : public ExecNode {
  public:
-  ScanNode(const PlannedRelation* rel, size_t k,
-           std::vector<const Value*>* slots)
-      : rel_(rel), k_(k), slots_(slots) {}
+  ScanNode(const PlannedRelation* rel, const std::vector<BoundExpr>* filters,
+           size_t k, std::vector<const Value*>* slots)
+      : rel_(rel), filters_(filters), k_(k), slots_(slots) {}
 
   Status Open(ExecContext& ctx) override {
     pos_ = 0;
@@ -301,50 +398,60 @@ class ScanNode : public ExecNode {
   }
 
   Result<bool> Next(ExecContext& ctx) override {
-    if (rel_->table != nullptr) {
-      const Table* table = rel_->table;
-      if (ctx.read_epoch != kLatestEpoch) {
-        // Snapshot read (reader session): visibility comes from row epoch
-        // metadata, not the writer-private liveness bitmap, and cell values
-        // are materialized through the seqlock into this node's staging row
-        // (stable while inner join steps iterate — only this node's own
-        // Next overwrites it).
-        while (pos_ < snap_rows_) {
-          XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-          size_t rowid = pos_++;
-          staging_.clear();
-          if (!table->SnapshotReadRow(rowid, ctx.read_epoch, &staging_)) {
-            continue;
-          }
-          ++ctx.stats->rows_scanned;
-          ++table->access_stats().rows_read;
-          (*slots_)[k_] = staging_.data();
-          return true;
-        }
-        return false;
-      }
-      while (pos_ < table->capacity()) {
+    if (rel_->table == nullptr) {
+      RowTally tally(&ctx.stats->rows_scanned, nullptr);
+      while (pos_ < mat_->rows.size()) {
         XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-        size_t rowid = pos_++;
-        if (!table->is_live(rowid)) continue;
-        ++ctx.stats->rows_scanned;
-        ++table->access_stats().rows_read;
-        (*slots_)[k_] = table->row(rowid);
-        return true;
+        tally.Add();
+        (*slots_)[k_] = mat_->rows[pos_++].data();
+        if (filters_->empty()) return true;
+        XUPD_ASSIGN_OR_RETURN(bool holds,
+                              ConjunctsHold(*filters_, *slots_, ctx));
+        if (holds) return true;
       }
       return false;
     }
-    if (pos_ < mat_->rows.size()) {
+    const Table* table = rel_->table;
+    RowTally tally(&ctx.stats->rows_scanned, &table->access_stats().rows_read);
+    if (ctx.read_epoch != kLatestEpoch) {
+      // Snapshot read (reader session): visibility comes from row epoch
+      // metadata, not the writer-private liveness bitmap, and cell values
+      // are materialized through the seqlock into this node's staging row
+      // (stable while inner join steps iterate — only this node's own
+      // Next overwrites it).
+      while (pos_ < snap_rows_) {
+        XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
+        size_t rowid = pos_++;
+        staging_.clear();
+        if (!table->SnapshotReadRow(rowid, ctx.read_epoch, &staging_)) {
+          continue;
+        }
+        tally.Add();
+        (*slots_)[k_] = staging_.data();
+        if (filters_->empty()) return true;
+        XUPD_ASSIGN_OR_RETURN(bool holds,
+                              ConjunctsHold(*filters_, *slots_, ctx));
+        if (holds) return true;
+      }
+      return false;
+    }
+    while (pos_ < table->capacity()) {
       XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-      ++ctx.stats->rows_scanned;
-      (*slots_)[k_] = mat_->rows[pos_++].data();
-      return true;
+      size_t rowid = pos_++;
+      if (!table->is_live(rowid)) continue;
+      tally.Add();
+      (*slots_)[k_] = table->row(rowid);
+      if (filters_->empty()) return true;
+      XUPD_ASSIGN_OR_RETURN(bool holds,
+                            ConjunctsHold(*filters_, *slots_, ctx));
+      if (holds) return true;
     }
     return false;
   }
 
  private:
   const PlannedRelation* rel_;
+  const std::vector<BoundExpr>* filters_;
   size_t k_;
   std::vector<const Value*>* slots_;
   size_t pos_ = 0;
@@ -354,12 +461,14 @@ class ScanNode : public ExecNode {
 };
 
 /// Hash-index probe: gathers candidate rowids at Open (probe values may
-/// reference earlier relations' current tuples) and streams the live ones.
+/// reference earlier relations' current tuples) and streams the live ones
+/// that satisfy the relation's remaining conjuncts.
 class IndexProbeNode : public ExecNode {
  public:
-  IndexProbeNode(const PlannedRelation* rel, const AccessPath* path, size_t k,
+  IndexProbeNode(const PlannedRelation* rel, const AccessPath* path,
+                 const std::vector<BoundExpr>* filters, size_t k,
                  std::vector<const Value*>* slots)
-      : rel_(rel), path_(path), k_(k), slots_(slots) {}
+      : rel_(rel), path_(path), filters_(filters), k_(k), slots_(slots) {}
 
   Status Open(ExecContext& ctx) override {
     pos_ = 0;
@@ -388,13 +497,18 @@ class IndexProbeNode : public ExecNode {
   }
 
   Result<bool> Next(ExecContext& ctx) override {
+    const Table* table = rel_->table;
+    RowTally tally(nullptr, &table->access_stats().rows_read);
     while (pos_ < rowids_.size()) {
       XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
       size_t rowid = rowids_[pos_++];
-      if (!rel_->table->is_live(rowid)) continue;
-      ++rel_->table->access_stats().rows_read;
-      (*slots_)[k_] = rel_->table->row(rowid);
-      return true;
+      if (!table->is_live(rowid)) continue;
+      tally.Add();
+      (*slots_)[k_] = table->row(rowid);
+      if (filters_->empty()) return true;
+      XUPD_ASSIGN_OR_RETURN(bool holds,
+                            ConjunctsHold(*filters_, *slots_, ctx));
+      if (holds) return true;
     }
     return false;
   }
@@ -402,43 +516,12 @@ class IndexProbeNode : public ExecNode {
  private:
   const PlannedRelation* rel_;
   const AccessPath* path_;
+  const std::vector<BoundExpr>* filters_;
   size_t k_;
   std::vector<const Value*>* slots_;
   std::vector<size_t> rowids_;
   size_t pos_ = 0;
   bool gathered_ = false;
-};
-
-/// Passes through child tuples that satisfy every conjunct.
-class FilterNode : public ExecNode {
- public:
-  FilterNode(std::unique_ptr<ExecNode> child,
-             const std::vector<BoundExpr>* filters,
-             std::vector<const Value*>* slots)
-      : child_(std::move(child)), filters_(filters), slots_(slots) {}
-
-  Status Open(ExecContext& ctx) override { return child_->Open(ctx); }
-
-  Result<bool> Next(ExecContext& ctx) override {
-    while (true) {
-      XUPD_ASSIGN_OR_RETURN(bool more, child_->Next(ctx));
-      if (!more) return false;
-      bool pass = true;
-      for (const BoundExpr& f : *filters_) {
-        XUPD_ASSIGN_OR_RETURN(bool ok, EvalBoolBound(f, *slots_, ctx));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) return true;
-    }
-  }
-
- private:
-  std::unique_ptr<ExecNode> child_;
-  const std::vector<BoundExpr>* filters_;
-  std::vector<const Value*>* slots_;
 };
 
 /// Nested-loop join: for each outer tuple, re-opens the inner side (whose
@@ -508,14 +591,11 @@ std::unique_ptr<ExecNode> MakeAccessNode(const PlannedCore& core, size_t k,
                                          OpStats* stats) {
   std::unique_ptr<ExecNode> node;
   if (core.paths[k].kind == AccessPath::Kind::kScan) {
-    node = std::make_unique<ScanNode>(&core.relations[k], k, slots);
+    node = std::make_unique<ScanNode>(&core.relations[k], &core.filters[k], k,
+                                      slots);
   } else {
-    node = std::make_unique<IndexProbeNode>(&core.relations[k], &core.paths[k],
-                                            k, slots);
-  }
-  if (!core.filters[k].empty()) {
-    node = std::make_unique<FilterNode>(std::move(node), &core.filters[k],
-                                        slots);
+    node = std::make_unique<IndexProbeNode>(
+        &core.relations[k], &core.paths[k], &core.filters[k], k, slots);
   }
   if (stats != nullptr) {
     node = std::make_unique<TimedNode>(std::move(node), stats);
@@ -534,12 +614,7 @@ std::unique_ptr<ExecNode> BuildCorePipeline(const PlannedCore& core,
                : nullptr;
   };
   if (core.relations.empty()) {
-    std::unique_ptr<ExecNode> node = std::make_unique<OneRowNode>();
-    if (!core.const_filters.empty()) {
-      node = std::make_unique<FilterNode>(std::move(node), &core.const_filters,
-                                          slots);
-    }
-    return node;
+    return std::make_unique<OneRowNode>(&core.const_filters, slots);
   }
   std::unique_ptr<ExecNode> node = MakeAccessNode(core, 0, slots,
                                                   rel_stats(0));
@@ -623,8 +698,12 @@ Result<ResultSet> ExecutePlannedCore(const PlannedCore& core,
           case Expr::Agg::kSum: {
             XUPD_ASSIGN_OR_RETURN(Value vi,
                                   CoerceValue(v, ColumnType::kInteger));
-            a.acc = Value::Int((a.acc.is_null() ? 0 : a.acc.AsInt()) +
-                               vi.AsInt());
+            int64_t sum = 0;
+            if (__builtin_add_overflow(a.acc.is_null() ? 0 : a.acc.AsInt(),
+                                       vi.AsInt(), &sum)) {
+              return IntegerOverflow();
+            }
+            a.acc = Value::Int(sum);
             break;
           }
         }
@@ -738,25 +817,22 @@ Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
 
   std::vector<size_t> out;
   std::vector<const Value*> slots(1, nullptr);
-
-  auto matches = [&](size_t rowid) -> Result<bool> {
+  auto gather = [&](size_t rowid) -> Status {
     slots[0] = m.table->row(rowid);
-    for (const BoundExpr& f : m.filters) {
-      XUPD_ASSIGN_OR_RETURN(bool ok, EvalBoolBound(f, slots, ctx));
-      if (!ok) return false;
-    }
-    return true;
+    XUPD_ASSIGN_OR_RETURN(bool holds, ConjunctsHold(m.filters, slots, ctx));
+    if (holds) out.push_back(rowid);
+    return Status::OK();
   };
 
   if (m.path.kind == AccessPath::Kind::kScan) {
     ++m.table->access_stats().scans;
+    RowTally tally(&ctx.stats->rows_scanned,
+                   &m.table->access_stats().rows_read);
     for (size_t rowid = 0; rowid < m.table->capacity(); ++rowid) {
       XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
       if (!m.table->is_live(rowid)) continue;
-      ++ctx.stats->rows_scanned;
-      ++m.table->access_stats().rows_read;
-      XUPD_ASSIGN_OR_RETURN(bool ok, matches(rowid));
-      if (ok) out.push_back(rowid);
+      tally.Add();
+      XUPD_RETURN_IF_ERROR(gather(rowid));
     }
     if (timer.os != nullptr) timer.os->rows = out.size();
     return out;
@@ -769,8 +845,7 @@ Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
   for (size_t rowid : candidates) {
     XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
     if (!m.table->is_live(rowid)) continue;
-    XUPD_ASSIGN_OR_RETURN(bool ok, matches(rowid));
-    if (ok) out.push_back(rowid);
+    XUPD_RETURN_IF_ERROR(gather(rowid));
   }
   if (timer.os != nullptr) timer.os->rows = out.size();
   return out;

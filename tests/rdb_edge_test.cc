@@ -1,6 +1,8 @@
 // Edge cases and failure paths of the relational engine.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/stopwatch.h"
 #include "rdb/database.h"
 
@@ -60,6 +62,45 @@ TEST_F(RdbEdgeTest, DivisionByZero) {
   Must("CREATE TABLE t (a INTEGER)");
   Must("INSERT INTO t VALUES (1)");
   EXPECT_FALSE(db_.ExecuteQuery("SELECT a / 0 FROM t").ok());
+}
+
+// INT64 arithmetic that leaves the range is an error, not a wrapped value
+// (and not SIGFPE for INT64_MIN / -1).
+TEST_F(RdbEdgeTest, IntegerOverflowIsAnError) {
+  auto expect_overflow = [this](const std::string& sql) {
+    auto r = db_.ExecuteQuery(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(r.status().message().find("integer overflow"), std::string::npos)
+        << r.status();
+  };
+  expect_overflow("SELECT (0 - 9223372036854775807 - 1) / (0 - 1)");
+  expect_overflow("SELECT 9223372036854775807 + 1");
+  expect_overflow("SELECT 0 - (0 - 9223372036854775807 - 1)");
+  expect_overflow("SELECT -(0 - 9223372036854775807 - 1)");
+  expect_overflow("SELECT 4611686018427387904 * 2");
+  // The extremes themselves are in range.
+  auto min = db_.ExecuteQuery("SELECT 0 - 9223372036854775807 - 1");
+  ASSERT_TRUE(min.ok()) << min.status();
+  EXPECT_EQ(min->rows[0][0].AsInt(), std::numeric_limits<int64_t>::min());
+
+  Must("CREATE TABLE t (c INTEGER)");
+  Must("INSERT INTO t VALUES (1)");
+  Must("INSERT INTO t VALUES (9223372036854775807)");
+  Must("INSERT INTO t VALUES (9223372036854775807)");
+  expect_overflow("SELECT SUM(c) FROM t");
+
+  // The UPDATE writes the first row, then fails on the second; rolling its
+  // transaction back restores the pre-state.
+  ASSERT_TRUE(db_.Begin().ok());
+  expect_overflow("UPDATE t SET c = c + 1");
+  ASSERT_TRUE(db_.Rollback().ok());
+  auto rows = db_.ExecuteQuery("SELECT c FROM t ORDER BY c");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->rows.size(), 3u);
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 1);
+  EXPECT_EQ(rows->rows[1][0].AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(rows->rows[2][0].AsInt(), std::numeric_limits<int64_t>::max());
 }
 
 TEST_F(RdbEdgeTest, UnionArityMismatch) {

@@ -2,7 +2,14 @@
 // unions (Fig. 5), triggers (per-row / per-statement), and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rdb/database.h"
+#include "rdb/exec_node.h"
 #include "rdb/sql_parser.h"
 
 namespace xupd::rdb {
@@ -415,6 +422,362 @@ TEST_F(RdbTest, QuotedStringEscapes) {
   Must("INSERT INTO t VALUES ('John''s data')");
   ResultSet r = Query("SELECT v FROM t");
   EXPECT_EQ(r.rows[0][0].AsString(), "John's data");
+}
+
+// ---------------------------------------------------------------------------
+// Direct comparisons. Scans, index probes and the DML gather decide a
+// comparison whose operands are each a column, a literal or a bound ? on
+// the operands in place; every such statement must select exactly the rows
+// that EvalBoolBound accepts for the same comparison.
+
+BoundExpr ColumnRef(size_t rel, size_t col) {
+  BoundExpr e;
+  e.kind = sql::Expr::Kind::kColumn;
+  e.rel = rel;
+  e.col = col;
+  return e;
+}
+
+BoundExpr Constant(const Value& v) {
+  BoundExpr e;
+  e.kind = sql::Expr::Kind::kLiteral;
+  e.literal = v;
+  return e;
+}
+
+BoundExpr Comparison(sql::Expr::Op op, BoundExpr l, BoundExpr r) {
+  BoundExpr e;
+  e.kind = sql::Expr::Kind::kBinary;
+  e.op = op;
+  e.children.push_back(std::move(l));
+  e.children.push_back(std::move(r));
+  return e;
+}
+
+class DirectComparisonTest : public RdbTest {
+ protected:
+  void SetUp() override {
+    // t is scanned; tx holds the same rows behind an index on id, so a join
+    // into tx is an index probe that keeps the comparison as its filter.
+    for (const char* table : {"t", "tx"}) {
+      Must(std::string("CREATE TABLE ") + table +
+           " (id INTEGER, i INTEGER, s VARCHAR)");
+      Must(std::string("INSERT INTO ") + table +
+           " VALUES (1, 42, '42'), (2, 7, 'abcdefghijklm'), "
+           "(3, NULL, 'abcdefghijklmn'), (4, 43, 'abcdefghijklmno'), "
+           "(5, -1, 'abcdefghijklmnopqrstuvwxyz'), (6, 42, NULL), "
+           "(7, 0, '7'), (8, NULL, NULL), (9, 100, 'abcdefghijklmnz')");
+    }
+    Must("CREATE INDEX tx_id ON tx (id)");
+    rows_ = Query("SELECT id, i, s FROM t").rows;
+    ASSERT_EQ(rows_.size(), 9u);
+  }
+
+  /// The oracle: whether EvalBoolBound accepts `cmp` over `slots`.
+  bool Accepts(const BoundExpr& cmp, const std::vector<const Value*>& slots,
+               const std::vector<Value>& params) {
+    Stats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    ctx.params = &params;
+    auto r = EvalBoolBound(cmp, slots, ctx);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() && *r;
+  }
+
+  /// Ids of the t rows the oracle accepts for `cmp` (one relation).
+  std::vector<int64_t> ExpectedIds(const BoundExpr& cmp,
+                                   const std::vector<Value>& params = {}) {
+    std::vector<int64_t> ids;
+    for (const Row& row : rows_) {
+      if (Accepts(cmp, {row.data()}, params)) ids.push_back(row[0].AsInt());
+    }
+    return ids;
+  }
+
+  static std::vector<int64_t> Ids(const Result<ResultSet>& r) {
+    std::vector<int64_t> ids;
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok()) return ids;
+    for (const Row& row : r->rows) ids.push_back(row[0].AsInt());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+  static std::vector<std::pair<int64_t, int64_t>> Pairs(
+      const Result<ResultSet>& r) {
+    std::vector<std::pair<int64_t, int64_t>> pairs;
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok()) return pairs;
+    for (const Row& row : r->rows) {
+      pairs.emplace_back(row[0].AsInt(), row[1].AsInt());
+    }
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  }
+
+  /// The t ids a DELETE removes, read inside a transaction that is then
+  /// rolled back.
+  std::vector<int64_t> DeletedIds(const std::string& sql,
+                                  const std::vector<Value>& params) {
+    EXPECT_TRUE(db_.Begin().ok());
+    auto del = db_.ExecuteQueryBound(sql, params);
+    EXPECT_TRUE(del.ok()) << sql << " -> " << del.status();
+    std::vector<int64_t> kept = Ids(db_.ExecuteQuery("SELECT id FROM t"));
+    EXPECT_TRUE(db_.Rollback().ok());
+    std::vector<int64_t> deleted;
+    for (const Row& row : rows_) {
+      int64_t id = row[0].AsInt();
+      if (!std::binary_search(kept.begin(), kept.end(), id)) {
+        deleted.push_back(id);
+      }
+    }
+    return deleted;
+  }
+
+  std::vector<Row> rows_;  ///< t's rows as (id, i, s), in scan order.
+};
+
+const std::vector<std::pair<std::string, sql::Expr::Op>>& Comparisons() {
+  using Op = sql::Expr::Op;
+  static const auto* ops = new std::vector<std::pair<std::string, Op>>{
+      {"=", Op::kEq}, {"<>", Op::kNe}, {"<", Op::kLt},
+      {"<=", Op::kLe}, {">", Op::kGt}, {">=", Op::kGe}};
+  return *ops;
+}
+
+TEST_F(DirectComparisonTest, ColumnAgainstConstantMatchesEvalBoolBound) {
+  // Constant operands: ints, a numeric string, SSO strings of 13 and 14
+  // bytes, heap strings of 15 and more bytes, and NULL.
+  const std::vector<std::pair<std::string, Value>> constants = {
+      {"42", Value::Int(42)},
+      {"7", Value::Int(7)},
+      {"'42'", Value::Str("42")},
+      {"'0042'", Value::Str("0042")},
+      {"'abcdefghijklm'", Value::Str("abcdefghijklm")},
+      {"'abcdefghijklmn'", Value::Str("abcdefghijklmn")},
+      {"'abcdefghijklmno'", Value::Str("abcdefghijklmno")},
+      {"'abcdefghijklmnopqrstuvwxyz'",
+       Value::Str("abcdefghijklmnopqrstuvwxyz")},
+      {"NULL", Value::Null()}};
+  auto reader = db_.OpenReaderSession();
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::vector<std::pair<std::string, size_t>> columns = {{"i", 1},
+                                                               {"s", 2}};
+  for (const auto& [col, ordinal] : columns) {
+    for (const auto& [text, value] : constants) {
+      for (const auto& [op_text, op] : Comparisons()) {
+        const std::string col_lit = col + " " + op_text + " " + text;
+        const std::string lit_col = text + " " + op_text + " " + col;
+        const std::string col_param = col + " " + op_text + " ?";
+        SCOPED_TRACE(col_lit);
+        const std::vector<Value> params = {value};
+        const auto expected =
+            ExpectedIds(Comparison(op, ColumnRef(0, ordinal), Constant(value)));
+        EXPECT_EQ(Ids(db_.ExecuteQuery("SELECT id FROM t WHERE " + col_lit)),
+                  expected);
+        EXPECT_EQ(Ids(db_.ExecuteQueryBound(
+                      "SELECT id FROM t WHERE " + col_param, params)),
+                  expected);
+        EXPECT_EQ(Ids((*reader)->ExecuteQuery("SELECT id FROM t WHERE " +
+                                              col_lit)),
+                  expected);
+        EXPECT_EQ(Ids((*reader)->ExecuteQueryBound(
+                      "SELECT id FROM t WHERE " + col_param, params)),
+                  expected);
+        EXPECT_EQ(DeletedIds("DELETE FROM t WHERE " + col_param, params),
+                  expected);
+        EXPECT_EQ(DeletedIds("DELETE FROM t WHERE " + col_lit, {}), expected);
+        EXPECT_EQ(Ids(db_.ExecuteQuery("SELECT id FROM t WHERE " + lit_col)),
+                  ExpectedIds(Comparison(op, Constant(value),
+                                         ColumnRef(0, ordinal))));
+      }
+    }
+  }
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM t"), 9);
+}
+
+TEST_F(DirectComparisonTest, ColumnAgainstColumnAcrossJoinStepsMatches) {
+  auto reader = db_.OpenReaderSession();
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::vector<std::pair<std::string, size_t>> columns = {{"i", 1},
+                                                               {"s", 2}};
+  for (const auto& [ca, oa] : columns) {
+    for (const auto& [cb, ob] : columns) {
+      for (const auto& [op_text, op] : Comparisons()) {
+        const std::string cmp = "a." + ca + " " + op_text + " b." + cb;
+        SCOPED_TRACE(cmp);
+        const BoundExpr bound = Comparison(op, ColumnRef(0, oa),
+                                           ColumnRef(1, ob));
+        std::vector<std::pair<int64_t, int64_t>> expected;
+        std::vector<std::pair<int64_t, int64_t>> expected_same_row;
+        for (const Row& a : rows_) {
+          for (const Row& b : rows_) {
+            if (!Accepts(bound, {a.data(), b.data()}, {})) continue;
+            expected.emplace_back(a[0].AsInt(), b[0].AsInt());
+            if (a[0].AsInt() == b[0].AsInt()) {
+              expected_same_row.emplace_back(a[0].AsInt(), b[0].AsInt());
+            }
+          }
+        }
+        // Scan x scan: the comparison is the inner scan's conjunct.
+        const std::string join = "SELECT a.id, b.id FROM t a, t b WHERE " + cmp;
+        EXPECT_EQ(Pairs(db_.ExecuteQuery(join)), expected);
+        EXPECT_EQ(Pairs((*reader)->ExecuteQuery(join)), expected);
+        // Scan x index probe: the comparison filters the probed rows.
+        EXPECT_EQ(Pairs(db_.ExecuteQuery(
+                      "SELECT a.id, b.id FROM t a, tx b WHERE b.id = a.id "
+                      "AND " + cmp)),
+                  expected_same_row);
+      }
+    }
+  }
+}
+
+TEST_F(DirectComparisonTest, UnboundParameterStillFails) {
+  // The statement paths reject a missing bind before executing...
+  auto bare = db_.ExecuteQuery("SELECT id FROM t WHERE i = ?");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
+  // ...and a plan executed with no parameters bound reports the ? at the
+  // first examined row, through the scan and through the DML gather.
+  for (const char* sql : {"SELECT id FROM t WHERE i = ?",
+                          "SELECT id FROM t WHERE ? < s",
+                          "DELETE FROM t WHERE s <> ?"}) {
+    SCOPED_TRACE(sql);
+    auto stmt = sql::ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto plan = Planner(&db_, nullptr).Plan(*stmt);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    Stats stats;
+    std::vector<std::unique_ptr<ResultSet>> ctes;
+    ExecContext::SubqueryMemo memo;
+    ExecContext ctx;
+    ctx.db = &db_;
+    ctx.stats = &stats;
+    ctx.cte_values = &ctes;
+    ctx.subquery_memo = &memo;
+    Status s = (*plan)->select != nullptr
+                   ? ExecutePlannedSelect(*(*plan)->select, ctx).status()
+                   : CollectMatchingRowids((*plan)->mutation, ctx).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_NE(s.message().find("not bound"), std::string::npos) << s;
+    EXPECT_EQ(stats.rows_scanned, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scan counters. Stats::rows_scanned and SHOW TABLE STATS rows_read / scans
+// count every live row a scan examines (probes: every live candidate), the
+// same totals whether a pull adds them per row or once per pull.
+
+class ScanCounterTest : public RdbTest {
+ protected:
+  void SetUp() override {
+    // p: 10 slots, ids 1..10 with v = id; ids 2 and 3 are tombstones, so a
+    // scan visits 10 slots and examines 8 live rows. q: 3 rows, scanned.
+    Must("CREATE TABLE p (id INTEGER, v INTEGER)");
+    Must("CREATE TABLE q (id INTEGER, v INTEGER)");
+    Must("CREATE TABLE r (id INTEGER)");
+    Must("CREATE INDEX r_id ON r (id)");
+    for (int i = 1; i <= 10; ++i) {
+      Must("INSERT INTO p VALUES (" + std::to_string(i) + ", " +
+           std::to_string(i) + ")");
+    }
+    Must("DELETE FROM p WHERE id = 2 OR id = 3");
+    Must("INSERT INTO q VALUES (1, 4), (2, 5), (3, 40)");
+    Must("INSERT INTO r VALUES (4), (5), (6), (7)");
+    Must("DELETE FROM r WHERE id = 6");
+  }
+
+  int64_t TableStat(const std::string& table, const std::string& stat) {
+    ResultSet r = Query("SHOW TABLE STATS");
+    const std::string name = "table." + table + "." + stat;
+    for (const Row& row : r.rows) {
+      if (row[0].AsString() == name) return row[1].AsInt();
+    }
+    ADD_FAILURE() << "no " << name;
+    return -1;
+  }
+
+  struct Counts {
+    uint64_t rows_scanned;
+    int64_t p_scans, p_rows_read, q_scans, q_rows_read, r_rows_read;
+  };
+  Counts Snapshot() {
+    return {db_.stats().rows_scanned,  TableStat("p", "scans"),
+            TableStat("p", "rows_read"), TableStat("q", "scans"),
+            TableStat("q", "rows_read"), TableStat("r", "rows_read")};
+  }
+  /// Runs `sql` on the writer and checks the counter deltas.
+  void ExpectDeltas(const std::string& sql, Counts want, bool ok = true) {
+    SCOPED_TRACE(sql);
+    Counts before = Snapshot();
+    auto res = db_.ExecuteQuery(sql);
+    EXPECT_EQ(res.ok(), ok) << res.status();
+    Counts after = Snapshot();
+    EXPECT_EQ(after.rows_scanned - before.rows_scanned, want.rows_scanned);
+    EXPECT_EQ(after.p_scans - before.p_scans, want.p_scans);
+    EXPECT_EQ(after.p_rows_read - before.p_rows_read, want.p_rows_read);
+    EXPECT_EQ(after.q_scans - before.q_scans, want.q_scans);
+    EXPECT_EQ(after.q_rows_read - before.q_rows_read, want.q_rows_read);
+    EXPECT_EQ(after.r_rows_read - before.r_rows_read, want.r_rows_read);
+  }
+};
+
+TEST_F(ScanCounterTest, FilteredWriterScanCountsEveryExaminedRow) {
+  ExpectDeltas("SELECT id FROM p WHERE v > 5", {8, 1, 8, 0, 0, 0});
+}
+
+TEST_F(ScanCounterTest, InnerJoinRescanCountsEachOpen) {
+  // 3 of p's 8 live rows pass v <= 5 (1, 4, 5); q is re-opened and
+  // rescanned for each: 8 + 3 x 3 rows scanned.
+  ExpectDeltas("SELECT p.id FROM p, q WHERE p.v <= 5 AND q.v = p.v",
+               {17, 1, 8, 3, 9, 0});
+}
+
+TEST_F(ScanCounterTest, IndexProbeCountsLiveCandidates) {
+  // Probes for v = 4..10 find r rows 4, 5 and 7 (6 is a tombstone), and the
+  // r.id < 7 filter keeps two of them: rows_read counts all 3 candidates.
+  ExpectDeltas("SELECT p.id FROM p, r WHERE r.id = p.v AND r.id < 7",
+               {8, 1, 8, 0, 0, 3});
+}
+
+TEST_F(ScanCounterTest, CteScanCountsBodyAndMaterializedRows) {
+  // The body scans p's 8 rows; the CTE scan examines the 8 materialized
+  // rows, which have no table to charge.
+  ExpectDeltas("WITH w (x) AS (SELECT v FROM p) SELECT x FROM w WHERE x > 5",
+               {16, 1, 8, 0, 0, 0});
+}
+
+TEST_F(ScanCounterTest, DmlGatherCountsEveryExaminedRow) {
+  ASSERT_TRUE(db_.Begin().ok());
+  ExpectDeltas("DELETE FROM p WHERE v > 5", {8, 1, 8, 0, 0, 0});
+  ExpectDeltas("UPDATE p SET v = v + 1 WHERE v < 0", {3, 1, 3, 0, 0, 0});
+  ASSERT_TRUE(db_.Rollback().ok());
+}
+
+TEST_F(ScanCounterTest, ReaderSessionScanCountsIntoItsOwnStats) {
+  auto reader = db_.OpenReaderSession();
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Counts before = Snapshot();
+  auto res = (*reader)->ExecuteQuery("SELECT id FROM p WHERE v > 5");
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_EQ(res->rows.size(), 5u);
+  Counts after = Snapshot();
+  EXPECT_EQ((*reader)->stats().rows_scanned, 8u);
+  EXPECT_EQ(after.rows_scanned, before.rows_scanned);
+  EXPECT_EQ(after.p_scans - before.p_scans, 1);
+  EXPECT_EQ(after.p_rows_read - before.p_rows_read, 8);
+}
+
+TEST_F(ScanCounterTest, CancelledScanCountsOnlyRowsExaminedBeforeIt) {
+  // Pulls tick once per slot: pulls 1..5 visit slots 0..4 (live: ids 1, 4
+  // and 5), and pull 6 is cancelled before slot 5 is examined.
+  db_.ArmCancelAtPull(6);
+  ExpectDeltas("SELECT id FROM p WHERE v > 100", {3, 1, 3, 0, 0, 0},
+               /*ok=*/false);
+  db_.DisarmCancelAtPull();
 }
 
 }  // namespace
