@@ -496,8 +496,7 @@ Status RelationalStore::CopySubtreesWhere(const std::string& element,
     case InsertStrategy::kTuple:
       return RunInTxn([&] { return TupleInsert(tm, predicate, dest_parent_id); });
     case InsertStrategy::kTable:
-      // Manages its own scope: the temp-table DDL must stay outside it.
-      return TableInsert(tm, predicate, dest_parent_id);
+      return RunInTxn([&] { return TableInsert(tm, predicate, dest_parent_id); });
     case InsertStrategy::kAsr:
       return RunInTxn([&] { return AsrInsert(tm, predicate, dest_parent_id); });
   }
@@ -560,43 +559,33 @@ Status RelationalStore::TableInsert(const TableMapping* tm,
                                     int64_t dest_parent_id) {
   // 6.2.2: stage the source subtrees in temp tables, remap all ids with one
   // offset (nextId - minId), and insert en masse per relation. The staging
-  // tables are created/dropped through the direct catalog API: DDL is barred
-  // inside transactions, and scratch tables are not transactional state —
-  // DropTableDirect purges their undo records, so only the real-table writes
-  // remain in the enclosing scope's log.
+  // tables are the store's tmp_<table> scratch tables (ScratchTable): no DDL
+  // per copy, and no undo or WAL records, so only the real-table writes land
+  // in the enclosing transaction.
   std::vector<const TableMapping*> region = mapping_->SubtreeTables(tm);
   auto tmp_name = [](const TableMapping* t) { return "tmp_" + t->table; };
 
-  Status s = Status::OK();
-  size_t created = 0;
+  // Empties the staging tables however the copy ends: staged rows never
+  // outlive it.
+  struct ClearOnExit {
+    std::vector<rdb::Table*> tables;
+    ClearOnExit() = default;
+    ClearOnExit(const ClearOnExit&) = delete;
+    ClearOnExit& operator=(const ClearOnExit&) = delete;
+    ~ClearOnExit() {
+      for (rdb::Table* table : tables) table->Clear();
+    }
+  } staging;
   for (const TableMapping* t : region) {
     std::vector<rdb::ColumnDef> cols{{"id", rdb::ColumnType::kInteger},
                                      {"parentId", rdb::ColumnType::kInteger}};
     for (const auto& f : t->fields) {
       cols.push_back({f.column, rdb::ColumnType::kVarchar});
     }
-    auto table = db_.CreateTableDirect(rdb::TableSchema(tmp_name(t), cols));
-    if (!table.ok()) {
-      s = table.status();
-      break;
-    }
-    ++created;
+    auto table = ScratchTable(rdb::TableSchema(tmp_name(t), std::move(cols)));
+    if (!table.ok()) return table.status();
+    staging.tables.push_back(table.value());
   }
-  if (s.ok()) {
-    s = RunInTxn(
-        [&] { return TableInsertDml(region, tm, predicate, dest_parent_id); });
-  }
-  for (size_t i = 0; i < created; ++i) {
-    Status drop = db_.DropTableDirect(tmp_name(region[i]));
-    if (s.ok() && !drop.ok()) s = drop;
-  }
-  return s;
-}
-
-Status RelationalStore::TableInsertDml(
-    const std::vector<const TableMapping*>& region, const TableMapping* tm,
-    const std::string& predicate, int64_t dest_parent_id) {
-  auto tmp_name = [](const TableMapping* t) { return "tmp_" + t->table; };
 
   for (size_t i = 0; i < region.size(); ++i) {
     const TableMapping* t = region[i];
@@ -788,25 +777,32 @@ Status RelationalStore::InsertConstructedImpl(const xml::Element& content,
 }
 
 // ---------------------------------------------------------------------------
-// Id-list staging (shared scratch table for the translator's IN predicates)
+// Scratch tables (§6.2.2 staging, the translator's id list)
 
-Result<std::string> RelationalStore::IdListPredicate(
-    const std::string& column, const std::vector<int64_t>& ids) {
-  rdb::Table* scratch = db_.FindTable(kIdListTable);
+Result<rdb::Table*> RelationalStore::ScratchTable(rdb::TableSchema schema) {
+  // Looked up by name on every call: TryHeal rebuilds the catalog, so a
+  // cached Table* could dangle.
+  rdb::Table* scratch = db_.FindTable(schema.name());
   if (scratch == nullptr) {
-    // Unwired from the undo log: id staging is engine scratch, not
-    // transactional state — rolling a statement back must not waste time
-    // reviving rows the next staging would clobber anyway.
-    auto table = db_.CreateTableDirect(
-        rdb::TableSchema(kIdListTable, {{"id", rdb::ColumnType::kInteger}}),
-        /*transactional=*/false);
-    if (!table.ok()) return table.status();
-    scratch = table.value();
+    XUPD_ASSIGN_OR_RETURN(scratch, db_.CreateTableDirect(std::move(schema)));
+  } else if (scratch->durable()) {
+    // An element or SQL table took the name; clearing it would lose data.
+    return Status::AlreadyExists("table '" + schema.name() +
+                                 "' exists and is not a scratch table");
   }
   // Truncate rather than DELETE FROM: a SQL delete only tombstones, which
   // would grow the slot array (and every later scan over it) without bound
-  // across statements.
+  // across operations.
   scratch->Clear();
+  return scratch;
+}
+
+Result<std::string> RelationalStore::IdListPredicate(
+    const std::string& column, const std::vector<int64_t>& ids) {
+  XUPD_RETURN_IF_ERROR(
+      ScratchTable(rdb::TableSchema(kIdListTable,
+                                    {{"id", rdb::ColumnType::kInteger}}))
+          .status());
   // Constant statement texts for the staging INSERTs: each batch shape
   // parses once and then serves every staged id set from the plan cache.
   size_t i = 0;

@@ -215,14 +215,14 @@ class RelationalStore {
   Status AsrDelete(const shred::TableMapping* tm, const std::string& predicate);
   Status TupleInsert(const shred::TableMapping* tm,
                      const std::string& predicate, int64_t dest_parent_id);
-  /// Phase wrapper: creates the temp staging tables through the direct
-  /// catalog API (DDL is barred inside transactions), runs the DML phase in
-  /// a transaction scope, and always drops the staging tables.
+  /// §6.2.2 through the tmp_<table> staging tables, which are empty again
+  /// when it returns, whether or not the copy succeeded.
   Status TableInsert(const shred::TableMapping* tm,
                      const std::string& predicate, int64_t dest_parent_id);
-  Status TableInsertDml(const std::vector<const shred::TableMapping*>& region,
-                        const shred::TableMapping* tm,
-                        const std::string& predicate, int64_t dest_parent_id);
+  /// The named scratch table, emptied with Table::Clear. Created on first use
+  /// through the direct catalog API as a non-durable table, so its writes
+  /// never reach the undo log, the WAL or a snapshot.
+  Result<rdb::Table*> ScratchTable(rdb::TableSchema schema);
   Status InsertConstructedImpl(const xml::Element& content,
                                int64_t dest_parent_id);
   Status AsrInsert(const shred::TableMapping* tm, const std::string& predicate,

@@ -198,23 +198,6 @@ void Database::BumpCatalogVersion() {
   catalog_version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-std::shared_ptr<const uint64_t> Database::table_version(
-    std::string_view name) {
-  std::lock_guard<std::mutex> lock(table_versions_mu_);
-  auto it = table_versions_.find(name);
-  if (it == table_versions_.end()) {
-    it = table_versions_.emplace(std::string(name),
-                                 std::make_shared<uint64_t>(0)).first;
-  }
-  return it->second;
-}
-
-void Database::BumpTableVersion(std::string_view name) {
-  std::lock_guard<std::mutex> lock(table_versions_mu_);
-  auto it = table_versions_.find(name);
-  if (it != table_versions_.end()) ++*it->second;
-}
-
 // ---------------------------------------------------------------------------
 // Durability
 
@@ -283,7 +266,6 @@ Status Database::Open(const std::string& dir,
   auto fail = [&](Status s) {
     tables_.clear();
     triggers_.clear();
-    table_versions_.clear();
     next_id_ = 1;
     data_dir_.clear();
     recovered_ = false;
@@ -639,12 +621,12 @@ Status Database::ReopenFromDisk() {
   }
 
   // The disk state recovers cleanly — rebuild this Database from it.
-  // Dropping the catalog invalidates every cached plan via per-table
-  // versions plus the global catalog version. The exclusive catalog lock
-  // covers only the teardown (holding it across RecoverFromDir would
-  // deadlock with CreateTableDirect's own exclusive acquisition): reader
-  // statements racing the rebuild may see a partial catalog — a documented
-  // heal-window anomaly.
+  // Dropping the catalog invalidates every cached plan through the global
+  // catalog version (InvalidateStatementCache bumps it). The exclusive
+  // catalog lock covers only the teardown (holding it across RecoverFromDir
+  // would deadlock with CreateTableDirect's own exclusive acquisition):
+  // reader statements racing the rebuild may see a partial catalog — a
+  // documented heal-window anomaly.
   {
     std::lock_guard<std::mutex> flusher_lock(flusher_mu_);
     wal_ = nullptr;
@@ -652,10 +634,6 @@ Status Database::ReopenFromDisk() {
   txn_.AttachWal(nullptr);
   {
     auto lock = LockCatalogExclusive();
-    {
-      std::lock_guard<std::mutex> vlock(table_versions_mu_);
-      for (auto& [name, version] : table_versions_) ++*version;
-    }
     tables_.clear();
     triggers_.clear();
     InvalidateStatementCache();
@@ -794,10 +772,48 @@ Status Database::ConsumeFailpoint() {
 }
 
 Status Database::CheckDdlBarrier(const sql::Statement& stmt) const {
-  if (txn_.active() && IsDdl(stmt)) {
+  if (!IsDdl(stmt)) return Status::OK();
+  if (txn_.active()) {
     return Status::InvalidArgument(
         "DDL is not allowed inside a transaction (catalog changes are not "
         "undoable; commit or roll back first)");
+  }
+  // The table an index or trigger statement acts on. DDL text is WAL-logged
+  // and triggers are snapshotted, but scratch tables are neither, so DDL
+  // over one could never replay.
+  const Table* target = nullptr;
+  switch (stmt.kind) {
+    case sql::Statement::Kind::kCreateIndex:
+      target = FindTable(stmt.create_index.table);
+      break;
+    case sql::Statement::Kind::kCreateTrigger:
+      target = FindTable(stmt.create_trigger.table);
+      break;
+    case sql::Statement::Kind::kDrop:
+      if (stmt.drop.what == sql::DropStmt::What::kTable) {
+        target = FindTable(stmt.drop.name);
+      } else if (stmt.drop.what == sql::DropStmt::What::kIndex) {
+        if (!stmt.drop.table.empty()) {
+          target = FindTable(stmt.drop.table);
+        } else {
+          // Unqualified: the first owner in catalog order, as RunDrop picks.
+          for (const auto& [name, table] : tables_) {
+            if (table->FindIndexByName(stmt.drop.name) != nullptr) {
+              target = table.get();
+              break;
+            }
+          }
+        }
+      }
+      break;
+    default:
+      break;
+  }
+  if (target != nullptr && !target->durable()) {
+    return Status::InvalidArgument(
+        "DDL on scratch table '" + target->schema().name() +
+        "' is not allowed (scratch tables are neither logged nor "
+        "snapshotted)");
   }
   return Status::OK();
 }
@@ -964,15 +980,14 @@ Result<ResultSet> Database::ExecuteQueryBound(
   return ExecuteQuery(handle, params);
 }
 
-Result<Table*> Database::CreateTableDirect(TableSchema schema,
-                                           bool transactional, bool durable) {
+Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
   if (read_only_ && durable) return ReadOnlyError("CREATE TABLE");
   if (tables_.count(schema.name()) > 0) {
     return Status::AlreadyExists("table '" + schema.name() + "' already exists");
   }
   std::string key = schema.name();
-  auto table = std::make_unique<Table>(std::move(schema),
-                                       transactional ? &txn_ : nullptr);
+  auto table =
+      std::make_unique<Table>(std::move(schema), durable ? &txn_ : nullptr);
   table->set_durable(durable);
   table->set_interner(&interner_);
   table->set_epoch_manager(&epochs_);
@@ -983,54 +998,6 @@ Result<Table*> Database::CreateTableDirect(TableSchema schema,
     tables_.emplace(std::move(key), std::move(table));
   }
   return raw;
-}
-
-Status Database::DropTableDirect(std::string_view name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("table '" + std::string(name) + "' not found");
-  }
-  if (read_only_ && it->second->durable()) return ReadOnlyError("DROP TABLE");
-  if (it->second->durable() && wal_ != nullptr && txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot drop durable table '" + std::string(name) +
-        "' inside a transaction while the WAL is open (the drop could not "
-        "roll back with the enclosing scope)");
-  }
-  // An off-thread checkpoint may hold this raw Table*.
-  (void)CheckpointWait();
-  txn_.PurgeTable(it->second.get());
-  std::string dropped = it->second->schema().name();
-  bool was_durable = it->second->durable();
-  if (was_durable) {
-    // Redo for the drop: pending records over this table (already
-    // serialized) replay first, then the DROP removes it, like in memory.
-    WalLogDdl("DROP TABLE " + dropped);
-  }
-  {
-    auto lock = LockCatalogExclusive();
-    // Cached plans may hold this Table*; their per-table dependency makes
-    // them re-plan before any reuse. Plans over other tables stay valid —
-    // no global version bump (that is the point of per-table dependencies:
-    // the §6.2.2 staging churn leaves unrelated cached plans hot). Bumped
-    // inside the exclusive section so no reader validates a stale plan
-    // against the mutated catalog.
-    BumpTableVersion(name);
-    tables_.erase(it);
-    for (auto t = triggers_.begin(); t != triggers_.end();) {
-      if (EqualsIgnoreCase(t->table, dropped)) {
-        t = triggers_.erase(t);
-      } else {
-        ++t;
-      }
-    }
-  }
-  // A durable drop is a catalog change like SQL DDL: flush it (and any
-  // pending direct writes that preceded it) as one committed unit now — it
-  // happens outside a transaction (rejected above otherwise), so there is
-  // no later commit to ride on.
-  if (was_durable) return WalFlush();
-  return Status::OK();
 }
 
 Status Database::InsertDirect(Table* table, Row row) {
@@ -1176,8 +1143,8 @@ Status Database::CheckpointBackground() {
   std::mutex ready_mu;
   std::condition_variable ready_cv;
   bool ready = false;
-  checkpoint_thread_ =
-      std::thread([this, capture, bg_handoff, &ready_mu, &ready_cv, &ready] {
+  checkpoint_thread_ = std::thread(
+      [this, capture, slot, bg_handoff, &ready_mu, &ready_cv, &ready] {
         trace::SetCurrentThreadName("checkpoint");
         trace::SpanScope snapshot_span{bg_handoff};
         auto catalog_lock = LockCatalogShared();
@@ -1197,6 +1164,11 @@ Status Database::CheckpointBackground() {
                                  SnapshotTmpPath(data_dir_), *capture);
         checkpoint_heartbeat_ns_.store(MonotonicNanos(),
                                        std::memory_order_release);
+        // The snapshot is written, so nothing here reads the pinned epoch's
+        // rows any more. Unpin now rather than at CheckpointWait: the
+        // writer may run for a long time before it joins, and every slab
+        // and pre-image it retires meanwhile would wait for this pin.
+        epochs_.Unpin(slot);
         checkpoint_status_ = s;
         if (s.ok()) {
           const uint64_t dur = MonotonicNanos() - t0;
@@ -1223,7 +1195,6 @@ Status Database::CheckpointWait() {
   checkpoint_running_ = false;
   checkpoint_done_.store(false, std::memory_order_release);
   checkpoint_stall_reported_.store(false, std::memory_order_relaxed);
-  epochs_.Unpin(checkpoint_slot_);
   epochs_.ReleaseSlot(checkpoint_slot_);
   checkpoint_slot_ = -1;
   // A background-checkpoint failure is benign — the WAL was not truncated

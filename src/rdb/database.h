@@ -201,7 +201,8 @@ class Database {
   /// WAL is NOT truncated — recovery loads the snapshot and replays only
   /// the WAL suffix past the recorded offset. Returns once the capture is
   /// done (fast); CheckpointWait() joins the serialization and reports its
-  /// status. Rejected inside a transaction or while a background checkpoint
+  /// status. The pin ends when the serialization does, so a checkpoint
+  /// that is finished but not yet joined holds back no reclamation. Rejected inside a transaction or while a background checkpoint
   /// is already running. A background-checkpoint failure is benign: the
   /// previous snapshot + full WAL still recover everything.
   Status CheckpointBackground();
@@ -405,15 +406,17 @@ class Database {
   // DDL-in-transaction policy: SQL DDL (CREATE/DROP of tables, indexes and
   // triggers) inside an active transaction is REJECTED with InvalidArgument
   // — catalog changes are not undoable, and silently auto-committing would
-  // break the atomicity the engine layers rely on. The direct catalog APIs
-  // below are exempt: they exist for engine-internal scratch tables (temp
-  // staging for the §6.2.2 table insert, id-list probes), which are not
-  // transactional state; DropTableDirect purges the dropped table's undo
-  // records so the log never dangles. Direct catalog changes do not flush
-  // the prepared-statement (parse) cache and do not bump the global catalog
-  // version: DropTableDirect bumps the dropped table's per-table plan
-  // version instead, so cached plans holding the dropped Table re-plan
-  // while plans over other tables stay hot.
+  // break the atomicity the engine layers rely on. SQL DDL that targets a
+  // scratch table (CREATE INDEX, DROP INDEX, DROP TABLE, CREATE TRIGGER) is
+  // rejected too: scratch tables are neither logged nor snapshotted, so a
+  // logged statement over one could not replay. CreateTableDirect is exempt
+  // from the transaction barrier: the engine creates its scratch tables
+  // (the §6.2.2 `tmp_*` staging tables, the `xupd_idlist` id list) once,
+  // lazily, possibly inside an update's transaction, and then only empties
+  // them with Table::Clear. Scratch tables are not transactional state, so
+  // they never reach the undo log. A direct create does not flush the
+  // prepared-statement cache or bump the catalog version: no cached plan can
+  // reference a table that did not exist when it was built.
 
   /// Opens a transaction scope (a savepoint when one is already active).
   Status Begin();
@@ -447,22 +450,14 @@ class Database {
 
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture
-  /// index choices). A cached plan built under an older version is rebuilt
-  /// before use. Direct catalog changes (DropTableDirect) no longer bump
-  /// it: plans additionally carry per-table dependencies (see
-  /// table_version), so §6.2.2 staging churn only invalidates plans that
-  /// reference the dropped table.
+  /// index choices) and by the catalog rebuild of Open/TryHeal. A cached plan
+  /// built under an older version is rebuilt before use, so no plan ever
+  /// dereferences a dropped Table. It is the only plan guard: the only
+  /// catalog change outside SQL DDL is CreateTableDirect, which adds a table
+  /// and so invalidates nothing.
   uint64_t catalog_version() const {
     return catalog_version_.load(std::memory_order_acquire);
   }
-
-  /// Per-table plan-dependency counter, keyed by (case-insensitive) table
-  /// name and persistent across drop/recreate of that name. The planner
-  /// snapshots the counters of every table a plan touches; DropTableDirect
-  /// bumps only the dropped table's counter, so cached plans over other
-  /// tables stay hot. The handle stays valid after the table is gone —
-  /// validation never dereferences a Table.
-  std::shared_ptr<const uint64_t> table_version(std::string_view name);
 
   /// Planner knob (tests): when false, every plan uses full scans — the
   /// parity harness compares probed vs scanned execution. Toggling
@@ -477,23 +472,14 @@ class Database {
 
   /// Direct bulk-load API (bypasses SQL): used by the shredder to load
   /// documents quickly; benchmark updates always go through ExecuteQuery*.
-  /// `transactional = false` leaves the table unwired from the undo log —
-  /// for engine scratch tables whose contents are not transactional state
-  /// (writes to them are never undone and never logged). `durable = true`
-  /// includes the table in WAL logging and snapshots (set by SQL CREATE
-  /// TABLE and the snapshot loader; direct scratch tables stay ephemeral).
-  Result<Table*> CreateTableDirect(TableSchema schema,
-                                   bool transactional = true,
-                                   bool durable = false);
+  /// `durable = true` (SQL CREATE TABLE, the snapshot loader) makes the table
+  /// transactional state: its writes are undo-logged, WAL-logged and
+  /// snapshotted. `durable = false` makes an engine scratch table: its writes
+  /// are never undone, logged or snapshotted, and SQL DDL may not target it
+  /// (see the DDL-in-transaction policy above). Scratch tables live until
+  /// the catalog is rebuilt (Open, TryHeal).
+  Result<Table*> CreateTableDirect(TableSchema schema, bool durable = false);
   Status InsertDirect(Table* table, Row row);
-  /// Drops a table from the catalog without SQL (exempt from the DDL txn
-  /// barrier; see above). Also removes triggers on the table, purges its
-  /// undo records, and bumps its per-table plan version (the global catalog
-  /// version is untouched, so unrelated cached plans survive). Dropping a
-  /// DURABLE table this way while both the WAL and a transaction are open
-  /// is rejected — the drop is not undoable, so its WAL record could not
-  /// roll back with the enclosing scope.
-  Status DropTableDirect(std::string_view name);
 
   Table* FindTable(std::string_view name);
   const Table* FindTable(std::string_view name) const;
@@ -650,7 +636,9 @@ class Database {
 
   /// Returns the injected error when the failpoint counter runs out.
   Status ConsumeFailpoint();
-  /// The DDL-in-transaction barrier (see the policy comment above).
+  /// The DDL barrier (see the DDL-in-transaction policy above): no DDL
+  /// inside a transaction, and no index, trigger or drop DDL on a scratch
+  /// table.
   Status CheckDdlBarrier(const sql::Statement& stmt) const;
   /// The read-only gate: rejects DML/DDL against durable state with
   /// kUnavailable while degraded (SELECT, EXPLAIN, transaction control, and
@@ -720,8 +708,6 @@ class Database {
   /// bumps the counter and records a kGovernance trace event.
   bool FlusherStalled() const;
   bool CheckpointStalled() const;
-  /// Bumps the per-table plan-dependency counter for `name`.
-  void BumpTableVersion(std::string_view name);
 
   /// Publishes a new epoch at an outermost commit boundary, then reclaims
   /// retired storage / version-buffer images no pinned reader can reach.
@@ -759,7 +745,7 @@ class Database {
   EpochManager epochs_;
   /// Catalog-shape lock: reader sessions hold it shared across one whole
   /// statement (plan + execute); catalog mutations (SQL DDL, direct
-  /// create/drop, heal's state reset) take it exclusively. The writer's DML
+  /// create, heal's state reset) take it exclusively. The writer's DML
   /// path never touches it — row visibility is MVCC's job.
   mutable std::shared_mutex catalog_mu_;
   /// Tables keyed by their original name, compared case-insensitively; the
@@ -818,13 +804,6 @@ class Database {
   /// accompany a catalog mutation happen inside the exclusive section.
   std::atomic<uint64_t> catalog_version_{1};
   bool planner_index_probes_enabled_ = true;
-  /// Per-table plan-dependency counters (see table_version()). Entries
-  /// outlive their tables so drop/recreate of a name keeps counting up.
-  /// Guarded by table_versions_mu_: reader-session planners insert entries
-  /// concurrently with the writer.
-  std::map<std::string, std::shared_ptr<uint64_t>, AsciiCaseInsensitiveLess>
-      table_versions_;
-  mutable std::mutex table_versions_mu_;
 
   // --- durability ----------------------------------------------------------
   std::string data_dir_;

@@ -40,14 +40,6 @@ std::vector<PlannedRelation> SingleTableRelations(const Table* table) {
 // ---------------------------------------------------------------------------
 // Name resolution and expression binding
 
-void Planner::NoteTable(const std::string& name) {
-  std::shared_ptr<const uint64_t> version = db_->table_version(name);
-  for (const PlanTableDep& dep : table_deps_) {
-    if (dep.version == version) return;
-  }
-  table_deps_.push_back({version, *version});
-}
-
 Result<std::pair<size_t, size_t>> Planner::ResolveColumn(
     const std::vector<PlannedRelation>& rels, const std::string& table,
     const std::string& column) const {
@@ -249,7 +241,6 @@ Result<PlannedCore> Planner::PlanCore(const sql::SelectCore& core) {
       if (table == nullptr) {
         return Status::NotFound("table '" + ref.table + "' not found");
       }
-      NoteTable(table->schema().name());
       rel.table = table;
       rel.columns.reserve(table->schema().column_count());
       for (const ColumnDef& c : table->schema().columns()) {
@@ -420,7 +411,6 @@ Result<PlannedMutation> Planner::PlanDelete(const sql::DeleteStmt& stmt) {
     return Status::NotFound("table '" + stmt.table + "' not found");
   }
   m.table_name = m.table->schema().name();
-  NoteTable(m.table_name);
   std::vector<PlannedRelation> rels = SingleTableRelations(m.table);
 
   std::vector<const Expr*> conjuncts;
@@ -470,7 +460,6 @@ Result<PlannedInsert> Planner::PlanInsert(const sql::InsertStmt& stmt) {
     return Status::NotFound("table '" + stmt.table + "' not found");
   }
   ins.table_name = ins.table->schema().name();
-  NoteTable(ins.table_name);
   const TableSchema& schema = ins.table->schema();
   if (stmt.columns.empty()) {
     for (size_t i = 0; i < schema.column_count(); ++i) {
@@ -537,7 +526,6 @@ Result<std::shared_ptr<const PlannedStatement>> Planner::Plan(
       return Status::InvalidArgument("statement kind is not plannable");
   }
   plan->cte_slot_count = next_cte_slot_;
-  plan->table_deps = std::move(table_deps_);
   return std::shared_ptr<const PlannedStatement>(std::move(plan));
 }
 

@@ -6,16 +6,15 @@
 // physical operators (rdb/exec_node.h) run over pre-resolved ordinals.
 //
 // Plans capture raw Table* / HashIndex* pointers from the catalog snapshot
-// they were built against; two guards protect every cached reuse. The
+// they were built against; one guard protects every cached reuse. The
 // global Database::catalog_version() is bumped by any SQL DDL (including
-// CREATE INDEX / DROP INDEX — plans capture index choices). In addition
-// each plan records per-table dependencies (PlanTableDep): the direct
-// DropTableDirect bumps only the dropped table's counter, so §6.2.2 staging
-// churn re-plans exactly the statements that referenced the staging tables
-// while every other cached plan stays hot. A stale plan is rebuilt, never
-// dereferenced. Plans are immutable after construction and hold no
-// execution state, so one cached plan can be executed reentrantly (e.g. a
-// recursive trigger body).
+// CREATE INDEX / DROP INDEX — plans capture index choices) and by the
+// catalog rebuild of Open/TryHeal, which are the only ways a table or index
+// goes away. A stale plan is rebuilt, never dereferenced. The engine's
+// scratch tables (§6.2.2 staging, the id list) are created once and only
+// emptied afterwards, so they never invalidate a plan. Plans are immutable
+// after construction and hold no execution state, so one cached plan can be
+// executed reentrantly (e.g. a recursive trigger body).
 #ifndef XUPD_RDB_PLANNER_H_
 #define XUPD_RDB_PLANNER_H_
 
@@ -137,16 +136,6 @@ struct PlannedInsert {
   std::shared_ptr<const PlannedSelect> select;
 };
 
-/// One per-table dependency of a cached plan: a handle on the Database's
-/// live per-table version counter plus its value at plan time. Validation
-/// compares the two — never dereferencing a Table — so a direct drop of one
-/// table (which bumps only that table's counter) invalidates exactly the
-/// plans that reference it.
-struct PlanTableDep {
-  std::shared_ptr<const uint64_t> version;
-  uint64_t snapshot = 0;
-};
-
 struct PlannedStatement {
   sql::Statement::Kind kind = sql::Statement::Kind::kSelect;
   std::shared_ptr<const PlannedSelect> select;
@@ -155,9 +144,6 @@ struct PlannedStatement {
   /// Total CTE slots across the statement (including nested subqueries);
   /// sizes the per-execution CTE store.
   int cte_slot_count = 0;
-  /// Every catalog table this plan touches (deduplicated), including tables
-  /// inside CTEs and IN-subqueries.
-  std::vector<PlanTableDep> table_deps;
 };
 
 /// One cached plan. Every statement path owns its slots the same way: each
@@ -170,17 +156,11 @@ struct PlanCacheSlot {
   const void* db = nullptr;
 
   /// The one plan-validity check: the plan was built by `for_db` under
-  /// `catalog_version` (the global SQL DDL guard) and none of its per-table
-  /// dependencies moved since (DropTableDirect bumps only the dropped
-  /// table's counter, so plans over other tables pass).
+  /// `catalog_version`. Every change that can free a Table* or an index a
+  /// plan captured (SQL DDL, the catalog rebuild of Open/TryHeal) bumps that
+  /// version, so a valid plan never dereferences a dropped table.
   bool Valid(const void* for_db, uint64_t catalog_version) const {
-    if (plan == nullptr || db != for_db || version != catalog_version) {
-      return false;
-    }
-    for (const PlanTableDep& dep : plan->table_deps) {
-      if (*dep.version != dep.snapshot) return false;
-    }
-    return true;
+    return plan != nullptr && db == for_db && version == catalog_version;
   }
 };
 
@@ -245,17 +225,12 @@ class Planner {
                        const std::vector<BoundExpr*>& conjuncts,
                        AccessPath* path) const;
 
-  /// Records a dependency on the named catalog table's version counter
-  /// (deduplicated); collected into the finished plan's table_deps.
-  void NoteTable(const std::string& name);
-
   Database* db_;
   const TableSchema* old_schema_;
   bool allow_index_probes_ = true;
   /// CTE scopes visible while planning (innermost last).
   std::vector<CteScope> cte_stack_;
   int next_cte_slot_ = 0;
-  std::vector<PlanTableDep> table_deps_;
 };
 
 /// Actual-execution counters for one plan operator, filled by EXPLAIN

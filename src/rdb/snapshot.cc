@@ -181,7 +181,6 @@ Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
     }
     if (!r.ok()) break;
     auto table = db->CreateTableDirect(TableSchema(name, std::move(cols)),
-                                       /*transactional=*/true,
                                        /*durable=*/true);
     if (!table.ok()) return table.status();
     uint64_t slots = r.U64();

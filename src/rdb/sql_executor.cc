@@ -337,7 +337,7 @@ Result<ResultSet> Executor::RunCreateTable(const sql::CreateTableStmt& stmt) {
   XUPD_ASSIGN_OR_RETURN(
       Table * ignored,
       db_->CreateTableDirect(TableSchema(stmt.name, stmt.columns),
-                             /*transactional=*/true, /*durable=*/true));
+                             /*durable=*/true));
   (void)ignored;
   return ResultSet{};
 }

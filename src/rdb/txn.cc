@@ -111,44 +111,4 @@ Status TransactionManager::Release(std::string_view name) {
   return Status::OK();
 }
 
-void TransactionManager::PurgeTable(const Table* table) {
-  if (log_.empty()) return;
-  // Removing records shifts positions; every scope boundary must be remapped
-  // to the count of surviving records that preceded it. The old-value vector
-  // is compacted in step with the surviving kUpdate records (entries pair up
-  // with kUpdate records in log order). Compaction is in place: the write
-  // cursor never passes the read cursor, so records move only backwards
-  // within the chunked log.
-  const size_t old_size = log_.size();
-  std::vector<size_t> survivors_before(scopes_.size(), 0);
-  size_t kept = 0;
-  size_t next_value = 0;
-  size_t kept_values = 0;
-  for (size_t i = 0; i < old_size; ++i) {
-    for (size_t s = 0; s < scopes_.size(); ++s) {
-      if (scopes_[s].undo_start == i) survivors_before[s] = kept;
-    }
-    const UndoRecord rec = log_.at(i);
-    bool is_update = rec.kind == UndoRecord::Kind::kUpdate;
-    if (rec.table != table) {
-      if (is_update && kept_values != next_value) {
-        old_values_[kept_values] = std::move(old_values_[next_value]);
-      }
-      if (is_update) ++kept_values;
-      if (kept != i) log_.at(kept) = rec;
-      ++kept;
-    }
-    if (is_update) ++next_value;
-  }
-  for (size_t s = 0; s < scopes_.size(); ++s) {
-    if (scopes_[s].undo_start >= old_size) {
-      scopes_[s].undo_start = kept;
-    } else {
-      scopes_[s].undo_start = survivors_before[s];
-    }
-  }
-  log_.resize_down(kept);
-  old_values_.resize(kept_values);
-}
-
 }  // namespace xupd::rdb

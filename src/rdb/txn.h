@@ -16,8 +16,9 @@
 //              and re-add its hash-index entries
 //   update  -> write the old value back (index-maintaining)
 // DDL is NOT undoable; the Database rejects SQL DDL inside a transaction
-// (see database.h for the policy) and the direct catalog APIs purge a
-// dropped table's records so the log never dangles.
+// (see database.h for the policy). Scratch tables from the direct catalog
+// API are not wired to the log at all, so no table a record names is ever
+// dropped while the record lives.
 //
 // When a WAL is attached (rdb/wal.h), the same hooks also serialize one
 // logical REDO record per mutation of a durable table into the WAL's
@@ -99,16 +100,11 @@ class UndoLog {
   const UndoRecord& at(size_t i) const {
     return chunks_[i >> kChunkBits][i & (kChunkRecords - 1)];
   }
-  UndoRecord& at(size_t i) {
-    return chunks_[i >> kChunkBits][i & (kChunkRecords - 1)];
-  }
   const UndoRecord& back() const { return at(size_ - 1); }
 
   void pop_back() { --size_; }
   /// Keeps the chunks for the next transaction.
   void clear() { size_ = 0; }
-  /// Drops records at and above `new_size` (scope rollback).
-  void resize_down(size_t new_size) { size_ = new_size; }
 
  private:
   std::vector<std::unique_ptr<UndoRecord[]>> chunks_;
@@ -179,11 +175,6 @@ class TransactionManager {
     old_values_.push_back(std::move(old_value));
     ++stats_->undo_records;
   }
-
-  /// Drops every record referencing `table` (called when a table is dropped
-  /// through the direct catalog API while a transaction is active — the drop
-  /// itself is not undoable, so its rows' undo records are moot).
-  void PurgeTable(const Table* table);
 
  private:
   struct Scope {

@@ -337,8 +337,7 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
 
   // Ephemeral scratch tables bypass the WAL and stay writable.
   auto scratch = db.CreateTableDirect(
-      rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}),
-      /*transactional=*/false);
+      rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}));
   ASSERT_TRUE(scratch.ok()) << scratch.status();
   EXPECT_TRUE(db.InsertDirect(scratch.value(), {rdb::Value::Int(7)}).ok());
 
@@ -691,6 +690,66 @@ TEST(TryHealTest, WithoutDurabilityOrInsideTxnIsRejected) {
   EXPECT_EQ(db2.TryHeal().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(db2.Rollback().ok());
   EXPECT_TRUE(db2.TryHeal().ok());
+}
+
+TEST(TryHealTest, RebuildReplansCachedWriterAndReaderStatements) {
+  // The heal rebuild frees every Table the cached plans below captured; the
+  // global catalog version is what makes each re-plan instead of reading a
+  // freed table (ASan reports the use-after-free otherwise).
+  TempDir dir;
+  FaultVfs fault(rdb::Vfs::Default());
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir.path(), FaultOptions(&fault)).ok());
+  ASSERT_TRUE(
+      db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE INDEX t_id ON t (id)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1, 'a'), (2, 'b')").ok());
+  // The heal then loads t from the snapshot and replays no DDL, so the
+  // rebuild's own version bump is the only one.
+  ASSERT_TRUE(db.Checkpoint().ok());
+
+  auto writer = db.Prepare("SELECT COUNT(*), SUM(id) FROM t WHERE id > ?");
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  auto probe = db.Prepare("SELECT name FROM t WHERE id = ?");
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  auto session = db.OpenReaderSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  rdb::ReaderSession* reader = session->get();
+  const std::string kReaderSql = "SELECT COUNT(*), SUM(id) FROM t";
+  ASSERT_TRUE(db.ExecuteQuery(*writer, {rdb::Value::Int(0)}).ok());
+  ASSERT_TRUE(db.ExecuteQuery(*probe, {rdb::Value::Int(2)}).ok());
+  ASSERT_TRUE(reader->ExecuteQueryBound(kReaderSql, {}).ok());
+
+  // A WAL fault leaves row 3 in memory only; healing discards it.
+  fault.ArmFault(FaultKind::kEio, 1, "wal");
+  ASSERT_FALSE(db.ExecuteQuery("INSERT INTO t VALUES (3, 'c')").ok());
+  ASSERT_TRUE(db.read_only());
+  fault.ClearFault();
+  ASSERT_TRUE(db.TryHeal().ok());
+
+  rdb::Stats before = db.stats();
+  auto w = db.ExecuteQuery(*writer, {rdb::Value::Int(0)});
+  ASSERT_TRUE(w.ok()) << w.status();
+  EXPECT_EQ(w->rows[0][0].AsInt(), 2);
+  EXPECT_EQ(w->rows[0][1].AsInt(), 3);
+  EXPECT_EQ(db.stats().Delta(before).plans_built, 1u);
+  before = db.stats();
+  auto p = db.ExecuteQuery(*probe, {rdb::Value::Int(2)});
+  ASSERT_TRUE(p.ok()) << p.status();
+  ASSERT_EQ(p->rows.size(), 1u);
+  EXPECT_EQ(p->rows[0][0].AsString(), "b");
+  EXPECT_EQ(db.stats().Delta(before).plans_built, 1u);
+
+  before = reader->stats();
+  auto r = reader->ExecuteQueryBound(kReaderSql, {});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 2);
+  EXPECT_EQ(r->rows[0][1].AsInt(), 3);
+  EXPECT_EQ(reader->stats().Delta(before).plans_built, 1u);
+  // Each re-planned once: the next run hits the new plan.
+  before = reader->stats();
+  ASSERT_TRUE(reader->ExecuteQueryBound(kReaderSql, {}).ok());
+  EXPECT_EQ(reader->stats().Delta(before).plans_built, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -247,48 +248,6 @@ TEST(MvccTest, ReaderPlanCacheTracksDdl) {
   EXPECT_EQ(ReaderCount(rs->get(), "SELECT SUM(v) FROM t"), 8);
 }
 
-TEST(MvccTest, ReaderPlanValidationHonoursPerTableDeps) {
-  rdb::Database db;
-  Must(&db, "CREATE TABLE t (id INTEGER)");
-  Must(&db, "INSERT INTO t VALUES (1)");
-  ASSERT_TRUE(db.CreateTableDirect(
-                    rdb::TableSchema("scratch",
-                                     {{"id", rdb::ColumnType::kInteger}}))
-                  .ok());
-  auto rs = db.OpenReaderSession();
-  ASSERT_TRUE(rs.ok()) << rs.status();
-  rdb::ReaderSession* session = rs->get();
-  const std::string sql = "SELECT COUNT(*) FROM t";
-  ASSERT_TRUE(session->ExecuteQueryBound(sql, {}).ok());
-
-  // A direct drop of an unrelated table leaves the cached plan hot.
-  ASSERT_TRUE(db.DropTableDirect("scratch").ok());
-  rdb::Stats before = session->stats();
-  auto r = session->ExecuteQueryBound(sql, {});
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->rows[0][0].AsInt(), 1);
-  rdb::Stats delta = session->stats().Delta(before);
-  EXPECT_EQ(delta.plan_cache_hits, 1u);
-  EXPECT_EQ(delta.plans_built, 0u);
-
-  // Dropping and re-creating the referenced table (direct API: no global
-  // catalog-version bump) re-plans through its per-table dependency.
-  ASSERT_TRUE(db.DropTableDirect("t").ok());
-  auto t = db.CreateTableDirect(
-      rdb::TableSchema("t", {{"id", rdb::ColumnType::kInteger}}));
-  ASSERT_TRUE(t.ok()) << t.status();
-  ASSERT_TRUE(db.InsertDirect(t.value(), {rdb::Value::Int(7)}).ok());
-  ASSERT_TRUE(db.InsertDirect(t.value(), {rdb::Value::Int(8)}).ok());
-  ASSERT_TRUE(db.WalFlush().ok());  // publish the direct writes
-  before = session->stats();
-  r = session->ExecuteQueryBound(sql, {});
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->rows[0][0].AsInt(), 2);
-  delta = session->stats().Delta(before);
-  EXPECT_EQ(delta.plans_built, 1u);
-  EXPECT_EQ(delta.plan_cache_hits, 0u);
-}
-
 TEST(MvccTest, ReaderStatementCacheIsABoundedLru) {
   rdb::Database db;
   Must(&db, "CREATE TABLE t (id INTEGER)");
@@ -450,6 +409,32 @@ TEST(MvccTest, BackgroundCheckpointConcurrentWithCommits) {
   EXPECT_TRUE(db2.recovered());
   EXPECT_EQ(WriterCount(&db2, "SELECT COUNT(*) FROM t"), 90);
   EXPECT_EQ(WriterCount(&db2, "SELECT SUM(id) FROM t"), 90 * 89 / 2);
+}
+
+TEST(MvccTest, FinishedBackgroundCheckpointHoldsBackNoReclamation) {
+  // The checkpoint's epoch pin ends with its serialization, not at the
+  // join: an unjoined, finished checkpoint must not park pre-images.
+  TempDir dir;
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir.path()).ok());
+  Must(&db, "CREATE TABLE t (id INTEGER, v INTEGER)");
+  for (int i = 0; i < 8; ++i) {
+    Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", 0)");
+  }
+  std::atomic<int64_t>* version_rows = db.metrics().Gauge("mvcc.version_rows");
+  ASSERT_TRUE(db.CheckpointBackground().ok());
+  // Each UPDATE commits a boundary; pre-images stay parked only while the
+  // serialization still holds its pin.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    Must(&db, "UPDATE t SET v = v + 1");
+    if (version_rows->load(std::memory_order_relaxed) == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(version_rows->load(std::memory_order_relaxed), 0);
+  EXPECT_TRUE(db.checkpoint_running());  // still unjoined
+  ASSERT_TRUE(db.CheckpointWait().ok());
 }
 
 TEST(MvccTest, BackgroundCheckpointSnapshotExcludesLaterCommits) {

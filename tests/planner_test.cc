@@ -241,72 +241,6 @@ TEST_F(PlannerTest, PreparedExplainReusesThePlan) {
   EXPECT_EQ(delta.plan_cache_hits, 2u);
 }
 
-// ---------------------------------------------------------------------------
-// Per-table plan dependencies: DropTableDirect bumps only the dropped
-// table's version, so §6.2.2-style staging churn leaves unrelated cached
-// plans hot while plans over the dropped table still re-plan (never
-// dereference a dead Table*).
-
-TEST_F(PlannerTest, DirectDropKeepsUnrelatedCachedPlansHot) {
-  CreateEmpDept(/*indexed=*/true);
-  const char kSql[] = "SELECT name FROM Emp WHERE deptId = ?";
-  ASSERT_TRUE(db_.ExecuteQueryBound(kSql, {Value::Int(1)}).ok());
-  // Staging-table churn: create and drop scratch tables through the direct
-  // catalog API, like the table-insert strategy does per operation.
-  for (int i = 0; i < 3; ++i) {
-    auto t = db_.CreateTableDirect(
-        TableSchema("tmp_stage", {{"id", ColumnType::kInteger}}));
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(db_.DropTableDirect("tmp_stage").ok());
-  }
-  Stats before = db_.stats();
-  ASSERT_TRUE(db_.ExecuteQueryBound(kSql, {Value::Int(1)}).ok());
-  Stats delta = db_.stats().Delta(before);
-  // The Emp plan never referenced tmp_stage: zero re-plans.
-  EXPECT_EQ(delta.plans_built, 0u);
-  EXPECT_EQ(delta.plan_cache_hits, 1u);
-}
-
-TEST_F(PlannerTest, DirectDropInvalidatesPlansOverTheDroppedTable) {
-  CreateEmpDept(/*indexed=*/true);
-  auto scratch = db_.CreateTableDirect(
-      TableSchema("stage", {{"id", ColumnType::kInteger}}));
-  ASSERT_TRUE(scratch.ok());
-  const char kSql[] = "SELECT id FROM stage";
-  ASSERT_TRUE(db_.ExecuteQueryBound(kSql, {}).ok());
-  ASSERT_TRUE(db_.DropTableDirect("stage").ok());
-  // The cached plan holds the dead Table*; its per-table dependency forces
-  // a re-plan, which reports the missing table instead of dereferencing.
-  auto r = db_.ExecuteQueryBound(kSql, {});
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  // Recreating the name makes the same statement text usable again (the
-  // version counter survives the drop).
-  auto again = db_.CreateTableDirect(
-      TableSchema("stage", {{"id", ColumnType::kInteger}}));
-  ASSERT_TRUE(again.ok());
-  auto r2 = db_.ExecuteQueryBound(kSql, {});
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(r2->rows.size(), 0u);
-}
-
-TEST_F(PlannerTest, DirectDropInvalidatesPlansThatJoinTheDroppedTable) {
-  // The dependency set must cover every relation a plan touches, not just
-  // the leading one — joins, IN-subqueries and CTEs included.
-  CreateEmpDept(/*indexed=*/true);
-  auto scratch = db_.CreateTableDirect(
-      TableSchema("ids", {{"id", ColumnType::kInteger}}));
-  ASSERT_TRUE(scratch.ok());
-  ASSERT_TRUE(db_.InsertDirect(scratch.value(), {Value::Int(1)}).ok());
-  const char kJoin[] =
-      "SELECT name FROM Emp WHERE deptId IN (SELECT id FROM ids)";
-  auto r1 = db_.ExecuteQueryBound(kJoin, {});
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1->rows.size(), 2u);
-  ASSERT_TRUE(db_.DropTableDirect("ids").ok());
-  auto r2 = db_.ExecuteQueryBound(kJoin, {});
-  EXPECT_EQ(r2.status().code(), StatusCode::kNotFound);
-}
-
 TEST_F(PlannerTest, TableInsertStagingChurnDoesNotEvictEnginePlans) {
   // Engine-level version of the property: two consecutive table-strategy
   // copies. The second operation's statements re-plan only what touched the

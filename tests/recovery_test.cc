@@ -374,8 +374,7 @@ TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
     rdb::Database db;
     Setup(&db);
     auto scratch = db.CreateTableDirect(
-        rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}),
-        /*transactional=*/false);
+        rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}));
     ASSERT_TRUE(scratch.ok());
     ASSERT_TRUE(db.InsertDirect(scratch.value(), {rdb::Value::Int(1)}).ok());
     Must(&db, "INSERT INTO t VALUES (1, 'real')");
@@ -386,19 +385,61 @@ TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
   EXPECT_EQ(Count(&db2), 1);
 }
 
-TEST_F(RdbRecoveryTest, DroppingDurableTableDirectInsideTxnIsRejected) {
+TEST_F(RdbRecoveryTest, SqlDdlOnAScratchTableIsRejectedSoTheWalReplays) {
   {
     rdb::Database db;
     Setup(&db);
-    ASSERT_TRUE(db.Begin().ok());
-    Status s = db.DropTableDirect("t");
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-    ASSERT_TRUE(db.Commit().ok());
-    EXPECT_TRUE(db.DropTableDirect("t").ok());
+    auto scratch = db.CreateTableDirect(
+        rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}));
+    ASSERT_TRUE(scratch.ok());
+    // Logged as text, these would name a table the replay never creates.
+    for (const char* ddl : {"CREATE INDEX si ON scratch (id)",
+                            "DROP TABLE scratch"}) {
+      EXPECT_EQ(db.ExecuteQuery(ddl).status().code(),
+                StatusCode::kInvalidArgument)
+          << ddl;
+    }
+    // An index made through the direct API is out of SQL's reach too,
+    // named with or without its table.
+    rdb::Table* table = db.FindTable("scratch");
+    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(table->CreateIndex("direct_si", 0).ok());
+    for (const char* ddl :
+         {"DROP INDEX direct_si ON scratch", "DROP INDEX direct_si"}) {
+      EXPECT_EQ(db.ExecuteQuery(ddl).status().code(),
+                StatusCode::kInvalidArgument)
+          << ddl;
+    }
+    Must(&db, "INSERT INTO t VALUES (1, 'committed')");
   }
   rdb::Database db2;
-  ASSERT_TRUE(db2.Open(dir_.path()).ok());
-  EXPECT_EQ(db2.FindTable("t"), nullptr);
+  Status opened = db2.Open(dir_.path());
+  ASSERT_TRUE(opened.ok()) << opened;
+  EXPECT_EQ(Count(&db2, "name = 'committed'"), 1);
+  EXPECT_EQ(db2.FindTable("scratch"), nullptr);
+}
+
+TEST_F(RdbRecoveryTest, TriggerOnAScratchTableIsRejectedSoTheSnapshotLoads) {
+  {
+    rdb::Database db;
+    Setup(&db);
+    ASSERT_TRUE(db.CreateTableDirect(rdb::TableSchema(
+                                         "scratch",
+                                         {{"id", rdb::ColumnType::kInteger}}))
+                    .ok());
+    EXPECT_EQ(db.ExecuteQuery("CREATE TRIGGER st AFTER DELETE ON scratch FOR "
+                              "EACH ROW BEGIN DELETE FROM t WHERE id = "
+                              "OLD.id; END")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    Must(&db, "INSERT INTO t VALUES (1, 'committed')");
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  rdb::Database db2;
+  Status opened = db2.Open(dir_.path());
+  ASSERT_TRUE(opened.ok()) << opened;
+  EXPECT_EQ(Count(&db2, "name = 'committed'"), 1);
 }
 
 // ---------------------------------------------------------------------------

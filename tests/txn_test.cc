@@ -6,8 +6,12 @@
 // the ASR exactly as they were.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/store.h"
@@ -291,7 +295,7 @@ TEST_P(InsertRollbackTest, MidCopySubtreesWhereFailureRollsBack) {
       });
 }
 
-TEST_P(InsertRollbackTest, TempStagingTablesAreCleanedUpOnFailure) {
+TEST_P(InsertRollbackTest, StagingTablesAreEmptyAfterAFailedCopy) {
   auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
   int64_t total = CountStatements(store.get(), [](RelationalStore* s) {
     return s->CopySubtreesWhere("Customer", "", s->root_id());
@@ -301,9 +305,16 @@ TEST_P(InsertRollbackTest, TempStagingTablesAreCleanedUpOnFailure) {
   Status s = victim->CopySubtreesWhere("Customer", "", victim->root_id());
   victim->db()->InjectFailureAfterStatements(-1);
   ASSERT_FALSE(s.ok());
+  size_t staging = 0;
   for (const std::string& name : victim->db()->TableNames()) {
-    EXPECT_NE(name.rfind("tmp_", 0), 0u) << "staging table leaked: " << name;
+    if (name.rfind("tmp_", 0) != 0) continue;
+    ++staging;
+    EXPECT_EQ(victim->db()->FindTable(name)->live_count(), 0u)
+        << "staged rows outlived the failed copy: " << name;
   }
+  // Only the table strategy stages; it creates its tables before any
+  // statement runs, so they exist by the time the failure fires.
+  EXPECT_EQ(staging > 0, GetParam() == InsertStrategy::kTable);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, InsertRollbackTest,
@@ -317,6 +328,94 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, InsertRollbackTest,
                                       ? "Table"
                                       : "Asr";
                          });
+
+// ---------------------------------------------------------------------------
+// §6.2.2 staging contract: the tmp_<table> scratch tables are created once per
+// store, so a table-strategy copy issues no DDL.
+
+/// The tmp_* tables' live rows (and how many such tables exist).
+std::pair<size_t, size_t> StagedRows(RelationalStore* store) {
+  size_t tables = 0, rows = 0;
+  for (const std::string& name : store->db()->TableNames()) {
+    if (name.rfind("tmp_", 0) != 0) continue;
+    ++tables;
+    rows += store->db()->FindTable(name)->live_count();
+  }
+  return {tables, rows};
+}
+
+TEST(TableStagingTest, RepeatCopyIssuesNoDdlAndLeavesStagingEmpty) {
+  auto store =
+      MakeStore(DeleteStrategy::kPerTupleTrigger, InsertStrategy::kTable);
+  rdb::Database* db = store->db();
+  auto copy = [&] {
+    auto ids = store->SelectIds("Customer", "Name = 'Mary'");
+    ASSERT_TRUE(ids.ok()) << ids.status();
+    ASSERT_FALSE(ids->empty());
+    Status s = store->CopySubtree("Customer", ids->front(), store->root_id());
+    ASSERT_TRUE(s.ok()) << s;
+  };
+  copy();
+  auto [tables, rows] = StagedRows(store.get());
+  EXPECT_GT(tables, 0u);
+  EXPECT_EQ(rows, 0u);
+
+  const std::vector<std::string> names = db->TableNames();
+  const Histogram* exclusive =
+      db->metrics().GetHistogram("catalog_lock.exclusive_wait");
+  const uint64_t exclusive_before = exclusive->count();
+  copy();
+  EXPECT_EQ(db->TableNames(), names);
+  EXPECT_EQ(exclusive->count(), exclusive_before)
+      << "a repeat copy took the exclusive catalog lock";
+  EXPECT_EQ(StagedRows(store.get()), std::make_pair(tables, size_t{0}));
+}
+
+TEST(TableStagingTest, CopyNeverStagesInADurableTable) {
+  auto store =
+      MakeStore(DeleteStrategy::kPerTupleTrigger, InsertStrategy::kTable);
+  rdb::Database* db = store->db();
+  ASSERT_TRUE(
+      db->ExecuteQuery("CREATE TABLE tmp_Customer (id INTEGER)").ok());
+  ASSERT_TRUE(db->ExecuteQuery("INSERT INTO tmp_Customer VALUES (7)").ok());
+  StoreState before = Capture(store.get());
+  Status s = store->CopySubtreesWhere("Customer", "", store->root_id());
+  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists) << s;
+  EXPECT_EQ(db->FindTable("tmp_Customer")->live_count(), 1u);
+  ExpectSameState(before, Capture(store.get()));
+}
+
+TEST(TableStagingTest, CopyDoesNotJoinARunningBackgroundCheckpoint) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "xupd_staging_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    auto dtd = testing::MustParseDtd(testing::kCustomerDtd);
+    RelationalStore::Options options;
+    options.insert_strategy = InsertStrategy::kTable;
+    options.durability = true;
+    options.data_dir = dir;
+    auto store = RelationalStore::Create(dtd, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE(store.value()->Load(*testing::MustParse(testing::kCustomerXml))
+                    .ok());
+    rdb::Database* db = store.value()->db();
+    auto ids = store.value()->SelectIds("Customer", "Name = 'Mary'");
+    ASSERT_TRUE(ids.ok()) << ids.status();
+    ASSERT_FALSE(ids->empty());
+
+    const uint64_t checkpoints = db->stats().checkpoints;
+    ASSERT_TRUE(db->CheckpointBackground().ok());
+    Status s = store.value()->CopySubtree("Customer", ids->front(),
+                                          store.value()->root_id());
+    ASSERT_TRUE(s.ok()) << s;
+    EXPECT_TRUE(db->checkpoint_running());
+    EXPECT_EQ(db->stats().checkpoints, checkpoints);
+    ASSERT_TRUE(db->CheckpointWait().ok());
+    EXPECT_EQ(db->stats().checkpoints, checkpoints + 1);
+  }
+  std::filesystem::remove_all(dir);
+}
 
 class DeleteRollbackTest : public ::testing::TestWithParam<DeleteStrategy> {};
 
