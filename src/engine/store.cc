@@ -245,36 +245,7 @@ Status RelationalStore::Load(const xml::Document& doc) {
 // ---------------------------------------------------------------------------
 // Transactions
 
-namespace {
-
-// Arms the Database's operation deadline for one update entry point and
-// restores the previous one on exit — sub-operations keep the outer (earlier)
-// deadline because EffectiveDeadline always takes the minimum.
-class OpDeadlineScope {
- public:
-  OpDeadlineScope(rdb::Database* db, int64_t timeout_us) : db_(db) {
-    prev_ = db_->operation_deadline_ns();
-    if (timeout_us > 0) {
-      uint64_t deadline =
-          MonotonicNanos() + static_cast<uint64_t>(timeout_us) * 1000;
-      if (prev_ != 0 && prev_ < deadline) deadline = prev_;
-      db_->ArmOperationDeadline(deadline);
-    }
-  }
-  ~OpDeadlineScope() { db_->ArmOperationDeadline(prev_); }
-
-  OpDeadlineScope(const OpDeadlineScope&) = delete;
-  OpDeadlineScope& operator=(const OpDeadlineScope&) = delete;
-
- private:
-  rdb::Database* db_;
-  uint64_t prev_ = 0;
-};
-
-}  // namespace
-
 Status RelationalStore::RunInTxn(const std::function<Status()>& fn) {
-  OpDeadlineScope deadline(&db_, options_.op_timeout_us);
   if (!options_.transactional) return fn();
   XUPD_RETURN_IF_ERROR(db_.Begin());
   Status s = fn();
@@ -867,11 +838,13 @@ Result<std::vector<int64_t>> RelationalStore::PathQueryJoins(
     // l0 = leaf ... l(n-1) = start
     sql += path[n - 1 - i]->table + " l" + std::to_string(i);
   }
-  sql += " WHERE " + leaf_predicate;
+  std::string where = leaf_predicate;
   for (size_t i = 0; i + 1 < n; ++i) {
-    sql += " AND l" + std::to_string(i) + ".parentId = l" +
-           std::to_string(i + 1) + ".id";
+    if (!where.empty()) where += " AND ";
+    where += "l" + std::to_string(i) + ".parentId = l" +
+             std::to_string(i + 1) + ".id";
   }
+  if (!where.empty()) sql += " WHERE " + where;
   auto result = db_.ExecuteQuery(sql);
   if (!result.ok()) return result.status();
   std::vector<int64_t> ids;
@@ -895,9 +868,10 @@ Result<std::vector<int64_t>> RelationalStore::PathQueryAsr(
   // Two joins regardless of path length (§5.3): leaf (filtered) x ASR x start.
   std::string sql = "SELECT s.id FROM " + leaf->table + " l, " +
                     AsrManager::kTableName + " a, " + start->table +
-                    " s WHERE " + leaf_predicate + " AND a." +
-                    AsrManager::IdColumn(leaf) + " = l.id AND s.id = a." +
-                    AsrManager::IdColumn(start);
+                    " s WHERE ";
+  if (!leaf_predicate.empty()) sql += leaf_predicate + " AND ";
+  sql += "a." + AsrManager::IdColumn(leaf) + " = l.id AND s.id = a." +
+         AsrManager::IdColumn(start);
   auto result = db_.ExecuteQuery(sql);
   if (!result.ok()) return result.status();
   std::vector<int64_t> ids;

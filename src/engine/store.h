@@ -79,12 +79,6 @@ class RelationalStore {
     /// Filesystem interface for all durable I/O; null means the real one
     /// (rdb::Vfs::Default()). Fault-injection tests interpose a FaultVfs.
     rdb::Vfs* vfs = nullptr;
-    /// Per-operation deadline in microseconds (0 = none): every update entry
-    /// point (DeleteWhere/DeleteByIds/CopySubtree*/InsertConstructed) arms
-    /// Database::ArmOperationDeadline for its duration, so a runaway
-    /// multi-statement operation fails with kDeadlineExceeded and — under
-    /// `transactional` — rolls back to the pre-operation state.
-    int64_t op_timeout_us = 0;
   };
 
   /// Creates the store for a DTD: derives the mapping, creates the schema,
@@ -135,7 +129,9 @@ class RelationalStore {
                                          const std::string& predicate);
 
   /// §7.2 path-expression evaluation, conventional plan: chain of
-  /// parentId/id joins from the (filtered) leaf up to `start_element`.
+  /// parentId/id joins from the (filtered) leaf up to `start_element`. An
+  /// empty `leaf_predicate` selects every leaf, as in SelectIds; so does
+  /// PathQueryAsr's.
   Result<std::vector<int64_t>> PathQueryJoins(const std::string& start_element,
                                               const std::string& leaf_element,
                                               const std::string& leaf_predicate);

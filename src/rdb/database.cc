@@ -108,7 +108,6 @@ Database::Database() {
   InitMetrics();
   // Wire the memory accountant into the always-present charge sites; tables
   // and the WAL writer are wired as they are created/opened.
-  interner_.set_accountant(&mem_);
   txn_.set_accountant(&mem_);
 }
 
@@ -141,7 +140,6 @@ void Database::InitMetrics() {
   stmt_deadline_exceeded_ = metrics_.Counter("stmt.deadline_exceeded");
   stmt_resource_exhausted_ = metrics_.Counter("stmt.resource_exhausted");
   stmt_shed_ = metrics_.Counter("stmt.shed");
-  heal_attempts_counter_ = metrics_.Counter("db.heal_attempts");
   flusher_stall_counter_ = metrics_.Counter("watchdog.flusher_stalls");
   checkpoint_stall_counter_ = metrics_.Counter("watchdog.checkpoint_stalls");
   mem_.AttachMetrics(&metrics_);
@@ -206,7 +204,7 @@ Database::~Database() {
   // reader-slot state, the flusher dereferences wal_.
   (void)CheckpointWait();
   StopFlusher();
-  // The metrics registry dies before tables_/interner_/txn_ do, and their
+  // The metrics registry dies before tables_/txn_ do, and their
   // destructors release memory charges — stop mirroring into gauges now.
   mem_.AttachMetrics(nullptr);
   if (wal_ != nullptr) {
@@ -691,7 +689,6 @@ Status Database::TryHeal(int max_attempts) {
                       static_cast<uint64_t>(backoff_ms), "heal_backoff"});
     }
     ++stats_.heal_attempts;
-    heal_attempts_counter_->fetch_add(1, std::memory_order_relaxed);
     last = ReopenFromDisk();
     if (last.ok()) return Status::OK();
   }
@@ -824,17 +821,6 @@ uint64_t Database::DeadlineAfter(int64_t timeout_us) {
              : 0;
 }
 
-uint64_t Database::EffectiveDeadline() const {
-  uint64_t deadline = DeadlineAfter(statement_timeout_us());
-  // An armed engine-op deadline bounds every statement of the op; the
-  // earlier of the two wins.
-  if (operation_deadline_ns_ != 0 &&
-      (deadline == 0 || operation_deadline_ns_ < deadline)) {
-    deadline = operation_deadline_ns_;
-  }
-  return deadline;
-}
-
 bool Database::GovernanceExempt(sql::Statement::Kind kind) {
   switch (kind) {
     // Resource-releasing and diagnostic statements must run even over
@@ -945,7 +931,7 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
 
 uint64_t Database::IssueStatement() {
   ++stats_.statements;
-  const uint64_t deadline_ns = EffectiveDeadline();
+  const uint64_t deadline_ns = DeadlineAfter(statement_timeout_us());
   SpinFor(statement_latency_us_, deadline_ns);
   return deadline_ns;
 }
@@ -989,7 +975,6 @@ Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
   auto table =
       std::make_unique<Table>(std::move(schema), durable ? &txn_ : nullptr);
   table->set_durable(durable);
-  table->set_interner(&interner_);
   table->set_epoch_manager(&epochs_);
   table->set_accountant(&mem_);
   Table* raw = table.get();
@@ -1314,8 +1299,7 @@ Result<ResultSet> ReaderSession::Run(const sql::Statement& stmt,
   ctx.subquery_memo = &memo;
   // Governance for readers: the statement timeout (read atomically — the
   // writer thread owns the setting) and the shared cancel token. The
-  // cancel-at-pull hook and engine-op deadline are writer-thread state and
-  // are NOT consulted here.
+  // cancel-at-pull hook is writer-thread state and is NOT consulted here.
   ctx.deadline_ns = Database::DeadlineAfter(db_->statement_timeout_us());
   ctx.cancel = db_->cancel_token_.flag();
   ctx.mem = &db_->mem_;

@@ -265,8 +265,8 @@ class Database {
   /// from disk, retrying up to `max_attempts` times with exponential backoff.
   /// The backoff is bounded (capped at kMaxHealBackoffMs per attempt),
   /// interruptible (cancel_token() aborts the sleep with kCancelled), and
-  /// observable (each attempt bumps the db.heal_attempts counter and each
-  /// backoff records a kGovernance trace event annotated "heal_backoff").
+  /// observable (each attempt bumps Stats::heal_attempts and each backoff
+  /// records a kGovernance trace event annotated "heal_backoff").
   /// No-op when not read-only; rejected inside a transaction. On success the
   /// in-memory state equals the last committed-on-disk unit boundary.
   Status TryHeal(int max_attempts = 5);
@@ -295,19 +295,20 @@ class Database {
   // pulls of the deadline and nothing is killed mid-mutation without undo.
   //
   //  * Deadlines: set_statement_timeout_us() arms a per-statement deadline
-  //    for every later statement (SQL: SET STATEMENT_TIMEOUT <us>; 0
-  //    clears); an armed engine-op deadline (ArmOperationDeadline) bounds
-  //    every statement of the op, the earlier of the two winning. The
-  //    simulated statement latency (SpinFor) is deadline-aware: an expired
-  //    deadline cuts the spin short and fails the statement before it runs.
+  //    for every later statement, the writer's and every reader session's
+  //    alike (SQL: SET STATEMENT_TIMEOUT <us>; 0 clears). An engine op that
+  //    runs many statements fails at the first one that overruns it, and
+  //    the op's transaction rolls all of them back. The simulated
+  //    statement latency (SpinFor) is deadline-aware: an expired deadline
+  //    cuts the spin short and fails the statement before it runs.
   //  * Cancellation: cancel_token() is shared with any thread; Cancel()
   //    makes the writer's (and every reader session's) next governance poll
   //    fail with kCancelled. The token stays cancelled until Reset() — it is
   //    a connection-level kill switch, not a one-shot.
   //  * Memory budgets: memory_accountant() meters table slabs, version
-  //    buffers, the string interner, the undo log, WAL pending redo, and
-  //    query scratch under mem.* gauges. A soft budget sheds NEW statements
-  //    (kResourceExhausted before any work; COMMIT/ROLLBACK/RELEASE, SHOW,
+  //    buffers, the undo log, WAL pending redo, and query scratch under
+  //    mem.* gauges. A soft budget sheds NEW statements (kResourceExhausted
+  //    before any work; COMMIT/ROLLBACK/RELEASE, SHOW,
   //    CHECK INTEGRITY and SET stay admitted so callers can always release
   //    resources and diagnose); a hard budget (and the WAL pending-buffer
   //    watermark) kills the RUNNING statement at its next poll, rolling the
@@ -348,15 +349,6 @@ class Database {
   int64_t checkpoint_watchdog_window_us() const {
     return checkpoint_watchdog_window_us_;
   }
-
-  /// Engine-op deadline (engine/store.cc): arms an absolute MonotonicNanos
-  /// deadline that bounds every statement of the current multi-statement
-  /// operation (merged with per-statement deadlines; the earlier wins).
-  /// 0 disarms. Writer thread only.
-  void ArmOperationDeadline(uint64_t deadline_ns) {
-    operation_deadline_ns_ = deadline_ns;
-  }
-  uint64_t operation_deadline_ns() const { return operation_deadline_ns_; }
 
   /// Test hook: fails the k-th operator pull (1-based) of subsequent
   /// execution with kCancelled — the cancellation-injection matrix drives
@@ -585,11 +577,6 @@ class Database {
   }
   void clear_slow_statements() { slow_log_.clear(); }
 
-  /// The per-Database string arena: long string values stored into any
-  /// catalog table are deduplicated against it (rdb/value.h). Exposed for
-  /// tests and memory introspection.
-  StringInterner& interner() { return interner_; }
-
   /// Simulated per-statement issue latency (microseconds), applied to every
   /// writer ExecuteQuery / ExecuteQueryBound call — models the client/server
   /// round trip a 2001-era JDBC/DB2 stack pays per statement (trigger
@@ -692,11 +679,7 @@ class Database {
                                  PlanCacheSlot* slot, uint64_t deadline_ns);
 
   /// Absolute deadline `timeout_us` from now; 0 (none) when not positive.
-  /// Reader sessions use it directly: they never see the operation deadline.
   static uint64_t DeadlineAfter(int64_t timeout_us);
-  /// Writer statement deadline: the global statement timeout merged with
-  /// any armed operation deadline (earlier wins).
-  uint64_t EffectiveDeadline() const;
   /// Statement kinds that bypass admission/governance gates: resource
   /// RELEASING or diagnostic statements that must run even degraded
   /// (COMMIT/ROLLBACK/RELEASE, SHOW, CHECK INTEGRITY, SET).
@@ -732,14 +715,10 @@ class Database {
   /// cascade root; engine spans read the counter to decompose op cost).
   void AddTriggerNs(uint64_t ns) { *trigger_ns_ += ns; }
 
-  /// Memory accountant every charge site (tables, interner, undo log, WAL
-  /// pending, query scratch) reports into. Declared FIRST so it outlives
-  /// every charging member — their destructors release their charges.
+  /// Memory accountant every charge site (tables, undo log, WAL pending,
+  /// query scratch) reports into. Declared FIRST so it outlives every
+  /// charging member — their destructors release their charges.
   MemoryAccountant mem_;
-  /// String arena every table dedups long values against. Safe in any
-  /// destruction order relative to tables_: interned Values carry their own
-  /// references, so blocks outlive whichever of table or arena dies first.
-  StringInterner interner_;
   /// Epoch-based MVCC core. Declared before tables_ so retired slab buffers
   /// (freed by the manager's destructor) outlive every Table.
   EpochManager epochs_;
@@ -777,12 +756,11 @@ class Database {
   Histogram* catalog_exclusive_wait_ = nullptr;
   /// Governance counters, resolved once in InitMetrics (SHOW METRICS rows
   /// stmt.cancelled / stmt.deadline_exceeded / stmt.resource_exhausted /
-  /// stmt.shed / db.heal_attempts / watchdog.*_stalls).
+  /// stmt.shed / watchdog.*_stalls).
   std::atomic<uint64_t>* stmt_cancelled_ = nullptr;
   std::atomic<uint64_t>* stmt_deadline_exceeded_ = nullptr;
   std::atomic<uint64_t>* stmt_resource_exhausted_ = nullptr;
   std::atomic<uint64_t>* stmt_shed_ = nullptr;
-  std::atomic<uint64_t>* heal_attempts_counter_ = nullptr;
   std::atomic<uint64_t>* flusher_stall_counter_ = nullptr;
   std::atomic<uint64_t>* checkpoint_stall_counter_ = nullptr;
   double slow_statement_threshold_us_ = -1;
@@ -825,8 +803,6 @@ class Database {
   CancelToken cancel_token_;
   /// Global statement timeout (µs); atomic — reader sessions read it.
   std::atomic<int64_t> statement_timeout_us_{0};
-  /// Absolute deadline of the engine op in flight (0 = none); writer only.
-  uint64_t operation_deadline_ns_ = 0;
   /// Cancellation-injection hook (see ArmCancelAtPull).
   std::atomic<int64_t> cancel_at_pull_{0};
   bool cancel_at_pull_armed_ = false;

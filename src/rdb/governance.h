@@ -54,7 +54,6 @@ class MemoryAccountant {
   enum Category : int {
     kTableSlabs = 0,   ///< row-slab capacity bytes (charged at growth).
     kVersionBuffers,   ///< MVCC parked pre-images.
-    kInterner,         ///< retained interned string blocks.
     kUndoLog,          ///< undo record chunks of open scopes.
     kWalPending,       ///< WAL bytes staged but not yet committed.
     kQueryScratch,     ///< sort / CTE / result materialization.
@@ -65,7 +64,6 @@ class MemoryAccountant {
     switch (c) {
       case kTableSlabs: return "mem.table_slabs";
       case kVersionBuffers: return "mem.version_buffers";
-      case kInterner: return "mem.interner";
       case kUndoLog: return "mem.undo_log";
       case kWalPending: return "mem.wal_pending";
       case kQueryScratch: return "mem.query_scratch";

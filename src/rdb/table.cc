@@ -272,9 +272,6 @@ Result<size_t> Table::Insert(Row row) {
         schema_.name() + "' (" + std::to_string(arity_) + ")");
   }
   size_t rowid = live_.size();
-  if (interner_ != nullptr) {
-    for (Value& v : row) interner_->InternInPlace(&v);
-  }
   for (const auto& index : indexes_) {
     index->Insert(row[static_cast<size_t>(index->column())], rowid);
   }
@@ -288,9 +285,6 @@ Result<size_t> Table::Insert(Row row) {
 }
 
 void Table::LoadSlot(Row row, bool live) {
-  if (interner_ != nullptr) {
-    for (Value& v : row) interner_->InternInPlace(&v);
-  }
   // Snapshot/recovery rows predate every possible pin: born at epoch 1.
   // Dead slots get an empty [1, 1) interval — never visible, but their
   // positions (and values) are preserved for WAL redo addressing.
@@ -347,7 +341,6 @@ Status Table::SetColumn(size_t rowid, int column, Value v) {
   if (rowid >= live_.size() || !live_[rowid]) {
     return Status::NotFound("row deleted or out of range");
   }
-  if (interner_ != nullptr) interner_->InternInPlace(&v);
   PrepareRowUpdate(rowid);
   Value& cell = mutable_row(rowid)[static_cast<size_t>(column)];
   if (txn_ != nullptr) {

@@ -240,11 +240,6 @@ class Table {
   bool durable() const { return durable_; }
   void set_durable(bool durable) { durable_ = durable; }
 
-  /// Wires the per-Database string interner: long string values are
-  /// canonicalized on their way into the slab, so repeated names/paths
-  /// across millions of rows share one heap block.
-  void set_interner(StringInterner* interner) { interner_ = interner; }
-
   /// Wires the Database's epoch manager: row metadata is stamped with its
   /// write epoch and superseded storage is retired through it. Tables
   /// without a manager (unit tests) behave single-threaded — every row is
@@ -393,8 +388,8 @@ class Table {
   /// Ensures room for one more row, growing (and epoch-retiring the old
   /// buffer) as needed. Returns the cell pointer for the new row slot.
   Value* ReserveRowSlot();
-  /// Appends `row` (already interned) as the next slot with the given
-  /// MVCC stamps, publishing it to readers.
+  /// Appends `row` as the next slot with the given MVCC stamps, publishing
+  /// it to readers.
   void AppendRow(Row&& row, uint32_t begin, uint32_t end, uint64_t mod);
   /// Parks the row's pre-image for pinned readers and opens its seqlock
   /// window, if this is the row's first in-place update in the current
@@ -412,7 +407,6 @@ class Table {
   size_t arity_;
   size_t stride_;  ///< arity_ + 1 (trailing MVCC metadata slot).
   TransactionManager* txn_ = nullptr;
-  StringInterner* interner_ = nullptr;
   EpochManager* em_ = nullptr;
   MemoryAccountant* mem_ = nullptr;
   bool durable_ = false;

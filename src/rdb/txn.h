@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "rdb/governance.h"
 #include "rdb/stats.h"
 #include "rdb/value.h"
 #include "rdb/wal.h"

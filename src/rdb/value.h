@@ -11,12 +11,12 @@
 //   kHeap  StrRep* in bytes 0..7           tag   (longer strings, refcounted)
 //
 // Short strings (element/attribute names, path steps, small text) need no
-// allocation at all; longer strings live in an immutable refcounted heap
-// block shared by every copy of the Value (copying a Value never copies
-// string bytes). A per-Database StringInterner additionally dedupes heap
-// strings stored into tables — shredded XML repeats element names and path
-// strings massively — so a million rows naming the same path share one
-// block. Values are NOT thread-safe to mutate concurrently (nothing in this
+// allocation at all. A longer string lives in one immutable refcounted heap
+// block, and every copy of the Value shares that block: copying a row —
+// a §6.2 subtree copy, an undo pre-image, a reader's snapshot copy — never
+// copies string bytes. Two separately built equal strings get two blocks;
+// equality and Hash compare content, so they still meet in one index key.
+// Values are NOT thread-safe to mutate concurrently (nothing in this
 // engine is); sharing immutable Values between reads is fine.
 #ifndef XUPD_RDB_VALUE_H_
 #define XUPD_RDB_VALUE_H_
@@ -27,10 +27,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
-
-#include "rdb/governance.h"
 
 namespace xupd::rdb {
 
@@ -107,15 +104,10 @@ class Value {
       out.raw_[kLenByte] = static_cast<char>(s.size());
       out.raw_[kTagByte] = kTagSso;
     } else {
-      out.AdoptRep(StrRep::New(s));
+      StrRep* rep = StrRep::New(s);
+      std::memcpy(out.raw_, &rep, sizeof(rep));
+      out.raw_[kTagByte] = kTagHeap;
     }
-    return out;
-  }
-  /// Wraps an already-referenced heap rep (interner fast path); takes over
-  /// one reference.
-  static Value FromRep(StrRep* rep) {
-    Value out;
-    out.AdoptRep(rep);
     return out;
   }
 
@@ -144,7 +136,7 @@ class Value {
     return {rep->data(), rep->len};
   }
   /// The heap block backing a long string, or null for SSO/non-string
-  /// values (interner bookkeeping).
+  /// values (copies of one Value return the same block).
   StrRep* rep() const {
     return tag() == kTagHeap ? heap_rep() : nullptr;
   }
@@ -173,7 +165,7 @@ class Value {
         case kTagInt:
           return AsInt() == other.AsInt();
         case kTagHeap:
-          if (heap_rep() == other.heap_rep()) return true;  // interned hit
+          if (heap_rep() == other.heap_rep()) return true;  // shared block
           [[fallthrough]];
         default:
           return AsString() == other.AsString();
@@ -255,10 +247,6 @@ class Value {
     std::memcpy(&rep, raw_, sizeof(rep));
     return rep;
   }
-  void AdoptRep(StrRep* rep) {
-    std::memcpy(raw_, &rep, sizeof(rep));
-    raw_[kTagByte] = kTagHeap;
-  }
 
   alignas(8) char raw_[16];
 };
@@ -268,110 +256,6 @@ static_assert(sizeof(Value) <= 16, "Value must stay 16 bytes (one row slot "
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
-/// Per-Database arena deduplicating heap strings stored into tables: the
-/// first store of a given long string allocates its StrRep, every later
-/// store of equal bytes shares it. The interner holds one reference per
-/// unique string; entries whose only remaining reference is the interner's
-/// are swept opportunistically when the map doubles, so a churn of unique
-/// long strings (document content) cannot grow it without bound.
-///
-/// Lifetime rule: interned Values are plain refcounted Values — they stay
-/// valid after the interner (or the Database) is gone, and un-interned
-/// equal strings compare and hash identically (content equality; pointer
-/// equality is only a fast path).
-class StringInterner {
- public:
-  StringInterner() = default;
-  ~StringInterner() {
-    for (auto& [key, rep] : map_) {
-      ReleaseCharge(rep);
-      StrRep::Unref(rep);
-    }
-  }
-  StringInterner(const StringInterner&) = delete;
-  StringInterner& operator=(const StringInterner&) = delete;
-
-  /// Returns the canonical Value for `s` (allocating it on first sight).
-  /// Strings within the SSO limit come back inline — they never need the
-  /// arena.
-  Value Intern(std::string_view s) {
-    if (s.size() <= Value::kSsoMax) return Value::Str(s);
-    auto it = map_.find(s);
-    if (it != map_.end()) {
-      StrRep::Ref(it->second);
-      return Value::FromRep(it->second);
-    }
-    MaybeSweep();
-    StrRep* rep = StrRep::New(s);
-    StrRep::Ref(rep);  // the interner's own reference
-    map_.emplace(std::string_view(rep->data(), rep->len), rep);
-    AddCharge(rep);
-    return Value::FromRep(rep);
-  }
-
-  /// Canonicalizes `v` in place when it is a heap string: an equal interned
-  /// block replaces the fresh allocation (SSO/int/null pass through).
-  void InternInPlace(Value* v) {
-    if (v->rep() == nullptr) return;
-    auto it = map_.find(v->AsString());
-    if (it != map_.end()) {
-      if (it->second != v->rep()) {
-        StrRep::Ref(it->second);
-        *v = Value::FromRep(it->second);
-      }
-      return;
-    }
-    MaybeSweep();
-    StrRep* rep = v->rep();
-    StrRep::Ref(rep);
-    map_.emplace(std::string_view(rep->data(), rep->len), rep);
-    AddCharge(rep);
-  }
-
-  size_t size() const { return map_.size(); }
-
-  /// Wires the Database's memory accountant: every retained block charges
-  /// its header + character bytes to mem.interner until swept or destroyed.
-  void set_accountant(MemoryAccountant* mem) { mem_ = mem; }
-
- private:
-  void AddCharge(const StrRep* rep) {
-    if (mem_ != nullptr) {
-      mem_->Charge(MemoryAccountant::kInterner, sizeof(StrRep) + rep->len);
-    }
-  }
-  void ReleaseCharge(const StrRep* rep) {
-    if (mem_ != nullptr) {
-      mem_->Release(MemoryAccountant::kInterner, sizeof(StrRep) + rep->len);
-    }
-  }
-
-  /// Drops entries only the interner still references once the map has
-  /// doubled since the last sweep (amortized O(1) per intern).
-  void MaybeSweep() {
-    if (map_.size() < 1024 || map_.size() < 2 * last_sweep_size_) return;
-    for (auto it = map_.begin(); it != map_.end();) {
-      if (it->second->refs == 1) {
-        // Erase BEFORE dropping the last reference: the node's key views
-        // into the block, and erase may touch the key.
-        StrRep* rep = it->second;
-        it = map_.erase(it);
-        ReleaseCharge(rep);
-        StrRep::Unref(rep);
-      } else {
-        ++it;
-      }
-    }
-    last_sweep_size_ = map_.size();
-  }
-
-  /// Keys view into their StrRep's character data (stable: blocks are
-  /// immutable and outlive their map entry).
-  std::unordered_map<std::string_view, StrRep*> map_;
-  size_t last_sweep_size_ = 0;
-  MemoryAccountant* mem_ = nullptr;
 };
 
 }  // namespace xupd::rdb

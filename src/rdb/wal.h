@@ -73,6 +73,7 @@
 
 #include "common/metrics.h"
 #include "common/result.h"
+#include "rdb/governance.h"
 #include "rdb/stats.h"
 #include "rdb/value.h"
 #include "rdb/vfs.h"

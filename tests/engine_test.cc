@@ -4,6 +4,11 @@
 // the same document a native-tree execution produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "engine/store.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -512,6 +517,96 @@ TEST(AsrTest, MarkedRowsArePlannedAsAnIndexProbe) {
 }
 
 // ---------------------------------------------------------------------------
+// String sharing: a copied row holds its source row's heap string blocks.
+
+// Every text value is longer than the 14-byte inline limit and unique, so a
+// string's content names its source row.
+constexpr char kLongTextXml[] = R"(<CustDB>
+  <Customer>
+    <Name>Mary Long-Named Customer</Name>
+    <Address>
+      <City>Fresno in the long valley</City><State>California, USA</State>
+    </Address>
+    <Order>
+      <Date>2000-07-04T09:00:00Z</Date>
+      <Status>ready to be shipped</Status>
+      <OrderLine>
+        <ItemName>a claw hammer of some length</ItemName>
+        <Qty>one single hammer</Qty>
+      </OrderLine>
+      <OrderLine>
+        <ItemName>a box of long wood screws</ItemName>
+        <Qty>two boxes of screws</Qty>
+      </OrderLine>
+    </Order>
+  </Customer>
+  <Customer>
+    <Name>Another Long-Named Customer</Name>
+    <Address>
+      <City>Portland on the river</City><State>Oregon, United States</State>
+    </Address>
+  </Customer>
+</CustDB>)";
+
+// Live heap-string blocks of the element tables, keyed by content.
+std::map<std::string, std::vector<const rdb::StrRep*>> HeapBlocks(
+    RelationalStore* store) {
+  std::map<std::string, std::vector<const rdb::StrRep*>> blocks;
+  for (const shred::TableMapping& tm : store->mapping().tables()) {
+    const rdb::Table* t = store->db()->FindTable(tm.table);
+    for (size_t r = 0; r < t->capacity(); ++r) {
+      if (!t->is_live(r)) continue;
+      for (size_t c = 0; c < t->arity(); ++c) {
+        const rdb::Value& v = t->row(r)[c];
+        if (v.rep() == nullptr) continue;
+        blocks[std::string(v.AsString())].push_back(v.rep());
+      }
+    }
+  }
+  return blocks;
+}
+
+class CopySharesStringsTest
+    : public ::testing::TestWithParam<InsertStrategy> {};
+
+TEST_P(CopySharesStringsTest, CopiedRowsShareTheirSourceBlocks) {
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  RelationalStore::Options options;
+  options.insert_strategy = GetParam();
+  auto store_or = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(store_or.ok()) << store_or.status();
+  auto store = std::move(store_or).value();
+  ASSERT_TRUE(store->Load(*xupd::testing::MustParse(kLongTextXml)).ok());
+  const auto before = HeapBlocks(store.get());
+  ASSERT_EQ(before.size(), 12u);
+  for (const auto& [text, reps] : before) ASSERT_EQ(reps.size(), 1u) << text;
+
+  auto mary = store->SelectIds("Customer", "Name = 'Mary Long-Named Customer'");
+  ASSERT_TRUE(mary.ok() && mary->size() == 1u);
+  Status s = store->CopySubtree("Customer", mary->front(), store->root_id());
+  ASSERT_TRUE(s.ok()) << s;
+
+  // Mary's 9 strings now sit in two rows each, on one block per string.
+  const auto after = HeapBlocks(store.get());
+  ASSERT_EQ(after.size(), before.size());
+  size_t copied = 0;
+  for (const auto& [text, reps] : after) {
+    const rdb::StrRep* source = before.at(text).front();
+    for (const rdb::StrRep* rep : reps) EXPECT_EQ(rep, source) << text;
+    copied += reps.size() - 1;
+  }
+  EXPECT_EQ(copied, 9u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllInsertStrategies, CopySharesStringsTest,
+                         ::testing::Values(InsertStrategy::kTuple,
+                                           InsertStrategy::kTable,
+                                           InsertStrategy::kAsr),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param));
+                         });
+
+// ---------------------------------------------------------------------------
 // Path queries (§5.3 / §7.2).
 
 TEST(PathQueryTest, JoinsAndAsrAgree) {
@@ -531,6 +626,38 @@ TEST(PathQueryTest, JoinsAndAsrAgree) {
   ASSERT_TRUE(via_asr.ok()) << via_asr.status();
   EXPECT_EQ(*via_joins, *via_asr);
   EXPECT_EQ(via_joins->size(), 1u);  // only Seattle John ordered tires
+}
+
+TEST(PathQueryTest, EmptyLeafPredicateSelectsEveryPath) {
+  // An empty leaf predicate means "every leaf", as in SelectIds: both plans
+  // return exactly the customers that have at least one order line.
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  RelationalStore::Options options;
+  options.build_asr = true;
+  auto store_or = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(store_or.ok());
+  auto store = std::move(store_or).value();
+  auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
+  ASSERT_TRUE(store->Load(*doc).ok());
+  auto all = store->SelectIds("Customer", "");
+  const std::string order = store->mapping().ForElement("Order")->table;
+  const std::string line = store->mapping().ForElement("OrderLine")->table;
+  auto with_lines = store->SelectIds(
+      "Customer", "id IN (SELECT parentId FROM " + order +
+                      " WHERE id IN (SELECT parentId FROM " + line + "))");
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_TRUE(with_lines.ok()) << with_lines.status();
+  ASSERT_EQ(all->size(), 3u);
+  ASSERT_EQ(with_lines->size(), 2u);  // Portland John has no order
+  for (int64_t id : *with_lines) {
+    EXPECT_NE(std::find(all->begin(), all->end(), id), all->end());
+  }
+  auto via_joins = store->PathQueryJoins("Customer", "OrderLine", "");
+  auto via_asr = store->PathQueryAsr("Customer", "OrderLine", "");
+  ASSERT_TRUE(via_joins.ok()) << via_joins.status();
+  ASSERT_TRUE(via_asr.ok()) << via_asr.status();
+  EXPECT_EQ(*via_joins, *with_lines);
+  EXPECT_EQ(*via_asr, *with_lines);
 }
 
 // ---------------------------------------------------------------------------

@@ -375,8 +375,7 @@ TEST(CancellationInjectionMatrixTest, EveryKthPullRollsBackCleanly) {
 TEST(BudgetExhaustionMatrixTest, HardBudgetKillsAndRollsBackEveryStrategy) {
   // Large doc: every op mutates thousands of rows, so the every-64th-pull
   // poll fires many times after the statement's WAL pending bytes (and, for
-  // the copies, fresh slabs and interned strings) have grown past the
-  // frozen budget.
+  // the copies, fresh slabs) have grown past the frozen budget.
   workload::GeneratedDoc gen = MakeDoc(400);
   for (const EngineCase& ec : EngineCases()) {
     SCOPED_TRACE(ec.name);
@@ -490,15 +489,14 @@ TEST(MemoryAccountingTest, GaugesTrackTheDominantConsumers) {
   ASSERT_TRUE(
       db.ExecuteQuery("CREATE TABLE t (id INTEGER, name VARCHAR)").ok());
   ASSERT_TRUE(db.Begin().ok());
-  auto ins = db.Prepare("INSERT INTO t VALUES (?, 'some-interned-name')");
+  auto ins = db.Prepare("INSERT INTO t VALUES (?, 'some-long-string-name')");
   ASSERT_TRUE(ins.ok());
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
   }
-  // Mid-transaction: slabs, the interner, and the undo log all carry
-  // charges, mirrored into mem.* gauges.
+  // Mid-transaction: slabs and the undo log both carry charges, mirrored
+  // into mem.* gauges.
   EXPECT_GT(mem.used(MemoryAccountant::kTableSlabs), 0u);
-  EXPECT_GT(mem.used(MemoryAccountant::kInterner), 0u);
   EXPECT_GT(mem.used(MemoryAccountant::kUndoLog), 0u);
   EXPECT_GT(mem.total_used(), before);
   EXPECT_GT(db.metrics().Gauge("mem.total")->load(std::memory_order_relaxed),
@@ -515,31 +513,30 @@ TEST(MemoryAccountingTest, GaugesTrackTheDominantConsumers) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-op deadline propagation (engine/store.cc)
+// Statement deadlines inside an engine op (engine/store.cc)
 
 TEST(EngineOpTimeoutTest, OperationDeadlineKillsAndRollsBack) {
-  // Large doc: the trigger bulk delete mutates thousands of rows, taking
-  // far longer than the 50us operation deadline.
+  // Large doc: the trigger bulk delete's cascade mutates thousands of rows,
+  // taking far longer than a 50us statement deadline.
   workload::GeneratedDoc gen = MakeDoc(400);
   TempDir dir;
   RelationalStore::Options options;
   options.delete_strategy = DeleteStrategy::kPerTupleTrigger;
   options.durability = true;
   options.data_dir = dir.path();
-  options.op_timeout_us = 50;  // far below a multi-statement bulk delete
   auto store = RelationalStore::Create(gen.dtd, options);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store.value()->Load(*gen.doc).ok());
   rdb::Database* db = store.value()->db();
   const std::string pre = DumpDurableState(*db);
+  db->set_statement_timeout_us(50);
   Status s = store.value()->DeleteWhere("n2", "v2 > 500000");
+  db->set_statement_timeout_us(0);
   ASSERT_FALSE(s.ok()) << "50us bulk delete should not finish";
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s;
   ASSERT_FALSE(db->in_transaction());
   EXPECT_EQ(DumpDurableState(*db), pre);
   ExpectScrubClean(store.value().get());
-  // The scope disarmed the deadline: unrelated statements run free.
-  EXPECT_EQ(db->operation_deadline_ns(), 0u);
   auto rows = db->ExecuteQuery("SELECT COUNT(*) FROM n2");
   EXPECT_TRUE(rows.ok()) << rows.status();
 }
@@ -778,9 +775,6 @@ TEST(TryHealBackoffTest, BackoffIsBoundedInterruptibleAndObservable) {
             5000);
   const uint64_t attempts = db.stats().heal_attempts;
   EXPECT_GE(attempts, 3u);
-  EXPECT_GE(db.metrics().Counter("db.heal_attempts")
-                ->load(std::memory_order_relaxed),
-            3u);
   // Observable: each backoff is a kGovernance trace span.
   bool traced = false;
   for (const std::string& line : db.events().ToJsonLines()) {

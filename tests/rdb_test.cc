@@ -260,6 +260,26 @@ TEST_F(RdbTest, InsertFromSelect) {
   EXPECT_EQ(QueryInt("SELECT MAX(id) FROM Customer"), 103);
 }
 
+TEST_F(RdbTest, InsertSelectSharesHeapStringBlocks) {
+  // A copied row holds its source's string blocks: INSERT ... SELECT never
+  // rebuilds a string longer than the 14-byte inline limit.
+  Must("CREATE TABLE t (id INTEGER, s VARCHAR)");
+  Must("CREATE TABLE u (id INTEGER, s VARCHAR)");
+  for (int i = 0; i < 8; ++i) {
+    Must("INSERT INTO t VALUES (" + std::to_string(i) +
+         ", 'a string longer than the inline limit #" + std::to_string(i) +
+         "')");
+  }
+  Must("INSERT INTO u SELECT * FROM t");
+  const Table* t = db_.FindTable("t");
+  const Table* u = db_.FindTable("u");
+  ASSERT_EQ(u->capacity(), t->capacity());
+  for (size_t r = 0; r < t->capacity(); ++r) {
+    ASSERT_NE(t->row(r)[1].rep(), nullptr);
+    EXPECT_EQ(u->row(r)[1].rep(), t->row(r)[1].rep()) << "row " << r;
+  }
+}
+
 TEST_F(RdbTest, OuterUnionFigure5Shape) {
   CreateCustomerSchema();
   LoadCustomerData();

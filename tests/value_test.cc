@@ -1,14 +1,16 @@
 // Compact-Value representation tests (rdb/value.h): the 16-byte tagged
-// layout, SSO boundary lengths, interned vs inline equality/hashing, the
-// mixed int/string coercion corners of Compare/Hash/operator==, and a
-// HashIndex stress test that interleaves Insert/Erase/Lookup against a
-// shadow map.
+// layout, SSO boundary lengths, equality/hashing of shared and separate
+// blocks, the mixed int/string coercion corners of Compare/Hash/operator==,
+// and a HashIndex stress test that interleaves Insert/Erase/Lookup against
+// a shadow map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,75 +93,60 @@ TEST(ValueCompareTest, EqualityAndHashAgreeOnCoercedPairs) {
   EXPECT_FALSE(Value::Str("042") == Value::Str("42"));
 }
 
+// A heap-backed Value holding `s` whatever its length: the raw words of a
+// heap string with the block pointer swapped, materialized the way a
+// snapshot reader copies a slab cell.
+Value HeapValue(std::string_view s) {
+  Value model = Value::Str(std::string(Value::kSsoMax + 1, 'x'));
+  uint64_t w[2];
+  Value::RacyLoadWords(&model, w);
+  StrRep* rep = StrRep::New(s);
+  std::memcpy(&w[0], &rep, sizeof(rep));
+  Value out = Value::FromSnapshotWords(w);  // takes a second reference
+  StrRep::Unref(rep);
+  return out;
+}
+
 TEST(ValueCompareTest, SsoVsHeapEquality) {
   // The same logical string in inline and heap form must be equal and hash
-  // identically (a 14-char SSO string vs the same bytes inside a copied
-  // longer-lived heap block can meet in one index).
+  // identically (a 14-char SSO string vs the same bytes inside a heap
+  // block can meet in one index).
   std::string s14(14, 'q');
   Value inline_v = Value::Str(s14);
   ASSERT_EQ(inline_v.rep(), nullptr);
-  StringInterner interner;
-  // Intern() of an SSO-sized string stays inline (no arena entry)...
-  Value interned14 = interner.Intern(s14);
-  EXPECT_EQ(interned14.rep(), nullptr);
-  EXPECT_EQ(interner.size(), 0u);
-  EXPECT_TRUE(inline_v == interned14);
-  EXPECT_EQ(inline_v.Hash(), interned14.Hash());
-  // ...and a heap string equal to an inline prefix-extended sibling keeps
-  // content equality/hash across representations.
+  Value heap14 = HeapValue(s14);
+  ASSERT_NE(heap14.rep(), nullptr);
+  EXPECT_EQ(heap14.AsString(), s14);
+  EXPECT_TRUE(inline_v == heap14);
+  EXPECT_TRUE(heap14 == inline_v);
+  EXPECT_EQ(inline_v.Compare(heap14), 0);
+  EXPECT_EQ(inline_v.Hash(), heap14.Hash());
+  // A 15-char string spills to the heap; two separate builds of it compare
+  // and hash equal, and differ from the 14-char inline prefix.
   std::string s15(15, 'q');
-  Value heap_v = interner.Intern(s15);
+  Value heap_v = Value::Str(s15);
   ASSERT_NE(heap_v.rep(), nullptr);
   EXPECT_TRUE(heap_v == Value::Str(s15));
   EXPECT_EQ(heap_v.Hash(), Value::Str(s15).Hash());
   EXPECT_FALSE(heap_v == inline_v);
 }
 
-// ---------------------------------------------------------------------------
-// Interning
-
-TEST(InternerTest, EqualStringsShareOneBlock) {
-  StringInterner interner;
-  std::string s = "an interned string well beyond the SSO limit";
-  Value a = interner.Intern(s);
-  Value b = interner.Intern(s);
+TEST(ValueCompareTest, SeparateEqualBlocksCompareAndHashEqual) {
+  std::string s = "a heap string well beyond the SSO limit";
+  Value a = Value::Str(s);
+  Value b = Value::Str(s);
   ASSERT_NE(a.rep(), nullptr);
-  EXPECT_EQ(a.rep(), b.rep());
-  EXPECT_EQ(interner.size(), 1u);
-  // A fresh (un-interned) equal Value has its own block but stays equal
-  // and hashes identically.
-  Value fresh = Value::Str(s);
-  EXPECT_NE(fresh.rep(), a.rep());
-  EXPECT_TRUE(fresh == a);
-  EXPECT_EQ(fresh.Hash(), a.Hash());
-  // InternInPlace canonicalizes the fresh copy onto the shared block.
-  interner.InternInPlace(&fresh);
-  EXPECT_EQ(fresh.rep(), a.rep());
-}
-
-TEST(InternerTest, InternedValuesOutliveTheInterner) {
-  Value survivor;
-  {
-    StringInterner interner;
-    survivor = interner.Intern("keeps its bytes after the arena is gone");
-  }
-  EXPECT_EQ(survivor.AsString(), "keeps its bytes after the arena is gone");
-}
-
-TEST(InternerTest, TableInsertDeduplicatesLongStrings) {
-  StringInterner interner;
-  Table t(TableSchema("t", {{"v", ColumnType::kVarchar}}));
-  t.set_interner(&interner);
-  std::string path = "/site/people/person/address/zipcode/step";
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(t.Insert({Value::Str(path)}).ok());
-  }
-  ASSERT_EQ(interner.size(), 1u);
-  const StrRep* canonical = t.row(0)[0].rep();
-  ASSERT_NE(canonical, nullptr);
-  for (size_t r = 0; r < t.capacity(); ++r) {
-    EXPECT_EQ(t.row(r)[0].rep(), canonical);
-  }
+  ASSERT_NE(b.rep(), nullptr);
+  EXPECT_NE(a.rep(), b.rep());
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a.SqlEquals(b));
+  EXPECT_EQ(a.Compare(b), 0);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  // A copy shares the block and stays equal to the separate build.
+  Value copy = a;
+  EXPECT_EQ(copy.rep(), a.rep());
+  EXPECT_TRUE(copy == b);
+  EXPECT_EQ(copy.Hash(), b.Hash());
 }
 
 // ---------------------------------------------------------------------------
