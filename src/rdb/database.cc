@@ -196,6 +196,24 @@ void Database::BumpCatalogVersion() {
   catalog_version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
+const std::vector<const Database::TriggerDef*>& Database::TriggersOn(
+    const Table* table) {
+  const uint64_t version = catalog_version();
+  if (trigger_lists_version_ != version) {
+    trigger_lists_.clear();
+    trigger_lists_version_ = version;
+  }
+  auto [it, inserted] = trigger_lists_.try_emplace(table);
+  if (inserted) {
+    for (const TriggerDef& t : triggers_) {
+      if (EqualsIgnoreCase(t.table, table->schema().name())) {
+        it->second.push_back(&t);
+      }
+    }
+  }
+  return it->second;
+}
+
 // ---------------------------------------------------------------------------
 // Durability
 
@@ -264,6 +282,9 @@ Status Database::Open(const std::string& dir,
   auto fail = [&](Status s) {
     tables_.clear();
     triggers_.clear();
+    // A later Open may allocate a Table at a freed address: retire every
+    // plan and trigger list keyed by the old catalog.
+    BumpCatalogVersion();
     next_id_ = 1;
     data_dir_.clear();
     recovered_ = false;

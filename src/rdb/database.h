@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -443,8 +444,9 @@ class Database {
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture
   /// index choices) and by the catalog rebuild of Open/TryHeal. A cached plan
-  /// built under an older version is rebuilt before use, so no plan ever
-  /// dereferences a dropped Table. It is the only plan guard: the only
+  /// or trigger list (TriggersOn) built under an older version is rebuilt
+  /// before use, so neither ever dereferences a dropped Table or
+  /// TriggerDef. It is the only plan guard: the only
   /// catalog change outside SQL DDL is CreateTableDirect, which adds a table
   /// and so invalidates nothing.
   uint64_t catalog_version() const {
@@ -621,6 +623,14 @@ class Database {
   /// or the planner knob flipped).
   void BumpCatalogVersion();
 
+  /// The triggers on `table`, in creation order, resolved once per catalog
+  /// version: CREATE/DROP TRIGGER and DROP TABLE are SQL DDL, and the
+  /// catalog rebuild of Open/TryHeal bumps the version too, so no entry
+  /// outlives the TriggerDef or the Table it names. A trigger body holds
+  /// only DML, so the list a cascade walks cannot change under it. Writer
+  /// thread only.
+  const std::vector<const TriggerDef*>& TriggersOn(const Table* table);
+
   /// Returns the injected error when the failpoint counter runs out.
   Status ConsumeFailpoint();
   /// The DDL barrier (see the DDL-in-transaction policy above): no DDL
@@ -732,6 +742,10 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>, AsciiCaseInsensitiveLess>
       tables_;
   std::vector<TriggerDef> triggers_;
+  /// TriggersOn's cache and the catalog version it was built at.
+  std::unordered_map<const Table*, std::vector<const TriggerDef*>>
+      trigger_lists_;
+  uint64_t trigger_lists_version_ = 0;
   Stats stats_;
   TransactionManager txn_{&stats_};
   /// Observability state (see metrics()). Mutable: const read paths record

@@ -117,10 +117,10 @@ Result<Value> EvalBound(const BoundExpr& expr,
     case Expr::Kind::kColumn:
       return slots[expr.rel][expr.col];
     case Expr::Kind::kOldColumn: {
-      if (ctx.old_row == nullptr) {
+      if (ctx.old_table == nullptr) {
         return Status::InvalidArgument("OLD.* outside a row trigger");
       }
-      return (*ctx.old_row)[expr.col];
+      return ctx.old_table->row(ctx.old_rowid)[expr.col];
     }
     case Expr::Kind::kUnary: {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(expr.children[0], slots, ctx));
@@ -796,8 +796,8 @@ Result<ResultSet> ExecutePlannedSelect(const PlannedSelect& plan,
   return out;
 }
 
-Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
-                                                  ExecContext& ctx) {
+Status CollectMatchingRowids(const PlannedMutation& m, ExecContext& ctx,
+                             MutationScratch* scratch) {
   // EXPLAIN ANALYZE: the whole collection (index gather or scan plus
   // residual filters, including any IN-subquery evaluation) is the
   // mutation's access step.
@@ -815,8 +815,9 @@ Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
     }
   } timer(ctx.analyze);
 
-  std::vector<size_t> out;
-  std::vector<const Value*> slots(1, nullptr);
+  std::vector<size_t>& out = scratch->rowids;
+  std::vector<const Value*>& slots = scratch->slots;
+  out.clear();
   auto gather = [&](size_t rowid) -> Status {
     slots[0] = m.table->row(rowid);
     XUPD_ASSIGN_OR_RETURN(bool holds, ConjunctsHold(m.filters, slots, ctx));
@@ -835,11 +836,12 @@ Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
       XUPD_RETURN_IF_ERROR(gather(rowid));
     }
     if (timer.os != nullptr) timer.os->rows = out.size();
-    return out;
+    return Status::OK();
   }
 
-  std::vector<size_t> candidates;
-  std::vector<const Value*> no_slots;
+  std::vector<size_t>& candidates = scratch->candidates;
+  candidates.clear();
+  const std::vector<const Value*> no_slots;
   XUPD_RETURN_IF_ERROR(GatherCandidates(m.path, no_slots, ctx, &candidates));
   SortUnique(&candidates);
   for (size_t rowid : candidates) {
@@ -848,7 +850,7 @@ Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
     XUPD_RETURN_IF_ERROR(gather(rowid));
   }
   if (timer.os != nullptr) timer.os->rows = out.size();
-  return out;
+  return Status::OK();
 }
 
 }  // namespace xupd::rdb

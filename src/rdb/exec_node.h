@@ -45,8 +45,12 @@ struct ExecContext {
   uint64_t read_epoch = kLatestEpoch;
   /// Values bound to ? placeholders (null = none bound).
   const std::vector<Value>* params = nullptr;
-  /// Trigger OLD row (null outside a row-trigger body).
-  const Row* old_row = nullptr;
+  /// Trigger OLD row: slot `old_rowid` of `old_table` (null outside a
+  /// row-trigger body). The deleted row's tombstoned slot keeps its cells,
+  /// so OLD.col reads the slab in place on each access; a body that grows
+  /// the same table's slab cannot leave it dangling.
+  const Table* old_table = nullptr;
+  size_t old_rowid = 0;
   /// Materialized CTE values for the executing planned statement, indexed
   /// by plan slot. Sized from PlannedStatement::cte_slot_count.
   std::vector<std::unique_ptr<ResultSet>>* cte_values = nullptr;
@@ -136,11 +140,20 @@ Result<ResultSet> ExecutePlannedSelect(const PlannedSelect& plan,
 Result<const std::unordered_set<Value, ValueHash>*> SubquerySet(
     const PlannedSelect& sub, ExecContext& ctx);
 
-/// Rowids of the mutation's target table matching its access path +
-/// residual filters, in ascending rowid order (the order DELETE/UPDATE
-/// apply their changes in).
-Result<std::vector<size_t>> CollectMatchingRowids(const PlannedMutation& m,
-                                                  ExecContext& ctx);
+/// Caller-owned buffers of one DELETE/UPDATE gather. A trigger cascade
+/// keeps one per depth, so a per-tuple firing reuses grown storage instead
+/// of allocating.
+struct MutationScratch {
+  std::vector<size_t> rowids;      ///< CollectMatchingRowids' result.
+  std::vector<size_t> candidates;  ///< Index-probe candidates.
+  std::vector<const Value*> slots = std::vector<const Value*>(1);
+};
+
+/// Fills scratch->rowids with the rowids of the mutation's target table
+/// matching its access path + residual filters, in ascending rowid order
+/// (the order DELETE/UPDATE apply their changes in).
+Status CollectMatchingRowids(const PlannedMutation& m, ExecContext& ctx,
+                             MutationScratch* scratch);
 
 }  // namespace xupd::rdb
 

@@ -101,15 +101,16 @@ Result<ResultSet> Executor::Run(const sql::Statement& stmt,
 }
 
 // DDL invalidates here — the single choke point every writer entry point
-// (ExecuteQuery by text or by handle, ExecuteQueryBound) and every trigger
-// body funnels through — so cached parses are flushed and cached plans
-// version out before any reuse. Successful DDL is also pended to the WAL as
-// its statement text (the Database flushes it at the statement boundary);
-// trigger-body DDL has no text of its own and is not persisted.
+// (ExecuteQuery by text or by handle, ExecuteQueryBound) funnels through —
+// so cached parses are flushed, and cached plans and trigger lists version
+// out before any reuse. Successful DDL is also pended to the WAL as its
+// statement text (the Database flushes it at the statement boundary). DDL
+// is always a top-level statement: the parser admits only DML in a trigger
+// body.
 Result<ResultSet> Executor::FinishDdl(Result<ResultSet> result) {
   if (result.ok()) {
     db_->InvalidateStatementCache();
-    if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
+    db_->WalLogDdl(sql_text_);
   }
   return result;
 }
@@ -136,7 +137,8 @@ ExecContext Executor::MakeContext(
   ctx.db = db_;
   ctx.stats = &db_->stats();
   ctx.params = params_;
-  ctx.old_row = trigger_old_row_;
+  ctx.old_table = trigger_old_table_;
+  ctx.old_rowid = trigger_old_rowid_;
   ctx.cte_values = cte_store;
   ctx.subquery_memo = &subquery_memo_;
   ctx.analyze = analyze_;
@@ -378,9 +380,8 @@ Result<ResultSet> Executor::RunCreateTrigger(const sql::CreateTriggerStmt& stmt)
   for (const auto& body_stmt : stmt.body) {
     def.body.push_back(NewStatementHandle({}, *body_stmt));
   }
-  // Keep the original text only for top-level creates — it is how snapshots
-  // persist the trigger (trigger-body DDL would capture the wrong text).
-  if (trigger_depth_ == 0) def.sql = std::string(sql_text_);
+  // The original text is how snapshots persist the trigger.
+  def.sql = std::string(sql_text_);
   {
     auto lock = db_->LockCatalogExclusive();
     db_->triggers_.push_back(std::move(def));
@@ -523,26 +524,31 @@ Result<ResultSet> Executor::RunPlannedInsert(const PlannedStatement& plan) {
   return ResultSet{};
 }
 
+MutationScratch& Executor::ScratchAtDepth() {
+  const size_t depth = static_cast<size_t>(trigger_depth_);
+  while (scratch_.size() <= depth) {
+    scratch_.push_back(std::make_unique<MutationScratch>());
+  }
+  return *scratch_[depth];
+}
+
 Result<ResultSet> Executor::RunPlannedDelete(const PlannedStatement& plan) {
   const PlannedMutation& m = plan.mutation;
   std::vector<std::unique_ptr<ResultSet>> cte_store(
       static_cast<size_t>(plan.cte_slot_count));
   ExecContext ctx = MakeContext(&cte_store);
-  XUPD_ASSIGN_OR_RETURN(std::vector<size_t> rowids,
-                        CollectMatchingRowids(m, ctx));
+  MutationScratch& scratch = ScratchAtDepth();
+  XUPD_RETURN_IF_ERROR(CollectMatchingRowids(m, ctx, &scratch));
 
-  std::vector<Row> deleted_rows;
-  deleted_rows.reserve(rowids.size());
   // The mutation loop ticks like an operator pull: growth the mutations
   // themselves cause (WAL pending bytes, undo chunks) must hit a poll
   // point before the statement completes.
-  for (size_t rowid : rowids) {
+  for (size_t rowid : scratch.rowids) {
     XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-    deleted_rows.push_back(m.table->CopyRow(rowid));
     XUPD_RETURN_IF_ERROR(m.table->Delete(rowid));
     ++db_->stats_.rows_deleted;
   }
-  XUPD_RETURN_IF_ERROR(FireDeleteTriggers(m.table, deleted_rows));
+  XUPD_RETURN_IF_ERROR(FireDeleteTriggers(m.table, scratch.rowids));
   return ResultSet{};
 }
 
@@ -551,17 +557,18 @@ Result<ResultSet> Executor::RunPlannedUpdate(const PlannedStatement& plan) {
   std::vector<std::unique_ptr<ResultSet>> cte_store(
       static_cast<size_t>(plan.cte_slot_count));
   ExecContext ctx = MakeContext(&cte_store);
-  XUPD_ASSIGN_OR_RETURN(std::vector<size_t> rowids,
-                        CollectMatchingRowids(m, ctx));
+  MutationScratch& scratch = ScratchAtDepth();
+  XUPD_RETURN_IF_ERROR(CollectMatchingRowids(m, ctx, &scratch));
 
-  std::vector<const Value*> slots(1, nullptr);
-  for (size_t rowid : rowids) {
+  std::vector<const Value*>& slots = scratch.slots;
+  std::vector<std::pair<int, Value>> new_values;
+  new_values.reserve(m.sets.size());
+  for (size_t rowid : scratch.rowids) {
     XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-    // Evaluate all SET expressions against the pre-update row.
-    Row snapshot = m.table->CopyRow(rowid);
-    slots[0] = snapshot.data();
-    std::vector<std::pair<int, Value>> new_values;
-    new_values.reserve(m.sets.size());
+    // Every SET expression reads the pre-update row in place: all are
+    // evaluated before the first SetColumn writes it.
+    slots[0] = m.table->row(rowid);
+    new_values.clear();
     for (const PlannedMutation::Set& set : m.sets) {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(set.expr, slots, ctx));
       XUPD_ASSIGN_OR_RETURN(Value coerced, CoerceValue(std::move(v), set.type));
@@ -579,11 +586,16 @@ Result<ResultSet> Executor::RunPlannedUpdate(const PlannedStatement& plan) {
 // Triggers
 
 Status Executor::FireDeleteTriggers(const Table* table,
-                                    const std::vector<Row>& deleted_rows) {
-  if (deleted_rows.empty()) return Status::OK();
+                                    const std::vector<size_t>& rowids) {
+  if (rowids.empty()) return Status::OK();
   if (trigger_depth_ > 100) {
     return Status::Internal("trigger recursion limit exceeded");
   }
+  // Resolved once per catalog version; a table without triggers (a leaf
+  // relation) skips the cascade entirely.
+  const std::vector<const Database::TriggerDef*>& defs =
+      db_->TriggersOn(table);
+  if (defs.empty()) return Status::OK();
   // A trigger cascade is the statement's side effect, not part of its plan:
   // suspend any EXPLAIN ANALYZE sink for the body statements, and at the
   // cascade root charge the whole cascade to the Database's trigger-time
@@ -612,14 +624,17 @@ Status Executor::FireDeleteTriggers(const Table* table,
     }
   } cascade_scope(this);
   // One firing: the body statements in order, each on its handle's plan
-  // slot, with `old_row` (null for statement triggers) as OLD.
-  auto fire = [&](const Database::TriggerDef& def,
-                  const Row* old_row) -> Status {
+  // slot, with slot `old_rowid` of `old_table` (null for statement
+  // triggers) as OLD.
+  auto fire = [&](const Database::TriggerDef& def, const Table* old_table,
+                  size_t old_rowid) -> Status {
     ++db_->stats_.trigger_firings;
-    const Row* saved_row = trigger_old_row_;
+    const Table* saved_table = trigger_old_table_;
+    const size_t saved_rowid = trigger_old_rowid_;
     const TableSchema* saved_schema = trigger_old_schema_;
-    trigger_old_row_ = old_row;
-    trigger_old_schema_ = old_row != nullptr ? &table->schema() : nullptr;
+    trigger_old_table_ = old_table;
+    trigger_old_rowid_ = old_rowid;
+    trigger_old_schema_ = old_table != nullptr ? &table->schema() : nullptr;
     Status status;
     for (const StatementHandle& body_stmt : def.body) {
       ++db_->stats_.trigger_statements;
@@ -629,24 +644,18 @@ Status Executor::FireDeleteTriggers(const Table* table,
         break;
       }
     }
-    trigger_old_row_ = saved_row;
+    trigger_old_table_ = saved_table;
+    trigger_old_rowid_ = saved_rowid;
     trigger_old_schema_ = saved_schema;
     return status;
   };
-  const std::string& table_name = table->schema().name();
-  // Snapshot the trigger list: bodies may not add triggers, but the vector
-  // could reallocate if they did.
-  std::vector<Database::TriggerDef> defs;
-  for (const auto& t : db_->triggers_) {
-    if (EqualsIgnoreCase(t.table, table_name)) defs.push_back(t);
-  }
-  for (const auto& def : defs) {
-    if (def.granularity != sql::TriggerGranularity::kRow) {
-      XUPD_RETURN_IF_ERROR(fire(def, nullptr));
+  for (const Database::TriggerDef* def : defs) {
+    if (def->granularity != sql::TriggerGranularity::kRow) {
+      XUPD_RETURN_IF_ERROR(fire(*def, nullptr, 0));
       continue;
     }
-    for (const Row& row : deleted_rows) {
-      XUPD_RETURN_IF_ERROR(fire(def, &row));
+    for (size_t rowid : rowids) {
+      XUPD_RETURN_IF_ERROR(fire(*def, table, rowid));
     }
   }
   return Status::OK();

@@ -80,9 +80,16 @@ class Executor {
   /// plan, subquery memo shared across the whole top-level statement.
   ExecContext MakeContext(std::vector<std::unique_ptr<ResultSet>>* cte_store);
 
-  /// Fires AFTER DELETE triggers for `table` given the deleted rows.
+  /// Fires AFTER DELETE triggers for `table` given the rowids just deleted
+  /// from it: each row trigger once per rowid, in order, with OLD bound to
+  /// the tombstoned slot.
   Status FireDeleteTriggers(const Table* table,
-                            const std::vector<Row>& deleted_rows);
+                            const std::vector<size_t>& rowids);
+
+  /// The DELETE/UPDATE gather buffers of the current trigger depth. A
+  /// nested body runs one depth further down, so the rowids an outer level
+  /// is still firing for are never overwritten.
+  MutationScratch& ScratchAtDepth();
 
   Database* db_;
   /// Parameter values for ? placeholders (null = none bound).
@@ -93,10 +100,16 @@ class Executor {
   /// Memoized IN-subquery sets, keyed by planned-subquery identity; spans
   /// the statement and its trigger cascade (seed-interpreter semantics).
   ExecContext::SubqueryMemo subquery_memo_;
-  /// OLD-row context while running trigger bodies.
-  const Row* trigger_old_row_ = nullptr;
+  /// OLD-row context while running trigger bodies: the deleted row's slot
+  /// (null table for statement triggers) and the schema OLD.col plans
+  /// against.
+  const Table* trigger_old_table_ = nullptr;
+  size_t trigger_old_rowid_ = 0;
   const TableSchema* trigger_old_schema_ = nullptr;
   int trigger_depth_ = 0;
+  /// ScratchAtDepth's buffers, indexed by trigger depth; boxed so a deeper
+  /// level's growth never moves a shallower level's buffers.
+  std::vector<std::unique_ptr<MutationScratch>> scratch_;
   /// EXPLAIN ANALYZE sink + root-select identity while the analyzed
   /// statement runs (cleared for trigger bodies, which are the statement's
   /// side effects, not its plan).

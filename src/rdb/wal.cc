@@ -283,6 +283,14 @@ void WalWriter::TruncatePending(const Mark& m) {
   SyncPendingCharge();
 }
 
+void WalWriter::DropPendingUnit() {
+  pending_.clear();
+  SyncPendingCharge();
+  pending_records_ = 0;
+  for (const auto& [name, id, offset] : pending_defs_) table_ids_.erase(name);
+  pending_defs_.clear();
+}
+
 // Records serialize straight into pending_ (this sits on the per-row
 // mutation hot path — no per-record temporary buffers): FrameBegin reserves
 // the 8-byte length+CRC header, the payload appends in place, FrameEnd
@@ -373,6 +381,9 @@ void WalWriter::PendDdl(std::string_view sql) {
 Status WalWriter::CommitPending(int64_t next_id) {
   if (pending_.empty()) return Status::OK();
   if (broken()) {
+    // This unit can never persist. Keeping it would fail every later unit
+    // boundary on the same redo, read-only statements included.
+    DropPendingUnit();
     std::string cause = broken_cause();
     return Status::Internal(
         "WAL writer is fail-stopped (" +
@@ -408,13 +419,7 @@ Status WalWriter::CommitPending(int64_t next_id) {
       (void)file_->Truncate(file_size_);
       (void)file_->Seek(file_size_);
       MarkBroken(write_status.message());
-      pending_.clear();
-      SyncPendingCharge();
-      pending_records_ = 0;
-      for (const auto& [name, id, offset] : pending_defs_) {
-        table_ids_.erase(name);
-      }
-      pending_defs_.clear();
+      DropPendingUnit();
       return write_status;
     }
     file_size_ += pending_.size();

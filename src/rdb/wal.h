@@ -219,13 +219,13 @@ class WalWriter {
   Status CommitPending(int64_t next_id);
 
   /// Fail-stop this writer: every later CommitPending of a non-empty unit
-  /// returns an error (reads — which never have pending redo — are
-  /// unaffected). Used when the WAL file could not be reset after a
-  /// checkpoint, so durable writes fail loudly instead of silently
-  /// diverging from disk. The first cause is kept for diagnostics (the
-  /// Database surfaces it in read-only mode). Safe from any thread (the
-  /// group-commit flusher fail-stops on fsync failure; the writer
-  /// discovers it at its next commit boundary).
+  /// returns an error and drops that unit, so the next unit boundary starts
+  /// empty (reads — which pend no redo — are unaffected). Used when the WAL
+  /// file could not be reset after a checkpoint, so durable writes fail
+  /// loudly instead of silently diverging from disk. The first cause is
+  /// kept for diagnostics (the Database surfaces it in read-only mode).
+  /// Safe from any thread (the group-commit flusher fail-stops on fsync
+  /// failure; the writer discovers it at its next commit boundary).
   void MarkBroken(std::string cause) {
     std::lock_guard<std::mutex> lock(broken_mu_);
     if (broken_cause_.empty()) broken_cause_ = std::move(cause);
@@ -278,6 +278,11 @@ class WalWriter {
   /// returns its offset; FrameEnd patches it over the bytes appended since.
   size_t FrameBegin();
   void FrameEnd(size_t header_at);
+
+  /// Drops the whole pending unit a fail-stopped writer will never persist:
+  /// its bytes, their memory charge, its record count and the table-def ids
+  /// it introduced.
+  void DropPendingUnit();
 
   /// Interns `name` into the per-file table-id dictionary, pending a
   /// table-def record on first sight. Each WAL file carries each durable

@@ -13,12 +13,14 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/store.h"
@@ -357,6 +359,57 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
   ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (2, 'b2')").ok());
   EXPECT_GE(db.stats().heal_attempts, 1u);
   EXPECT_TRUE(db.VerifyIntegrity().empty());
+}
+
+// The group-commit flusher fail-stops the writer while a transaction holds
+// pending redo. COMMIT reports the fault and drops the unit, so later reads
+// and SHOW HEALTH pass their statement boundary, and durable writes are
+// rejected by the read-only gate.
+TEST(ReadOnlyModeTest, FlusherFailStopLeavesReadsAndHealthServing) {
+  TempDir dir;
+  FaultVfs fault(rdb::Vfs::Default());
+  rdb::DurabilityOptions opts;
+  opts.sync_mode = rdb::SyncMode::kBatched;
+  opts.group_commit_window_us = 500;
+  opts.vfs = &fault;
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir.path(), opts).ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1)").ok());
+  // A checkpoint leaves a fresh, synced WAL: the flusher has nothing to
+  // sync until the next unit is written.
+  ASSERT_TRUE(db.Checkpoint().ok());
+
+  // The next unit's append lands; the flusher's fsync of it fails.
+  fault.ArmFault(FaultKind::kEio, 2, "wal");
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (2)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("BEGIN").ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (3)").ok());
+  for (int i = 0; i < 5000 && !fault.fired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(fault.fired());
+
+  Status commit = db.ExecuteQuery("COMMIT").status();
+  ASSERT_FALSE(commit.ok());
+  EXPECT_NE(commit.message().find("fail-stopped"), std::string::npos)
+      << commit;
+  EXPECT_TRUE(db.read_only());
+
+  auto rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 3);
+  auto health = db.ExecuteQuery("SHOW HEALTH");
+  ASSERT_TRUE(health.ok()) << health.status();
+  ASSERT_FALSE(health->rows.empty());
+  EXPECT_EQ(health->rows[0][0].AsString(), "read_only");
+  EXPECT_EQ(health->rows[0][1].AsString(), "1");
+  EXPECT_EQ(db.ExecuteQuery("INSERT INTO t VALUES (4)").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(db.ExecuteQuery("DELETE FROM t WHERE id = 1").status().code(),
+            StatusCode::kUnavailable);
+  // Still serving after the rejected writes.
+  EXPECT_TRUE(db.ExecuteQuery("SELECT id FROM t WHERE id = 2").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +803,47 @@ TEST(TryHealTest, RebuildReplansCachedWriterAndReaderStatements) {
   before = reader->stats();
   ASSERT_TRUE(reader->ExecuteQueryBound(kReaderSql, {}).ok());
   EXPECT_EQ(reader->stats().Delta(before).plans_built, 0u);
+}
+
+TEST(TryHealTest, RebuildReresolvesTriggerLists) {
+  // The trigger lists are cached per Table* and hold TriggerDef pointers;
+  // the heal rebuild frees both, and its catalog version bump must retire
+  // the cache (ASan reports the use-after-free otherwise).
+  TempDir dir;
+  FaultVfs fault(rdb::Vfs::Default());
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir.path(), FaultOptions(&fault)).ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE p (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE log (id INTEGER)").ok());
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TRIGGER p_del AFTER DELETE ON p FOR "
+                              "EACH ROW BEGIN INSERT INTO log VALUES "
+                              "(OLD.id); END")
+                  .ok());
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO p VALUES (1), (2), (3)").ok());
+  rdb::Stats before = db.stats();
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM p WHERE id = 1").ok());
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM log WHERE id = 0").ok());
+  EXPECT_EQ(db.stats().Delta(before).trigger_firings, 1u);
+
+  fault.ArmFault(FaultKind::kEio, 1, "wal");
+  ASSERT_FALSE(db.ExecuteQuery("INSERT INTO p VALUES (4)").ok());
+  ASSERT_TRUE(db.read_only());
+  fault.ClearFault();
+  ASSERT_TRUE(db.TryHeal().ok());
+
+  // The rebuilt catalog replayed the trigger's DDL: one firing per deleted
+  // row of p, none for log.
+  before = db.stats();
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM p WHERE id >= 2").ok());
+  EXPECT_EQ(db.stats().Delta(before).trigger_firings, 2u);
+  before = db.stats();
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM log WHERE id = 1").ok());
+  EXPECT_EQ(db.stats().Delta(before).trigger_firings, 0u);
+  auto rows = db.ExecuteQuery("SELECT id FROM log");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->rows.size(), 2u);
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 2);
+  EXPECT_EQ(rows->rows[1][0].AsInt(), 3);
 }
 
 }  // namespace

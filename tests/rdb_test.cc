@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -386,6 +387,187 @@ TEST_F(RdbTest, DropTriggerAndTable) {
   EXPECT_FALSE(db_.ExecuteQuery("SELECT * FROM OrderLine").ok());
 }
 
+// ---------------------------------------------------------------------------
+// Row-trigger OLD binding. OLD names the deleted row's tombstoned slot by
+// rowid; each firing reads the slab cells on access.
+
+class TriggerOldTest : public RdbTest {
+ protected:
+  // Every log row, rendered "a|b|c" in scan (= insertion = firing) order.
+  std::vector<std::string> LogRows(const std::string& sql) {
+    std::vector<std::string> out;
+    for (const Row& row : Query(sql).rows) {
+      std::string line;
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i > 0) line += "|";
+        line += row[i].ToString();
+      }
+      out.push_back(line);
+    }
+    return out;
+  }
+};
+
+TEST_F(TriggerOldTest, OldReadsNonKeyColumnsIncludingHeapStrings) {
+  const std::string long_a = "a note well past the fourteen-byte SSO (1)";
+  const std::string long_b = "a note well past the fourteen-byte SSO (2)";
+  Must("CREATE TABLE p (id INTEGER, name VARCHAR, note VARCHAR, n INTEGER)");
+  Must("CREATE TABLE log (id INTEGER, name VARCHAR, note VARCHAR, n INTEGER)");
+  Must("CREATE TRIGGER p_del AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "INSERT INTO log VALUES (OLD.id, OLD.name, OLD.note, OLD.n); END");
+  Must("INSERT INTO p VALUES (1, 'fourteen bytes', '" + long_a + "', 10)");
+  Must("INSERT INTO p VALUES (2, 'short', '" + long_b + "', NULL)");
+  Must("INSERT INTO p VALUES (3, 'kept', 'kept', 30)");
+  Must("DELETE FROM p WHERE id < 3");
+  EXPECT_EQ(LogRows("SELECT * FROM log"),
+            (std::vector<std::string>{"1|fourteen bytes|" + long_a + "|10",
+                                      "2|short|" + long_b + "|NULL"}));
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM p"), 1);
+}
+
+TEST_F(TriggerOldTest, OldSurvivesBodyGrowingTheSameTablesSlab) {
+  // Each firing inserts 20 rows into p itself before logging OLD, so p's
+  // slab (8 slots, doubling) relocates several times mid-cascade.
+  Must("CREATE TABLE p (id INTEGER, note VARCHAR)");
+  Must("CREATE TABLE nums (k INTEGER)");
+  Must("CREATE TABLE log (id INTEGER, note VARCHAR)");
+  for (int k = 0; k < 20; ++k) {
+    Must("INSERT INTO nums VALUES (" + std::to_string(k) + ")");
+  }
+  Must("CREATE TRIGGER p_del AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "INSERT INTO p SELECT OLD.id * 1000 + k, 'filler' FROM nums; "
+       "INSERT INTO log VALUES (OLD.id, OLD.note); END");
+  std::vector<std::string> want;
+  for (int id = 1; id <= 6; ++id) {
+    const std::string note =
+        "row " + std::to_string(id) + " with a heap-allocated note";
+    Must("INSERT INTO p VALUES (" + std::to_string(id) + ", '" + note + "')");
+    want.push_back(std::to_string(id) + "|" + note);
+  }
+  Must("DELETE FROM p WHERE id <= 6");
+  EXPECT_EQ(LogRows("SELECT * FROM log"), want);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM p"), 6 * 20);
+}
+
+TEST_F(TriggerOldTest, SecondBodyStatementReadsOldAfterNestedCascade) {
+  Must("CREATE TABLE a (id INTEGER, name VARCHAR)");
+  Must("CREATE TABLE b (id INTEGER, parentId INTEGER, name VARCHAR)");
+  Must("CREATE TABLE c (id INTEGER, parentId INTEGER)");
+  Must("CREATE TABLE log (tbl VARCHAR, id INTEGER, name VARCHAR)");
+  Must("CREATE TRIGGER a_del AFTER DELETE ON a FOR EACH ROW BEGIN "
+       "DELETE FROM b WHERE parentId = OLD.id; "
+       "INSERT INTO log VALUES ('a', OLD.id, OLD.name); END");
+  Must("CREATE TRIGGER b_del AFTER DELETE ON b FOR EACH ROW BEGIN "
+       "DELETE FROM c WHERE parentId = OLD.id; "
+       "INSERT INTO log VALUES ('b', OLD.id, OLD.name); END");
+  Must("INSERT INTO a VALUES (1, 'a-one'), (2, 'a-two')");
+  Must("INSERT INTO b VALUES (10, 1, 'b-ten'), (11, 1, 'b-eleven'), "
+       "(20, 2, 'b-twenty')");
+  Must("INSERT INTO c VALUES (100, 10), (110, 11), (200, 20)");
+  Stats before = db_.stats();
+  Must("DELETE FROM a");
+  EXPECT_EQ(LogRows("SELECT * FROM log"),
+            (std::vector<std::string>{"b|10|b-ten", "b|11|b-eleven",
+                                      "a|1|a-one", "b|20|b-twenty",
+                                      "a|2|a-two"}));
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM c"), 0);
+  Stats delta = db_.stats().Delta(before);
+  EXPECT_EQ(delta.trigger_firings, 5u);
+  EXPECT_EQ(delta.trigger_statements, 10u);
+}
+
+TEST_F(TriggerOldTest, FiringOrderIsDeletedRowidOrder) {
+  // Ids out of rowid order; the scan and the index probe both gather in
+  // rowid order, and the firings follow it.
+  Must("CREATE TABLE p (id INTEGER, k INTEGER)");
+  Must("CREATE INDEX p_k ON p (k)");
+  Must("CREATE TABLE log (id INTEGER)");
+  Must("CREATE TRIGGER p_del AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "INSERT INTO log VALUES (OLD.id); END");
+  Must("INSERT INTO p VALUES (5, 1), (3, 2), (9, 1), (1, 2), (7, 1), (2, 2)");
+  Must("DELETE FROM p WHERE k = 1");  // index probe
+  EXPECT_EQ(LogRows("SELECT id FROM log"),
+            (std::vector<std::string>{"5", "9", "7"}));
+  Must("DELETE FROM p WHERE id > 0");  // scan
+  EXPECT_EQ(LogRows("SELECT id FROM log"),
+            (std::vector<std::string>{"5", "9", "7", "3", "1", "2"}));
+}
+
+TEST_F(TriggerOldTest, SelfCascadeKeepsEachDepthsRowids) {
+  // A binary tree in one table, six levels deep: every level iterates its
+  // own deleted rowids while the deeper levels run, so the log is the
+  // post-order walk with children in rowid order.
+  Must("CREATE TABLE p (id INTEGER, parentId INTEGER)");
+  Must("CREATE INDEX p_pid ON p (parentId)");
+  Must("CREATE TABLE log (id INTEGER)");
+  Must("CREATE TRIGGER p_del AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "DELETE FROM p WHERE parentId = OLD.id; "
+       "INSERT INTO log VALUES (OLD.id); END");
+  for (int id = 1; id < 64; ++id) {
+    Must("INSERT INTO p VALUES (" + std::to_string(id) + ", " +
+         std::to_string(id / 2) + ")");
+  }
+  std::vector<std::string> want;
+  std::function<void(int)> post_order = [&](int id) {
+    if (id >= 64) return;
+    post_order(2 * id);
+    post_order(2 * id + 1);
+    want.push_back(std::to_string(id));
+  };
+  post_order(1);
+  Must("DELETE FROM p WHERE id = 1");
+  EXPECT_EQ(LogRows("SELECT id FROM log"), want);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM p"), 0);
+
+  // A chain deeper than the cascade limit stops with an error.
+  for (int id = 1; id <= 150; ++id) {
+    Must("INSERT INTO p VALUES (" + std::to_string(id) + ", " +
+         std::to_string(id - 1) + ")");
+  }
+  auto deep = db_.ExecuteQuery("DELETE FROM p WHERE id = 1");
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("recursion limit"),
+            std::string::npos)
+      << deep.status();
+}
+
+TEST_F(TriggerOldTest, TriggerListsFollowTriggerAndTableDdl) {
+  Must("CREATE TABLE p (id INTEGER)");
+  Must("CREATE TABLE log (who VARCHAR, id INTEGER)");
+  auto fired = [&](const std::string& del) {
+    Stats before = db_.stats();
+    Must(del);
+    return db_.stats().Delta(before).trigger_firings;
+  };
+  Must("INSERT INTO p VALUES (1), (2)");
+  EXPECT_EQ(fired("DELETE FROM p WHERE id = 1"), 0u);  // cached: no triggers
+
+  Must("CREATE TRIGGER t1 AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "INSERT INTO log VALUES ('t1', OLD.id); END");
+  Must("CREATE TRIGGER t2 AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "INSERT INTO log VALUES ('t2', OLD.id); END");
+  Must("INSERT INTO p VALUES (3), (4)");
+  EXPECT_EQ(fired("DELETE FROM p WHERE id >= 3"), 4u);
+  // Creation order, then rowid order within each trigger.
+  EXPECT_EQ(LogRows("SELECT * FROM log"),
+            (std::vector<std::string>{"t1|3", "t1|4", "t2|3", "t2|4"}));
+
+  Must("DROP TRIGGER t1");
+  EXPECT_EQ(fired("DELETE FROM p WHERE id = 2"), 1u);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM log WHERE who = 't1'"), 2);
+
+  // DROP TABLE takes its triggers along; the re-created table (which may
+  // reuse the freed Table's address) starts with none.
+  Must("DROP TABLE p");
+  Must("CREATE TABLE p (id INTEGER)");
+  Must("INSERT INTO p VALUES (5), (6)");
+  EXPECT_EQ(fired("DELETE FROM p WHERE id = 5"), 0u);
+  Must("CREATE TRIGGER t3 AFTER DELETE ON p FOR EACH STATEMENT BEGIN "
+       "INSERT INTO log VALUES ('t3', NULL); END");
+  EXPECT_EQ(fired("DELETE FROM p WHERE id = 6"), 1u);
+  EXPECT_EQ(QueryInt("SELECT COUNT(*) FROM log WHERE who = 't3'"), 1);
+}
+
 TEST_F(RdbTest, StatementCountTracksAppStatements) {
   Must("CREATE TABLE t (a INTEGER)");
   uint64_t before = db_.stats().statements;
@@ -677,9 +859,10 @@ TEST_F(DirectComparisonTest, UnboundParameterStillFails) {
     ctx.stats = &stats;
     ctx.cte_values = &ctes;
     ctx.subquery_memo = &memo;
+    MutationScratch scratch;
     Status s = (*plan)->select != nullptr
                    ? ExecutePlannedSelect(*(*plan)->select, ctx).status()
-                   : CollectMatchingRowids((*plan)->mutation, ctx).status();
+                   : CollectMatchingRowids((*plan)->mutation, ctx, &scratch);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
     EXPECT_NE(s.message().find("not bound"), std::string::npos) << s;
     EXPECT_EQ(stats.rows_scanned, 1u);

@@ -879,6 +879,64 @@ TEST(WalFormatTest, EveryRecordKindEncodesToTheDocumentedBytes) {
   EXPECT_EQ(stats.wal_bytes, want.size() - 20);
 }
 
+// A fail-stopped writer refuses the unit and drops it: the next unit
+// boundary starts empty instead of failing again on the same redo, and a
+// rollback to a mark taken before the drop copes with the shorter buffer.
+TEST(WalFailStopTest, CommitOnABrokenWriterDropsThePendingUnit) {
+  TempDir dir;
+  const std::string path = dir.path() + "/wal.xupd";
+  rdb::Table table(rdb::TableSchema(
+      "items", {{"a", rdb::ColumnType::kInteger},
+                {"s", rdb::ColumnType::kVarchar}}));
+  ASSERT_TRUE(
+      table.Insert({rdb::Value::Int(1), rdb::Value::Str(std::string(40, 'x'))})
+          .ok());
+  rdb::DurabilityOptions options;
+  options.sync_mode = rdb::SyncMode::kNone;
+  rdb::Stats stats;
+  rdb::MemoryAccountant mem;
+  auto opened =
+      rdb::WalWriter::Open(rdb::Vfs::Default(), path, 3, 0, options, &stats);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  rdb::WalWriter& wal = *opened.value();
+  wal.set_accountant(&mem);
+  const size_t header_bytes = ReadFile(path).size();
+
+  const rdb::WalWriter::Mark before = wal.mark();
+  wal.PendInsert(table, 0);  // table-def + insert
+  const rdb::WalWriter::Mark after_insert = wal.mark();
+  wal.PendDelete(table, 0);
+  ASSERT_FALSE(wal.pending_empty());
+  EXPECT_GT(mem.used(rdb::MemoryAccountant::kWalPending), 0u);
+
+  wal.MarkBroken("injected for the test");
+  Status s = wal.CommitPending(7);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("fail-stopped"), std::string::npos) << s;
+  EXPECT_TRUE(wal.pending_empty());
+  EXPECT_EQ(wal.mark().records, 0u);
+  EXPECT_EQ(mem.used(rdb::MemoryAccountant::kWalPending), 0u);
+
+  // Marks from before the drop point past the buffer now: no-ops.
+  wal.TruncatePending(after_insert);
+  EXPECT_TRUE(wal.pending_empty());
+  wal.TruncatePending(before);
+  EXPECT_TRUE(wal.pending_empty());
+  EXPECT_EQ(wal.mark().records, 0u);
+
+  // The dropped unit's table-def id went with it: the next record defines
+  // the table again. That unit is refused and dropped too.
+  wal.PendDelete(table, 0);
+  EXPECT_EQ(wal.mark().records, 2u);
+  EXPECT_FALSE(wal.CommitPending(8).ok());
+  EXPECT_TRUE(wal.pending_empty());
+  // An empty boundary succeeds: nothing is pending.
+  EXPECT_TRUE(wal.CommitPending(9).ok());
+
+  EXPECT_EQ(stats.wal_appends, 0u);
+  EXPECT_EQ(ReadFile(path).size(), header_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Engine layer: reopen-identical across strategies, and the crash-injection
 // acceptance property.
