@@ -18,24 +18,28 @@
 namespace xupd::engine {
 
 /// Spans one public store operation. `op` must be a string literal: the
-/// trace ring keeps the pointer (see TraceEvent::detail).
+/// trace ring keeps the pointer (see TraceEvent::detail). `*hist` caches
+/// the engine.<op> histogram: the op's first span looks it up, so the name
+/// appears in the registry only once the op has run.
 class EngineSpan {
  public:
-  EngineSpan(rdb::Database* db, const char* op)
+  EngineSpan(rdb::Database* db, const char* op, Histogram** hist)
       : db_(db),
         op_(op),
-        exec_ns_(db->metrics().Counter("db.exec_ns")),
-        trigger_ns_(db->metrics().Counter("db.trigger_ns")),
+        hist_(hist),
         t0_(MonotonicNanos()),
-        exec0_(*exec_ns_),
-        trigger0_(*trigger_ns_) {}
+        exec0_(db->exec_ns()),
+        trigger0_(db->trigger_ns()) {}
   EngineSpan(const EngineSpan&) = delete;
   EngineSpan& operator=(const EngineSpan&) = delete;
   ~EngineSpan() {
     const uint64_t dur = MonotonicNanos() - t0_;
-    db_->metrics().GetHistogram(std::string("engine.") + op_)->Record(dur);
-    TraceEvent ev{TraceEvent::Kind::kEngineOp, t0_, dur, *exec_ns_ - exec0_,
-                  *trigger_ns_ - trigger0_, op_};
+    if (*hist_ == nullptr) {
+      *hist_ = db_->metrics().GetHistogram(std::string("engine.") + op_);
+    }
+    (*hist_)->Record(dur);
+    TraceEvent ev{TraceEvent::Kind::kEngineOp, t0_, dur,
+                  db_->exec_ns() - exec0_, db_->trigger_ns() - trigger0_, op_};
     span_.Annotate(&ev);
     db_->events().Record(ev);
   }
@@ -43,8 +47,7 @@ class EngineSpan {
  private:
   rdb::Database* db_;
   const char* op_;
-  std::atomic<uint64_t>* exec_ns_;
-  std::atomic<uint64_t>* trigger_ns_;
+  Histogram** hist_;
   /// The op is the causal parent of every statement it issues: opened in
   /// the member list before t0_, so the thread-local context already points
   /// at this span when the operation body runs.

@@ -232,7 +232,7 @@ Status RelationalStore::InstallTriggers() {
 }
 
 Status RelationalStore::Load(const xml::Document& doc) {
-  EngineSpan span(&db_, "load");
+  EngineSpan span(&db_, "load", &load_hist_);
   auto tuples = shredder_->LoadDocument(doc);
   if (!tuples.ok()) return tuples.status();
   root_id_ = tuples->front().id;
@@ -267,7 +267,7 @@ Status RelationalStore::DeleteWhere(const std::string& element,
     return Status::InvalidArgument("element <" + element +
                                    "> is not table-mapped");
   }
-  EngineSpan span(&db_, "delete_where");
+  EngineSpan span(&db_, "delete_where", &delete_where_hist_);
   return RunInTxn([&] { return DeleteSubtreesImpl(tm, predicate); });
 }
 
@@ -280,7 +280,7 @@ Status RelationalStore::DeleteByIds(const std::string& element,
   }
   // One entry point = one transaction: the id batch lands or rolls back as a
   // unit (each id's delete still issues its own statements, §7.3).
-  EngineSpan span(&db_, "delete_by_ids");
+  EngineSpan span(&db_, "delete_by_ids", &delete_by_ids_hist_);
   return RunInTxn([&]() -> Status {
     if (options_.delete_strategy == DeleteStrategy::kPerTupleTrigger ||
         options_.delete_strategy == DeleteStrategy::kPerStatementTrigger) {
@@ -350,11 +350,16 @@ Status RelationalStore::CascadeDelete(const TableMapping* tm,
   return Status::OK();
 }
 
+std::atomic<uint64_t>* RelationalStore::AsrNs() {
+  if (asr_ns_ == nullptr) asr_ns_ = db_.metrics().Counter("engine.asr_ns");
+  return asr_ns_;
+}
+
 Status RelationalStore::AsrDelete(const TableMapping* tm,
                                   const std::string& predicate) {
   // 6.1.3: mark ASR rows through the targets, delete descendants by id sets
   // from the ASR, delete the targets, repair left-completeness, unmark.
-  ScopedNsCounter asr_ns(db_.metrics().Counter("engine.asr_ns"));
+  ScopedNsCounter asr_ns(AsrNs());
   const std::string id_col = AsrManager::IdColumn(tm);
   std::string mark = std::string("UPDATE ") + AsrManager::kTableName +
                      " SET marked = 1 WHERE " + id_col + " IN (SELECT id FROM " +
@@ -462,7 +467,7 @@ Status RelationalStore::CopySubtreesWhere(const std::string& element,
     return Status::InvalidArgument("element <" + element +
                                    "> is not table-mapped");
   }
-  EngineSpan span(&db_, "copy_subtrees");
+  EngineSpan span(&db_, "copy_subtrees", &copy_subtrees_hist_);
   switch (options_.insert_strategy) {
     case InsertStrategy::kTuple:
       return RunInTxn([&] { return TupleInsert(tm, predicate, dest_parent_id); });
@@ -621,7 +626,7 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
   // 6.2.3: mark ASR paths through the sources, compute the offset from the
   // ASR (no temp tables, no outer union), replicate per relation, add the
   // new ASR paths, unmark.
-  ScopedNsCounter asr_ns(db_.metrics().Counter("engine.asr_ns"));
+  ScopedNsCounter asr_ns(AsrNs());
   const std::string asr = AsrManager::kTableName;
   std::string mark = "UPDATE " + asr + " SET marked = 1 WHERE " +
                      AsrManager::IdColumn(tm) + " IN (SELECT id FROM " +
@@ -725,7 +730,7 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
 
 Status RelationalStore::InsertConstructed(const xml::Element& content,
                                           int64_t dest_parent_id) {
-  EngineSpan span(&db_, "insert_constructed");
+  EngineSpan span(&db_, "insert_constructed", &insert_constructed_hist_);
   return RunInTxn(
       [&] { return InsertConstructedImpl(content, dest_parent_id); });
 }

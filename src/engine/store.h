@@ -186,7 +186,7 @@ class RelationalStore {
   const shred::Mapping& mapping() const { return *mapping_; }
   const Options& options() const { return options_; }
   int64_t root_id() const { return root_id_; }
-  const rdb::Stats& stats() const { return db_.stats(); }
+  rdb::Stats stats() const { return db_.stats(); }
   shred::Shredder* shredder() { return shredder_.get(); }
 
  private:
@@ -228,6 +228,7 @@ class RelationalStore {
   /// queries.
   Result<asr::AsrManager::PathPrefix> PathTo(const shred::TableMapping* tm,
                                              int64_t id);
+  std::atomic<uint64_t>* AsrNs();  ///< engine.asr_ns, looked up once.
 
   Options options_;
   std::unique_ptr<shred::Mapping> mapping_;
@@ -235,6 +236,15 @@ class RelationalStore {
   std::unique_ptr<shred::Shredder> shredder_;
   std::unique_ptr<asr::AsrManager> asr_;
   int64_t root_id_ = 0;
+  /// engine.<op> histograms of the store's EngineSpans and the
+  /// engine.asr_ns counter, each looked up in db_'s registry on first use.
+  Histogram* load_hist_ = nullptr;
+  Histogram* delete_where_hist_ = nullptr;
+  Histogram* delete_by_ids_hist_ = nullptr;
+  Histogram* copy_subtrees_hist_ = nullptr;
+  Histogram* insert_constructed_hist_ = nullptr;
+  Histogram* xquery_update_hist_ = nullptr;
+  std::atomic<uint64_t>* asr_ns_ = nullptr;
 };
 
 }  // namespace xupd::engine

@@ -690,7 +690,7 @@ class Translator {
 }  // namespace
 
 Status RelationalStore::ExecuteXQueryUpdate(std::string_view query) {
-  EngineSpan span(db(), "xquery_update");
+  EngineSpan span(&db_, "xquery_update", &xquery_update_hist_);
   auto stmt = xquery::ParseStatement(query);
   if (!stmt.ok()) return stmt.status();
   // Whole-statement atomicity (§6): bind + every sub-operation commit or

@@ -339,12 +339,13 @@ Status Database::RecoverFromDir() {
 Status Database::InstallWal(
     uint64_t epoch, uint64_t resume_offset,
     const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
+  wal_fsync_ = metrics_.GetHistogram("wal.fsync");
   auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch, resume_offset,
-                                durability_options_, &stats_, table_ids);
+                                durability_options_, &stats_, table_ids,
+                                wal_fsync_);
   if (!writer.ok()) return writer.status();
   wal_ = std::move(writer).value();
   wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
                       metrics_.GetHistogram("wal.batch_commits"), &events_);
   wal_->set_accountant(&mem_);
   txn_.AttachWal(wal_.get());
@@ -730,10 +731,7 @@ Status Database::Commit() {
   if (!txn_.active()) {
     Status unit = WalCommitUnit();
     AdvanceEpochBoundary();
-    const uint64_t dur = MonotonicNanos() - txn_start_ns_;
-    metrics_.GetHistogram("db.txn")->Record(dur);
-    events_.Record({TraceEvent::Kind::kTxn, txn_start_ns_, dur, 1, 0,
-                    nullptr});
+    RecordTxn(1);
     return unit;
   }
   return Status::OK();
@@ -747,12 +745,17 @@ Status Database::Rollback() {
     // Rolled-back state is a boundary too: rows un-deleted by undo carry
     // their restored metadata and must become visible to new pins.
     AdvanceEpochBoundary();
-    const uint64_t dur = MonotonicNanos() - txn_start_ns_;
-    metrics_.GetHistogram("db.txn")->Record(dur);
-    events_.Record({TraceEvent::Kind::kTxn, txn_start_ns_, dur, 0, 0,
-                    nullptr});
+    RecordTxn(0);
   }
   return Status::OK();
+}
+
+void Database::RecordTxn(uint64_t committed) {
+  const uint64_t dur = MonotonicNanos() - txn_start_ns_;
+  if (txn_hist_ == nullptr) txn_hist_ = metrics_.GetHistogram("db.txn");
+  txn_hist_->Record(dur);
+  events_.Record({TraceEvent::Kind::kTxn, txn_start_ns_, dur, committed, 0,
+                  nullptr});
 }
 
 Status Database::Savepoint(const std::string& name) {
@@ -882,16 +885,10 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
   // DDL invalidation happens inside the Executor, the choke point shared
   // by all entry paths.
   const bool exempt = GovernanceExempt(stmt.kind);
-  // Snapshot stats when governance could kill this statement, so a killed
-  // statement's slow-log entry carries the partial-work delta even with
-  // the slow log's threshold disabled.
-  const bool governed =
-      !exempt && (deadline_ns != 0 || cancel_at_pull_armed_ ||
-                  mem_.soft_budget() != 0 || mem_.hard_budget() != 0 ||
-                  mem_.wal_pending_limit() != 0);
-  const bool slow_enabled = slow_statement_threshold_us_ >= 0;
-  Stats before;
-  if (slow_enabled || governed) before = stats_;
+  // Every statement snapshots the counts (a plain copy): a statement that
+  // ends up in the slow log, killed or slow, carries its work delta even
+  // with the slow log's threshold disabled.
+  const Stats before = stats();
   const uint64_t t0 = MonotonicNanos();
   // Root (or nested, inside a trigger cascade) span of the statement: every
   // engine op, WAL unit and fsync recorded below inherits it through the
@@ -931,12 +928,13 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
         break;
     }
   }
-  if ((slow_enabled && dur >= slow_statement_threshold_us_ * 1000.0) ||
+  if ((slow_statement_threshold_us_ >= 0 &&
+       dur >= slow_statement_threshold_us_ * 1000.0) ||
       cause != nullptr) {
     SlowStatement slow;
     slow.sql = std::string(sql_text);
     slow.duration_ns = dur;
-    if (slow_enabled || governed) slow.delta = stats_.Delta(before);
+    slow.delta = stats().Delta(before);
     if (exec.last_plan() != nullptr) slow.plan = PlanToString(*exec.last_plan());
     if (cause != nullptr) slow.cause = cause;
     if (slow_log_.size() >= slow_log_capacity_) {
@@ -948,6 +946,12 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
   if (!result.ok()) return result;
   if (!wal.ok()) return wal;
   return result;
+}
+
+Stats Database::stats() const {
+  Stats s = stats_;
+  s.wal_fsyncs = wal_fsync_ != nullptr ? wal_fsync_->count() : 0;
+  return s;
 }
 
 uint64_t Database::IssueStatement() {

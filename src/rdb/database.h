@@ -144,6 +144,13 @@ struct CheckpointCapture;
 //    epoch while the writer keeps committing). Both are managed internally
 //    and joined by ~Database.
 //
+//  * Counters have one writing thread each: the writer thread writes
+//    stats_, the tables' mutation counts, the index probe counts and the
+//    version-buffer sizes; a ReaderSession's thread writes its own Stats.
+//    Two counts are shared: a table's scans / rows_read (atomics that
+//    readers add to as well) and wal_fsyncs, which stats() reads from
+//    the wal.fsync histogram the flusher records into.
+//
 // Durability loss bounds per SyncMode, as observed after a crash (what
 // ReplayWal recovers):
 //
@@ -357,13 +364,11 @@ class Database {
   /// zero, so `k - remaining` doubles as a pull counter; arm with a huge k
   /// to count pulls without injecting. Disarm before verification queries.
   void ArmCancelAtPull(int64_t k) {
-    cancel_at_pull_.store(k, std::memory_order_relaxed);
+    cancel_at_pull_ = k;
     cancel_at_pull_armed_ = true;
   }
   void DisarmCancelAtPull() { cancel_at_pull_armed_ = false; }
-  int64_t cancel_at_pull_remaining() const {
-    return cancel_at_pull_.load(std::memory_order_relaxed);
-  }
+  int64_t cancel_at_pull_remaining() const { return cancel_at_pull_; }
 
   /// Parses and executes any statement; SELECTs return their rows, other
   /// statements an empty set. Parses on every call.
@@ -479,8 +484,10 @@ class Database {
   const Table* FindTable(std::string_view name) const;
   std::vector<std::string> TableNames() const;
 
-  Stats& stats() { return stats_; }
-  const Stats& stats() const { return stats_; }
+  /// The writer's event counts, with wal_fsyncs read from the wal.fsync
+  /// histogram (the group-commit flusher records fsyncs off-thread). SHOW
+  /// METRICS and the slow-log deltas read this same view. Writer thread.
+  Stats stats() const;
 
   // --- observability (common/metrics.h) ------------------------------------
   //
@@ -552,6 +559,9 @@ class Database {
   /// (read-only paths like snapshot writing record their own timings).
   MetricsRegistry& metrics() const { return metrics_; }
   EventLog& events() const { return events_; }
+  /// db.exec_ns / db.trigger_ns (engine spans diff them).
+  uint64_t exec_ns() const { return exec_ns_->load(); }
+  uint64_t trigger_ns() const { return trigger_ns_->load(); }
 
   /// One captured slow statement (see the observability comment). A
   /// governance-killed statement (deadline / cancel / budget) is captured
@@ -724,6 +734,9 @@ class Database {
   /// Charges a finished trigger cascade's wall time (Executor calls this at
   /// cascade root; engine spans read the counter to decompose op cost).
   void AddTriggerNs(uint64_t ns) { *trigger_ns_ += ns; }
+  /// Records the outermost transaction that just ended (`committed` 1 =
+  /// COMMIT, 0 = ROLLBACK) into db.txn and the event log.
+  void RecordTxn(uint64_t committed);
 
   /// Memory accountant every charge site (tables, undo log, WAL pending,
   /// query scratch) reports into. Declared FIRST so it outlives every
@@ -746,6 +759,7 @@ class Database {
   std::unordered_map<const Table*, std::vector<const TriggerDef*>>
       trigger_lists_;
   uint64_t trigger_lists_version_ = 0;
+  /// Written by the writer thread only (see stats()).
   Stats stats_;
   TransactionManager txn_{&stats_};
   /// Observability state (see metrics()). Mutable: const read paths record
@@ -759,6 +773,10 @@ class Database {
   /// counters db.exec_ns / db.trigger_ns; engine spans diff them).
   std::atomic<uint64_t>* exec_ns_ = nullptr;
   std::atomic<uint64_t>* trigger_ns_ = nullptr;
+  /// wal.fsync, resolved when durability opens: stats().wal_fsyncs.
+  Histogram* wal_fsync_ = nullptr;
+  /// db.txn, resolved at the first outermost Commit/Rollback.
+  Histogram* txn_hist_ = nullptr;
   /// Concurrency-telemetry hooks, resolved once in InitMetrics (epoch/GC
   /// gauges live on epochs_; these cover the Database-owned surfaces).
   std::atomic<int64_t>* epoch_published_gauge_ = nullptr;
@@ -817,8 +835,8 @@ class Database {
   CancelToken cancel_token_;
   /// Global statement timeout (µs); atomic — reader sessions read it.
   std::atomic<int64_t> statement_timeout_us_{0};
-  /// Cancellation-injection hook (see ArmCancelAtPull).
-  std::atomic<int64_t> cancel_at_pull_{0};
+  /// Cancellation-injection hook (see ArmCancelAtPull); writer thread.
+  int64_t cancel_at_pull_ = 0;
   bool cancel_at_pull_armed_ = false;
   /// Watchdog knobs (see the governance section).
   int watchdog_stall_windows_ = 8;

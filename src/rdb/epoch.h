@@ -100,10 +100,6 @@ class EpochManager {
     }
   }
 
-  bool IsPinned(int slot) const {
-    return slots_[slot].pinned.load(std::memory_order_relaxed) != 0;
-  }
-
   void Unpin(int slot) {
     slots_[slot].pinned.store(0, std::memory_order_release);
   }
@@ -153,9 +149,6 @@ class EpochManager {
       reclaim_counter->fetch_add(freed, std::memory_order_relaxed);
     }
   }
-
-  /// Retirements still queued (waiting on a pinned reader to unpin).
-  size_t retired_pending() const { return retired_.size(); }
 
   /// Count of pre-update row images parked in table version buffers
   /// (maintained by Table; the writer consults it to decide whether a

@@ -1,6 +1,7 @@
 #include "rdb/exec_node.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "common/metrics.h"
@@ -279,13 +280,13 @@ void SortUnique(std::vector<size_t>* rowids) {
   rowids->erase(std::unique(rowids->begin(), rowids->end()), rowids->end());
 }
 
-/// Rows one pull (or one DML gather) examined. The shared counters are
-/// atomics that reader sessions and SHOW TABLE STATS read concurrently, so
-/// the count is added to them once, when the pull returns — on error
-/// returns too — instead of once per row. Null targets are not counted.
+/// Rows one pull (or one DML gather) examined, added when the pull returns
+/// (on error returns too). The table's rows_read is an atomic that reader
+/// sessions add to as well, so it pays one add per pull, not one per row.
+/// Null targets are not counted.
 class RowTally {
  public:
-  RowTally(RelaxedU64* scanned, RelaxedU64* read)
+  RowTally(uint64_t* scanned, std::atomic<uint64_t>* read)
       : scanned_(scanned), read_(read) {}
   RowTally(const RowTally&) = delete;
   RowTally& operator=(const RowTally&) = delete;
@@ -297,8 +298,8 @@ class RowTally {
   void Add() { ++rows_; }
 
  private:
-  RelaxedU64* scanned_;
-  RelaxedU64* read_;
+  uint64_t* scanned_;
+  std::atomic<uint64_t>* read_;
   uint64_t rows_ = 0;
 };
 

@@ -33,10 +33,9 @@ struct ExecContext {
                std::unique_ptr<std::unordered_set<Value, ValueHash>>>;
 
   Database* db = nullptr;
-  /// Event-count sink for this execution: &db->stats() on the writer
-  /// thread, the session's private Stats on a ReaderSession (the shared
-  /// Stats would otherwise be a cross-thread data race magnet and a
-  /// cache-line battleground).
+  /// Event-count sink for this execution: the Database's Stats on the
+  /// writer thread, the session's own Stats on a ReaderSession. Each Stats
+  /// has one writing thread, so every count is a plain add.
   Stats* stats = nullptr;
   /// MVCC read epoch. kLatestEpoch (writer thread) scans the live in-memory
   /// state via the liveness bitmap; a pinned epoch (reader sessions) routes
@@ -71,8 +70,9 @@ struct ExecContext {
   /// Memory budgets polled alongside the deadline; null = unaccounted.
   MemoryAccountant* mem = nullptr;
   /// Test hook: counts down once per operator pull; reaching zero injects a
-  /// kCancelled failure at exactly that pull (null in production).
-  std::atomic<int64_t>* cancel_at_pull = nullptr;
+  /// kCancelled failure at exactly that pull (null in production). Only
+  /// the writer thread's statements arm it.
+  int64_t* cancel_at_pull = nullptr;
   /// Amortization counter for TickGovernance (per-statement, not shared).
   uint32_t governance_tick = 0;
 
@@ -81,8 +81,7 @@ struct ExecContext {
   /// deadline, cancel flag, hard memory budget, WAL pending watermark.
   static constexpr uint32_t kGovernanceCheckInterval = 64;
   Status TickGovernance() {
-    if (cancel_at_pull != nullptr &&
-        cancel_at_pull->fetch_sub(1, std::memory_order_relaxed) <= 1) {
+    if (cancel_at_pull != nullptr && (*cancel_at_pull)-- <= 1) {
       return Status::Cancelled("cancellation injected at operator pull");
     }
     if ((++governance_tick & (kGovernanceCheckInterval - 1)) != 0) {

@@ -135,7 +135,7 @@ ExecContext Executor::MakeContext(
     std::vector<std::unique_ptr<ResultSet>>* cte_store) {
   ExecContext ctx;
   ctx.db = db_;
-  ctx.stats = &db_->stats();
+  ctx.stats = &db_->stats_;
   ctx.params = params_;
   ctx.old_table = trigger_old_table_;
   ctx.old_rowid = trigger_old_rowid_;
@@ -236,7 +236,7 @@ Result<ResultSet> Executor::RunShow(const sql::Statement& stmt) {
       };
       // The Stats cost model first (declaration order), then registry
       // counters/gauges and histogram summaries (name-sorted).
-      db_->stats_.ForEachField(
+      db_->stats().ForEachField(
           [&](const char* name, uint64_t v) { add(std::string("stats.") + name, v); });
       db_->metrics().ForEachCounter(
           [&](const std::string& name, uint64_t v) { add(name, v); });

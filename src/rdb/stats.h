@@ -10,52 +10,18 @@
 #ifndef XUPD_RDB_STATS_H_
 #define XUPD_RDB_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace xupd::rdb {
 
-/// One stats counter: a relaxed-atomic uint64 that still behaves like a
-/// plain integer at call sites (`++s.rows_scanned`, `s.wal_bytes += n`,
-/// `EXPECT_EQ(3u, s.rows_inserted)`). The writer thread owns all mutations
-/// on most counters, but epoch-snapshot reader sessions bump their own
-/// Stats concurrently with snapshot copies (slow-log deltas, SHOW STATS),
-/// and the group-commit flusher bumps wal_fsyncs from its own thread —
-/// relaxed atomics keep every such access untorn and TSan-clean without
-/// imposing ordering the cost model doesn't need. Copyable so `Stats
-/// before = stats_;` snapshots keep working.
-class RelaxedU64 {
- public:
-  RelaxedU64() = default;
-  RelaxedU64(uint64_t v) : v_(v) {}  // NOLINT: implicit by design
-  RelaxedU64(const RelaxedU64& o) : v_(o.load()) {}
-  RelaxedU64& operator=(const RelaxedU64& o) {
-    v_.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedU64& operator=(uint64_t v) {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
-  operator uint64_t() const { return load(); }  // NOLINT: implicit by design
-  RelaxedU64& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedU64& operator+=(uint64_t n) {
-    v_.fetch_add(n, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedU64& operator-=(uint64_t n) {
-    v_.fetch_sub(n, std::memory_order_relaxed);
-    return *this;
-  }
-  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
+// One writer per counter: every field is a plain integer that one thread
+// writes. The writer thread writes Database's Stats and each reader session
+// writes its own, so a bump is a plain add. Two counts have more than one
+// writing thread and so are not kept here: wal_fsyncs, which the kBatched
+// flusher adds to, is the wal.fsync histogram's count (Database::stats()
+// fills it in), and a table's scans / rows_read, which reader sessions add
+// to, are atomics in TableAccessStats (rdb/table.h).
 
 // X(field, label): `field` is the struct member, `label` the short key used
 // by ToString() — bench logs and tests grep these, keep them stable.
@@ -116,9 +82,10 @@ class RelaxedU64 {
   /* Bytes written to the WAL file (frames + commit markers; excludes the    \
      file header). */                                                        \
   X(wal_bytes, "wal_bytes")                                                  \
-  /* fsync calls issued by the WAL (per commit unit in `commit` mode, by    \
-     the background flusher every group_commit_window_us microseconds in    \
-     `batched`, zero in `none`). */                                         \
+  /* fsync calls issued by the WAL (per commit unit in `commit` mode, by     \
+     the background flusher every group_commit_window_us microseconds in     \
+     `batched`, zero in `none`). Database::stats() reads it from the         \
+     wal.fsync histogram's count, which the flusher also records. */         \
   X(wal_fsyncs, "wal_fsyncs")                                                \
   /* Snapshot checkpoints taken (each truncates the WAL). */                 \
   X(checkpoints, "checkpoints")                                              \
@@ -134,11 +101,9 @@ class RelaxedU64 {
   X(explain_analyzes, "analyzed")
 
 struct Stats {
-#define XUPD_RDB_STATS_DECLARE(field, label) RelaxedU64 field;
+#define XUPD_RDB_STATS_DECLARE(field, label) uint64_t field = 0;
   XUPD_RDB_STATS_FIELDS(XUPD_RDB_STATS_DECLARE)
 #undef XUPD_RDB_STATS_DECLARE
-
-  void Reset() { *this = Stats{}; }
 
   Stats Delta(const Stats& earlier) const {
     Stats d;
@@ -153,7 +118,7 @@ struct Stats {
 #define XUPD_RDB_STATS_TOSTRING(field, label) \
   if (!out.empty()) out += ' ';               \
   out += label "=";                           \
-  out += std::to_string(field.load());
+  out += std::to_string(field);
     XUPD_RDB_STATS_FIELDS(XUPD_RDB_STATS_TOSTRING)
 #undef XUPD_RDB_STATS_TOSTRING
     return out;
@@ -163,7 +128,7 @@ struct Stats {
   /// SHOW METRICS enumerates the full cost model through this.
   template <typename Fn>
   void ForEachField(Fn&& fn) const {
-#define XUPD_RDB_STATS_VISIT(field, label) fn(#field, field.load());
+#define XUPD_RDB_STATS_VISIT(field, label) fn(#field, field);
     XUPD_RDB_STATS_FIELDS(XUPD_RDB_STATS_VISIT)
 #undef XUPD_RDB_STATS_VISIT
   }

@@ -196,8 +196,8 @@ Table::~Table() {
                     cap_rows_ * stride_ * sizeof(Value));
     }
   }
-  if (mem_ != nullptr && version_bytes_.load() != 0) {
-    mem_->Release(MemoryAccountant::kVersionBuffers, version_bytes_.load());
+  if (mem_ != nullptr && version_bytes_ != 0) {
+    mem_->Release(MemoryAccountant::kVersionBuffers, version_bytes_);
   }
 }
 

@@ -66,15 +66,15 @@ class TransactionManager;
 
 /// Per-table access statistics (SHOW TABLE STATS): maintained by the exec
 /// nodes (scans, rows read) and the Table mutation entry points (rows
-/// inserted/deleted/updated), so direct-API writes count too. RelaxedU64
-/// keeps every bump one relaxed fetch_add — safe from reader sessions and
-/// free of ordering cost on the scan hot path.
+/// inserted/deleted/updated), so direct-API writes count too. Reader
+/// sessions scan too, so scans and rows_read are atomics (one add per scan
+/// open and per pull); the mutation counts are the writer thread's alone.
 struct TableAccessStats {
-  RelaxedU64 scans;          ///< scan operator opens over this table.
-  RelaxedU64 rows_read;      ///< rows emitted by scans/probes of this table.
-  RelaxedU64 rows_inserted;
-  RelaxedU64 rows_deleted;
-  RelaxedU64 rows_updated;
+  std::atomic<uint64_t> scans{0};      ///< scan operator opens.
+  std::atomic<uint64_t> rows_read{0};  ///< rows emitted by scans/probes.
+  uint64_t rows_inserted = 0;
+  uint64_t rows_deleted = 0;
+  uint64_t rows_updated = 0;
 };
 
 /// Hash index over one column: value -> set of row ids. Erase of an exact
@@ -102,9 +102,9 @@ class HashIndex {
   size_t size() const { return size_; }
 
   /// Probe lookups issued against this index, and how many found at least
-  /// one entry (SHOW TABLE STATS).
-  uint64_t probes() const { return probes_.load(); }
-  uint64_t probe_hits() const { return hits_.load(); }
+  /// one entry (SHOW TABLE STATS). Only the writer thread probes.
+  uint64_t probes() const { return probes_; }
+  uint64_t probe_hits() const { return hits_; }
 
   /// Scrub hook (rdb/integrity.cc): calls fn(value, rowid) for every live
   /// entry, in slot order.
@@ -164,8 +164,8 @@ class HashIndex {
   size_t size_ = 0;        ///< live entries.
   size_t slots_used_ = 0;  ///< occupied + tombstoned entry slots.
   size_t heads_used_ = 0;  ///< occupied + tombstoned head slots.
-  mutable RelaxedU64 probes_;  ///< Lookup calls (access stats).
-  mutable RelaxedU64 hits_;    ///< Lookups that matched >= 1 entry.
+  mutable uint64_t probes_ = 0;  ///< Lookup calls (access stats).
+  mutable uint64_t hits_ = 0;    ///< Lookups that matched >= 1 entry.
 };
 
 /// View over one row's 16-byte MVCC metadata slot (the trailing Value-sized
@@ -306,9 +306,9 @@ class Table {
   TableAccessStats& access_stats() const { return access_stats_; }
 
   /// Version-buffer occupancy: parked pre-image rows and their approximate
-  /// byte footprint (cells only). Readable from any thread.
-  uint64_t version_rows() const { return version_rows_.load(); }
-  uint64_t version_bytes() const { return version_bytes_.load(); }
+  /// byte footprint (cells only). Writer thread.
+  uint64_t version_rows() const { return version_rows_; }
+  uint64_t version_bytes() const { return version_bytes_; }
 
   /// Frees version-buffer entries no pinned reader can need anymore
   /// (writer thread, at commit boundaries). Returns the number of parked
@@ -425,9 +425,10 @@ class Table {
   mutable std::mutex versions_mu_;
   std::unordered_multimap<size_t, OldVersion> versions_;
   /// Version-buffer occupancy mirrors of versions_ (rows / approx bytes),
-  /// readable without the mutex for gauges and SHOW TABLE STATS.
-  RelaxedU64 version_rows_;
-  RelaxedU64 version_bytes_;
+  /// readable without the mutex for gauges and SHOW TABLE STATS (writer
+  /// thread only).
+  uint64_t version_rows_ = 0;
+  uint64_t version_bytes_ = 0;
   mutable TableAccessStats access_stats_;
   std::vector<std::unique_ptr<HashIndex>> indexes_;
 };

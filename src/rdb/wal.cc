@@ -200,7 +200,8 @@ Value Reader::ReadValue() {
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     Vfs* vfs, const std::string& path, uint64_t epoch, uint64_t resume_offset,
     const DurabilityOptions& options, Stats* stats,
-    const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
+    const std::vector<std::pair<std::string, uint16_t>>* table_ids,
+    Histogram* fsync_hist) {
   int err = 0;
   std::unique_ptr<VfsFile> file = vfs->Open(path, Vfs::OpenMode::kWrite, &err);
   if (file == nullptr) return ErrnoStatus("cannot open WAL", path, err);
@@ -213,6 +214,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   w->epoch_ = epoch;
   w->options_ = options;
   w->stats_ = stats;
+  w->fsync_hist_ = fsync_hist;
   if (resume_offset > 0 && table_ids != nullptr) {
     for (const auto& [name, id] : *table_ids) {
       w->table_ids_.emplace(name, id);
@@ -482,7 +484,6 @@ Status WalWriter::SyncLocked() {
   const trace::Handoff from_unit = sync_handoff_;
   sync_handoff_ = trace::Handoff{};
   synced_size_.store(file_size_, std::memory_order_release);
-  ++stats_->wal_fsyncs;
   if (batch_hist_ != nullptr && batch > 0) batch_hist_->Record(batch);
   if (fsync_hist_ != nullptr) {
     const uint64_t dur = MonotonicNanos() - t0;

@@ -163,11 +163,14 @@ class WalWriter {
   /// already carries table-def records for those names, so the writer must
   /// not re-emit them under fresh ids. A reset (`resume_offset == 0`)
   /// starts with an empty dictionary.
+  /// `fsync_hist` (optional) records the time of every successful fsync,
+  /// the header sync of Open itself included; Database::stats() reports its
+  /// count as Stats::wal_fsyncs.
   static Result<std::unique_ptr<WalWriter>> Open(
       Vfs* vfs, const std::string& path, uint64_t epoch, uint64_t resume_offset,
       const DurabilityOptions& options, Stats* stats,
-      const std::vector<std::pair<std::string, uint16_t>>* table_ids =
-          nullptr);
+      const std::vector<std::pair<std::string, uint16_t>>* table_ids = nullptr,
+      Histogram* fsync_hist = nullptr);
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -239,17 +242,16 @@ class WalWriter {
     return broken_cause_;
   }
 
-  /// Wires the owning Database's observability sinks in after Open (each
-  /// re-open after checkpoint re-attaches): CommitPending records its wall
-  /// time into `commit_hist` plus a kWalUnit event, Sync records fsync time
-  /// into `fsync_hist` plus a kFsync event and the number of commit units
+  /// Wires the owning Database's other observability sinks in after Open
+  /// (each re-open after checkpoint re-attaches): CommitPending records its
+  /// wall time into `commit_hist` plus a kWalUnit event, Sync adds a kFsync
+  /// event to its fsync_hist sample and records the number of commit units
   /// the fsync covered into `batch_hist` (group-commit batch size). All may
   /// be null (detached writer, e.g. the TryHeal probe) — timing is skipped
   /// entirely then.
-  void AttachMetrics(Histogram* commit_hist, Histogram* fsync_hist,
-                     Histogram* batch_hist, EventLog* events) {
+  void AttachMetrics(Histogram* commit_hist, Histogram* batch_hist,
+                     EventLog* events) {
     commit_hist_ = commit_hist;
-    fsync_hist_ = fsync_hist;
     batch_hist_ = batch_hist;
     events_ = events;
   }
@@ -317,7 +319,7 @@ class WalWriter {
   /// Defs pended but not yet committed: (name, id, frame offset in
   /// pending_), offset-ascending — TruncatePending drops a suffix.
   std::vector<std::tuple<std::string, uint16_t, size_t>> pending_defs_;
-  /// Observability sinks (see AttachMetrics); null = detached.
+  /// Observability sinks (Open, AttachMetrics); null = detached.
   Histogram* commit_hist_ = nullptr;
   Histogram* fsync_hist_ = nullptr;
   Histogram* batch_hist_ = nullptr;

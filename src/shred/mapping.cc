@@ -203,13 +203,6 @@ const TableMapping* Mapping::ForElement(std::string_view element) const {
   return nullptr;
 }
 
-const TableMapping* Mapping::ForTable(std::string_view table) const {
-  for (const TableMapping& t : tables_) {
-    if (EqualsIgnoreCase(t.table, table)) return &t;
-  }
-  return nullptr;
-}
-
 std::vector<const TableMapping*> Mapping::ChildTables(
     std::string_view element) const {
   std::vector<const TableMapping*> out;

@@ -72,7 +72,6 @@ class Mapping {
   const xml::Dtd& dtd() const { return dtd_; }
 
   const TableMapping* ForElement(std::string_view element) const;
-  const TableMapping* ForTable(std::string_view table) const;
   const TableMapping* root() const { return &tables_.front(); }
 
   /// Direct child tables of `element`'s table.

@@ -171,8 +171,12 @@ Result<std::vector<ShreddedTuple>> Shredder::LoadDocument(
   }
   auto tuples = ShredSubtree(*doc.root(), 0);
   if (!tuples.ok()) return tuples.status();
+  // Each mapping table's Table*, looked up at its first tuple.
+  std::vector<rdb::Table*> tables(mapping_->tables().size(), nullptr);
   for (ShreddedTuple& t : *tuples) {
-    rdb::Table* table = db_->FindTable(t.table->table);
+    rdb::Table*& table =
+        tables[static_cast<size_t>(t.table - mapping_->tables().data())];
+    if (table == nullptr) table = db_->FindTable(t.table->table);
     if (table == nullptr) {
       return Status::Internal("table '" + t.table->table + "' missing");
     }

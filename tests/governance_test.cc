@@ -291,6 +291,44 @@ TEST(CancelTokenTest, CancelFromAnotherThreadKillsARunningStatement) {
   EXPECT_EQ(rows->rows[0][0].AsInt(), 120);
 }
 
+TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
+  rdb::Database db;
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(db.ExecuteQuery(std::string("CREATE TABLE ") + name +
+                                " (x INTEGER)")
+                    .ok());
+    auto ins = db.Prepare(std::string("INSERT INTO ") + name + " VALUES (?)");
+    ASSERT_TRUE(ins.ok());
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(db.ExecuteQuery(ins.value(), {rdb::Value::Int(i)}).ok());
+    }
+  }
+  // No deadline, no budget, no cancel-at-pull hook, slow log threshold
+  // disabled: only the token can kill the join.
+  ASSERT_LT(db.slow_statement_threshold_us(), 0.0);
+  // Cancel once the join is pulling rows of its innermost relation.
+  const auto& inner_rows = db.FindTable("c")->access_stats().rows_read;
+  std::thread canceller([&db, &inner_rows] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inner_rows.load() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    db.cancel_token().Cancel();
+  });
+  auto joined = db.ExecuteQuery("SELECT COUNT(*) FROM a, b, c");
+  canceller.join();
+  db.cancel_token().Reset();
+  ASSERT_FALSE(joined.ok());
+  EXPECT_EQ(joined.status().code(), StatusCode::kCancelled) << joined.status();
+  ASSERT_FALSE(db.slow_statements().empty());
+  const rdb::Database::SlowStatement& killed = db.slow_statements().back();
+  EXPECT_EQ(killed.cause, "cancelled");
+  EXPECT_EQ(killed.sql, "SELECT COUNT(*) FROM a, b, c");
+  EXPECT_GT(killed.delta.rows_scanned, 0u) << killed.delta.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole acceptance: cancellation injected at every k-th operator pull of
 // the fig. 6/10 operations, across all delete/insert strategies. Every
