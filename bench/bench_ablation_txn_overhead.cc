@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   for (DeleteStrategy method : del_methods) {
     RelationalStore::Options options;
     options.delete_strategy = method;
-    options.insert_strategy = InsertStrategy::kTable;
+    options.insert_strategy = bench::PartnerOf(method);
     RunModes(*del_gen, "delete", ToString(method), options, bulk_delete, runs);
   }
 
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
                                         InsertStrategy::kAsr};
   for (InsertStrategy method : ins_methods) {
     RelationalStore::Options options;
-    options.delete_strategy = DeleteStrategy::kCascade;
+    options.delete_strategy = bench::PartnerOf(method);
     options.insert_strategy = method;
     RunModes(*ins_gen, "insert", ToString(method), options, bulk_copy, runs);
   }

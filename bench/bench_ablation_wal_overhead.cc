@@ -29,7 +29,6 @@
 
 using namespace xupd;
 using engine::DeleteStrategy;
-using engine::InsertStrategy;
 using engine::RelationalStore;
 
 namespace {
@@ -223,7 +222,7 @@ int main(int argc, char** argv) {
   for (DeleteStrategy method : methods) {
     RelationalStore::Options options;
     options.delete_strategy = method;
-    options.insert_strategy = InsertStrategy::kTable;
+    options.insert_strategy = bench::PartnerOf(method);
     auto results =
         MeasureInterleaved(*gen, options, bulk_delete, runs, modes);
     double base = results[0].seconds;

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       // (the set-oriented strategies batch their statements across all
       // subtrees, which is what the paper's bulk numbers measure).
       double t = MeasureOnFreshStores(
-          *gen, DeleteStrategy::kCascade, method,
+          *gen, bench::PartnerOf(method), method,
           [](engine::RelationalStore* store) {
             Status s = store->CopySubtreesWhere("n1", "", store->root_id());
             if (!s.ok()) {

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     }
     for (InsertStrategy method : methods) {
       double t = MeasureOnFreshStores(
-          *gen, DeleteStrategy::kCascade, method,
+          *gen, bench::PartnerOf(method), method,
           [&picked](engine::RelationalStore* store) {
             for (int64_t id : picked) {
               Status s = store->CopySubtree("n1", id, store->root_id());

@@ -14,7 +14,6 @@
 using namespace xupd;
 using bench::MeasureOnFreshStores;
 using engine::DeleteStrategy;
-using engine::InsertStrategy;
 
 int main(int argc, char** argv) {
   int runs = argc > 1 ? std::atoi(argv[1]) : 5;
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
       std::vector<uint64_t> firings;
       std::vector<uint64_t> trigger_ns;
       bench::MeasuredRuns t = MeasureOnFreshStores(
-          *gen, method, InsertStrategy::kTable,
+          *gen, method, bench::PartnerOf(method),
           [&](engine::RelationalStore* store) {
             rdb::Database* db = store->db();
             const std::atomic<uint64_t>* cascade_ns =

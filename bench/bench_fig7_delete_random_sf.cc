@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     }
     for (DeleteStrategy method : methods) {
       double t = MeasureOnFreshStores(
-          *gen, method, InsertStrategy::kTable,
+          *gen, method, bench::PartnerOf(method),
           [&picked](engine::RelationalStore* store) {
             Status s = store->DeleteByIds("n1", picked);
             if (!s.ok()) {

@@ -9,7 +9,6 @@
 using namespace xupd;
 using bench::MeasureOnFreshStores;
 using engine::DeleteStrategy;
-using engine::InsertStrategy;
 
 int main(int argc, char** argv) {
   int runs = argc > 1 ? std::atoi(argv[1]) : 5;
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
     if (!gen.ok()) return 1;
     for (DeleteStrategy method : methods) {
       double t = MeasureOnFreshStores(
-          *gen, method, InsertStrategy::kTable,
+          *gen, method, bench::PartnerOf(method),
           [](engine::RelationalStore* store) {
             Status s = store->DeleteWhere("n1", "");
             if (!s.ok()) std::abort();

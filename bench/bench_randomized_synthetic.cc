@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       DeleteStrategy::kPerTupleTrigger, DeleteStrategy::kCascade};
   for (DeleteStrategy method : methods) {
     double t = MeasureOnFreshStores(
-        *gen, method, InsertStrategy::kTable,
+        *gen, method, bench::PartnerOf(method),
         [](engine::RelationalStore* store) {
           Status s = store->DeleteWhere("n1", "");
           if (!s.ok()) std::abort();
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   }
   for (DeleteStrategy method : methods) {
     double t = MeasureOnFreshStores(
-        *gen, method, InsertStrategy::kTable,
+        *gen, method, bench::PartnerOf(method),
         [&picked](engine::RelationalStore* store) {
           Status s = store->DeleteByIds("n1", picked);
           if (!s.ok()) std::abort();

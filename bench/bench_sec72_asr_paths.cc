@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
     auto gen = workload::GenerateFixedSynthetic(spec, 42);
     if (!gen.ok()) return 1;
     engine::RelationalStore::Options options;
-    options.build_asr = true;
+    options.delete_strategy = engine::DeleteStrategy::kAsr;
+    options.insert_strategy = engine::InsertStrategy::kAsr;
     auto store_or = engine::RelationalStore::Create(gen->dtd, options);
     if (!store_or.ok()) return 1;
     auto store = std::move(store_or).value();

@@ -28,7 +28,7 @@ void RunRegime(const workload::GeneratedDoc& gen, int runs,
       DeleteStrategy::kCascade, DeleteStrategy::kAsr};
   for (DeleteStrategy method : del_methods) {
     double t = MeasureOnFreshStores(
-        gen, method, InsertStrategy::kTable,
+        gen, method, bench::PartnerOf(method),
         [statement_latency_us](engine::RelationalStore* store) {
           store->db()->set_statement_latency_us(statement_latency_us);
           Status s = store->DeleteWhere("publication", "year = '2000'");
@@ -53,7 +53,7 @@ void RunRegime(const workload::GeneratedDoc& gen, int runs,
       InsertStrategy::kAsr, InsertStrategy::kTable, InsertStrategy::kTuple};
   for (InsertStrategy method : ins_methods) {
     double t = MeasureOnFreshStores(
-        gen, DeleteStrategy::kCascade, method,
+        gen, bench::PartnerOf(method), method,
         [&picked, statement_latency_us](engine::RelationalStore* store) {
           store->db()->set_statement_latency_us(statement_latency_us);
           for (int64_t id : picked) {

@@ -79,6 +79,19 @@ inline std::string JsonTail(int threads = 1) {
   return buf;
 }
 
+/// The strategy a row pairs with the one it measures. A store keeps an ASR
+/// only when both strategies are kAsr, so an ASR row pairs its strategy
+/// with the other ASR one; a delete row otherwise copies with kTable and a
+/// copy row deletes with kCascade. The measured op never runs the partner.
+inline engine::InsertStrategy PartnerOf(engine::DeleteStrategy del) {
+  return del == engine::DeleteStrategy::kAsr ? engine::InsertStrategy::kAsr
+                                             : engine::InsertStrategy::kTable;
+}
+inline engine::DeleteStrategy PartnerOf(engine::InsertStrategy ins) {
+  return ins == engine::InsertStrategy::kAsr ? engine::DeleteStrategy::kAsr
+                                             : engine::DeleteStrategy::kCascade;
+}
+
 /// Builds a fresh store with explicit options over `gen` and loads it.
 inline std::unique_ptr<engine::RelationalStore> FreshStore(
     const workload::GeneratedDoc& gen,

@@ -52,6 +52,10 @@ std::unique_ptr<engine::RelationalStore> FreshStore(
   if (!dtd.ok()) std::exit(1);
   engine::RelationalStore::Options options;
   options.delete_strategy = del;
+  // The ASR delete keeps an ASR, which only the ASR copy maintains.
+  if (del == engine::DeleteStrategy::kAsr) {
+    options.insert_strategy = engine::InsertStrategy::kAsr;
+  }
   auto store = engine::RelationalStore::Create(dtd.value(), options);
   if (!store.ok()) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());

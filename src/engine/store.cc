@@ -76,14 +76,18 @@ const char* ToString(InsertStrategy s) {
 
 Result<std::unique_ptr<RelationalStore>> RelationalStore::Create(
     const xml::Dtd& dtd, const Options& options) {
+  const bool asr = options.delete_strategy == DeleteStrategy::kAsr;
+  if (asr != (options.insert_strategy == InsertStrategy::kAsr)) {
+    return Status::InvalidArgument(
+        std::string("delete strategy '") + ToString(options.delete_strategy) +
+        "' and insert strategy '" + ToString(options.insert_strategy) +
+        "' do not pair: only the asr strategies maintain the ASR, so both "
+        "must be asr or neither");
+  }
   auto mapping = Mapping::SharedInlining(dtd);
   if (!mapping.ok()) return mapping.status();
   std::unique_ptr<RelationalStore> store(new RelationalStore());
   store->options_ = options;
-  if (options.delete_strategy == DeleteStrategy::kAsr ||
-      options.insert_strategy == InsertStrategy::kAsr) {
-    store->options_.build_asr = true;
-  }
   store->mapping_ = std::make_unique<Mapping>(std::move(mapping).value());
   store->shredder_ = std::make_unique<shred::Shredder>(
       store->mapping_.get(), &store->db_, options.insert_batch_size);
@@ -93,7 +97,7 @@ Result<std::unique_ptr<RelationalStore>> RelationalStore::Create(
     dopts.vfs = store->options_.vfs;
     XUPD_RETURN_IF_ERROR(store->db_.Open(store->options_.data_dir, dopts));
   }
-  if (store->options_.build_asr) {
+  if (asr) {
     store->asr_ =
         std::make_unique<AsrManager>(store->mapping_.get(), &store->db_);
   }
@@ -130,9 +134,7 @@ Result<std::unique_ptr<RelationalStore>> RelationalStore::Create(
     return store;
   }
   XUPD_RETURN_IF_ERROR(store->shredder_->CreateSchema());
-  if (store->options_.build_asr) {
-    XUPD_RETURN_IF_ERROR(store->asr_->CreateSchema());
-  }
+  if (asr) XUPD_RETURN_IF_ERROR(store->asr_->CreateSchema());
   XUPD_RETURN_IF_ERROR(store->InstallTriggers());
   XUPD_RETURN_IF_ERROR(store->PersistOptions());
   // Setup-complete marker, created last (and in non-durable stores too, so
@@ -200,7 +202,6 @@ RelationalStore::StrategyFields() const {
   return {
       {"delete_strategy", ToString(options_.delete_strategy)},
       {"insert_strategy", ToString(options_.insert_strategy)},
-      {"build_asr", options_.build_asr ? "1" : "0"},
   };
 }
 
@@ -862,9 +863,7 @@ Result<std::vector<int64_t>> RelationalStore::PathQueryJoins(
 Result<std::vector<int64_t>> RelationalStore::PathQueryAsr(
     const std::string& start_element, const std::string& leaf_element,
     const std::string& leaf_predicate) {
-  if (!options_.build_asr) {
-    return Status::InvalidArgument("store has no ASR");
-  }
+  if (asr_ == nullptr) return Status::InvalidArgument("store has no ASR");
   const TableMapping* start = mapping_->ForElement(start_element);
   const TableMapping* leaf = mapping_->ForElement(leaf_element);
   if (start == nullptr || leaf == nullptr) {

@@ -43,13 +43,11 @@ const char* ToString(InsertStrategy s);
 class RelationalStore {
  public:
   struct Options {
+    /// The store keeps an ASR exactly when both strategies are kAsr: only
+    /// the §6.1.3 delete and the §6.2.3 copy maintain it, so Create rejects
+    /// a kAsr strategy paired with a non-ASR one.
     DeleteStrategy delete_strategy = DeleteStrategy::kPerTupleTrigger;
     InsertStrategy insert_strategy = InsertStrategy::kTable;
-    /// Build the ASR (implied by the ASR strategies). Loads, constructed
-    /// inserts and the ASR strategies keep it in step with the element
-    /// tables; the trigger and cascade deletes and the tuple and table
-    /// copies do not, so mixing those with an ASR leaves it stale.
-    bool build_asr = false;
     /// Rows per multi-row INSERT on the SQL tuple writer
     /// (Shredder::InsertTuplesSql: tuple-strategy copies and
     /// constructed-content inserts). 1 restores the paper's
@@ -62,7 +60,8 @@ class RelationalStore {
     /// mid-operation failure rolls element tables, hash indexes and the ASR
     /// back to the pre-operation state. Nested sub-updates become
     /// savepoints. false = the paper's raw autocommit regime (each SQL
-    /// statement lands individually; a failure leaves partial effects).
+    /// statement lands individually; a failure leaves partial effects),
+    /// kept for the autocommit row of bench_ablation_txn_overhead.
     bool transactional = true;
     /// Durability (rdb/wal.h): when true the store's Database opens a WAL +
     /// snapshot pair under `data_dir` before creating any schema. If the
@@ -82,7 +81,8 @@ class RelationalStore {
   };
 
   /// Creates the store for a DTD: derives the mapping, creates the schema,
-  /// and installs the triggers the delete strategy requires.
+  /// and installs the triggers the delete strategy requires. A kAsr strategy
+  /// beside a non-ASR one is InvalidArgument.
   static Result<std::unique_ptr<RelationalStore>> Create(const xml::Dtd& dtd,
                                                          const Options& options);
 
@@ -181,7 +181,7 @@ class RelationalStore {
   // --- accessors -----------------------------------------------------------
 
   rdb::Database* db() { return &db_; }
-  /// The ASR manager, or null when the store was built without an ASR.
+  /// The ASR manager, or null unless both strategies are kAsr.
   const asr::AsrManager* asr() const { return asr_.get(); }
   const shred::Mapping& mapping() const { return *mapping_; }
   const Options& options() const { return options_; }

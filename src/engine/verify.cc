@@ -95,27 +95,30 @@ std::vector<std::string> RelationalStore::VerifyStore() {
       auto table_ids = ids.find(&tm);
       if (table_ids == ids.end()) continue;
       for (const auto& [id, parent_id] : table_ids->second.parent_of) {
+        // A broken link is reported by the tuple that holds it, not again
+        // by every descendant whose walk passes through it.
         const TableMapping* at = &tm;
-        int64_t at_id = id;
         int64_t up = parent_id;
-        size_t steps = 0;
-        while (true) {
+        for (size_t steps = 0;; ++steps) {
+          const bool own = steps == 0;
           if (up == 0) {
-            if (at != root) {
-              violations.push_back("table '" + at->table + "' id " +
-                                   std::to_string(at_id) +
+            if (own && at != root) {
+              violations.push_back("table '" + tm.table + "' id " +
+                                   std::to_string(id) +
                                    " is a non-root tuple with NULL parentId");
             }
             break;
           }
           if (at == root) {
-            violations.push_back("root-table tuple id " +
-                                 std::to_string(at_id) +
-                                 " has non-NULL parentId " +
-                                 std::to_string(up));
+            if (own) {
+              violations.push_back("root-table tuple id " +
+                                   std::to_string(id) +
+                                   " has non-NULL parentId " +
+                                   std::to_string(up));
+            }
             break;
           }
-          if (++steps > owner.size()) {
+          if (steps > owner.size()) {
             violations.push_back("parent chain of '" + tm.table + "' id " +
                                  std::to_string(id) +
                                  " does not terminate (cycle?)");
@@ -123,15 +126,16 @@ std::vector<std::string> RelationalStore::VerifyStore() {
           }
           auto parent_row = owner.find(up);
           if (parent_row == owner.end()) {
-            violations.push_back("table '" + at->table + "' id " +
-                                 std::to_string(at_id) +
-                                 " points at parentId " + std::to_string(up) +
-                                 " absent from every element table "
-                                 "(orphan subtree)");
+            if (own) {
+              violations.push_back("table '" + tm.table + "' id " +
+                                   std::to_string(id) + " points at parentId " +
+                                   std::to_string(up) +
+                                   " absent from every element table "
+                                   "(orphan subtree)");
+            }
             break;
           }
           at = parent_row->second.first;
-          at_id = up;
           up = parent_row->second.second;
         }
       }

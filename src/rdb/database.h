@@ -458,9 +458,9 @@ class Database {
     return catalog_version_.load(std::memory_order_acquire);
   }
 
-  /// Planner knob (tests): when false, every plan uses full scans — the
-  /// parity harness compares probed vs scanned execution. Toggling
-  /// invalidates cached plans.
+  /// Planner knob: when false, every plan uses full scans. Its one user is
+  /// planner_test's probe/scan parity oracle, which compares probed and
+  /// scanned execution. Toggling invalidates cached plans.
   bool planner_index_probes_enabled() const {
     return planner_index_probes_enabled_;
   }
@@ -593,8 +593,8 @@ class Database {
   /// writer ExecuteQuery / ExecuteQueryBound call — models the client/server
   /// round trip a 2001-era JDBC/DB2 stack pays per statement (trigger
   /// bodies run inside the engine and do NOT pay it; prepared statements
-  /// pay the round trip but skip the parse). Default 0 (off); the Table 2
-  /// bench uses it to reproduce the paper's cost regime (DESIGN.md).
+  /// pay the round trip but skip the parse). Default 0 (off); kept for
+  /// Table 2's 500 us regime, the paper's cost regime (DESIGN.md).
   double statement_latency_us() const { return statement_latency_us_; }
   void set_statement_latency_us(double us) { statement_latency_us_ = us; }
 

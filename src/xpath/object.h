@@ -67,12 +67,6 @@ struct XmlObject {
   bool is_attribute() const { return kind == Kind::kAttribute; }
   bool is_ref_entry() const { return kind == Kind::kRefEntry; }
   bool is_text() const { return kind == Kind::kText; }
-
-  /// Identity comparison (same underlying object, ignoring binding_index).
-  bool SameObject(const XmlObject& other) const {
-    return kind == other.kind && element == other.element &&
-           name == other.name && index == other.index && text == other.text;
-  }
 };
 
 /// The string value of an object: element -> concatenated direct PCDATA,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,7 +44,7 @@ int64_t Count(RelationalStore* store, const std::string& table) {
 class DeleteStrategyTest : public ::testing::TestWithParam<DeleteStrategy> {};
 
 TEST_P(DeleteStrategyTest, DeleteJohnsRemovesSubtrees) {
-  auto store = MakeStore(GetParam(), InsertStrategy::kTable);
+  auto store = MakeStore(GetParam(), xupd::testing::PairedInsert(GetParam()));
   ASSERT_TRUE(store->DeleteWhere("Customer", "Name = 'John'").ok());
   EXPECT_EQ(Count(store.get(), "Customer"), 1);
   EXPECT_EQ(Count(store.get(), "Order"), 1);     // Mary's order remains
@@ -51,7 +52,7 @@ TEST_P(DeleteStrategyTest, DeleteJohnsRemovesSubtrees) {
 }
 
 TEST_P(DeleteStrategyTest, BulkDeleteLeavesOnlyRoot) {
-  auto store = MakeStore(GetParam(), InsertStrategy::kTable);
+  auto store = MakeStore(GetParam(), xupd::testing::PairedInsert(GetParam()));
   ASSERT_TRUE(store->DeleteWhere("Customer", "").ok());
   EXPECT_EQ(Count(store.get(), "CustDB"), 1);
   EXPECT_EQ(Count(store.get(), "Customer"), 0);
@@ -60,7 +61,7 @@ TEST_P(DeleteStrategyTest, BulkDeleteLeavesOnlyRoot) {
 }
 
 TEST_P(DeleteStrategyTest, RandomDeleteByIds) {
-  auto store = MakeStore(GetParam(), InsertStrategy::kTable);
+  auto store = MakeStore(GetParam(), xupd::testing::PairedInsert(GetParam()));
   auto ids = store->SelectIds("Customer", "Name = 'Mary'");
   ASSERT_TRUE(ids.ok());
   ASSERT_EQ(ids->size(), 1u);
@@ -71,7 +72,7 @@ TEST_P(DeleteStrategyTest, RandomDeleteByIds) {
 }
 
 TEST_P(DeleteStrategyTest, ReconstructionMatchesNativeExecution) {
-  auto store = MakeStore(GetParam(), InsertStrategy::kTable);
+  auto store = MakeStore(GetParam(), xupd::testing::PairedInsert(GetParam()));
   ASSERT_TRUE(store->DeleteWhere("Customer", "Name = 'John'").ok());
   auto rebuilt = store->Reconstruct();
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
@@ -166,7 +167,7 @@ TEST(DeleteShapeTest, DeleteByIdsReusesOnePreparedPlan) {
 class InsertStrategyTest : public ::testing::TestWithParam<InsertStrategy> {};
 
 TEST_P(InsertStrategyTest, CopySubtreeDuplicatesData) {
-  auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
+  auto store = MakeStore(xupd::testing::PairedDelete(GetParam()), GetParam());
   auto ids = store->SelectIds("Customer", "Name = 'Mary'");
   ASSERT_TRUE(ids.ok());
   ASSERT_EQ(ids->size(), 1u);
@@ -183,7 +184,7 @@ TEST_P(InsertStrategyTest, CopySubtreeDuplicatesData) {
 }
 
 TEST_P(InsertStrategyTest, CopyReconstructsEquivalentDocument) {
-  auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
+  auto store = MakeStore(xupd::testing::PairedDelete(GetParam()), GetParam());
   auto ids = store->SelectIds("Customer", "Name = 'Mary'");
   ASSERT_TRUE(ids.ok());
   ASSERT_TRUE(store->CopySubtree("Customer", ids->front(), store->root_id()).ok());
@@ -204,7 +205,7 @@ TEST_P(InsertStrategyTest, CopyReconstructsEquivalentDocument) {
 }
 
 TEST_P(InsertStrategyTest, IdsRemainUniqueAfterManyCopies) {
-  auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
+  auto store = MakeStore(xupd::testing::PairedDelete(GetParam()), GetParam());
   for (int i = 0; i < 3; ++i) {
     auto ids = store->SelectIds("Customer", "");
     ASSERT_TRUE(ids.ok());
@@ -343,10 +344,74 @@ TEST(InsertShapeTest, TableInsertStatementsIndependentOfTupleCount) {
 // ---------------------------------------------------------------------------
 // ASR behavior.
 
+TEST(AsrTest, CreateRejectsMixedPairsAndValidPairsStayConsistent) {
+  // Only the ASR delete and the ASR copy maintain the ASR, so a store keeps
+  // one exactly when both strategies are kAsr, and Create refuses the 5
+  // pairs that put a kAsr strategy beside a non-ASR one. It refuses before
+  // it opens the data directory.
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  const std::string unopened =
+      (std::filesystem::temp_directory_path() / "xupd_mixed_pair_never_opened")
+          .string();
+  int rejected = 0;
+  int accepted = 0;
+  for (DeleteStrategy del :
+       {DeleteStrategy::kPerTupleTrigger, DeleteStrategy::kPerStatementTrigger,
+        DeleteStrategy::kCascade, DeleteStrategy::kAsr}) {
+    for (InsertStrategy ins :
+         {InsertStrategy::kTuple, InsertStrategy::kTable, InsertStrategy::kAsr}) {
+      SCOPED_TRACE(std::string(ToString(del)) + "/" + ToString(ins));
+      RelationalStore::Options options;
+      options.delete_strategy = del;
+      options.insert_strategy = ins;
+      if ((del == DeleteStrategy::kAsr) != (ins == InsertStrategy::kAsr)) {
+        ++rejected;
+        options.durability = true;
+        options.data_dir = unopened;
+        auto store = RelationalStore::Create(dtd, options);
+        ASSERT_FALSE(store.ok());
+        EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+        const std::string message = store.status().ToString();
+        EXPECT_NE(message.find(std::string("delete strategy '") +
+                               ToString(del) + "'"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find(std::string("insert strategy '") +
+                               ToString(ins) + "'"),
+                  std::string::npos)
+            << message;
+        EXPECT_FALSE(std::filesystem::exists(unopened));
+        continue;
+      }
+      ++accepted;
+      auto store_or = RelationalStore::Create(dtd, options);
+      ASSERT_TRUE(store_or.ok()) << store_or.status();
+      auto store = std::move(store_or).value();
+      ASSERT_TRUE(
+          store->Load(*xupd::testing::MustParse(xupd::testing::kCustomerXml))
+              .ok());
+      EXPECT_EQ(store->asr() != nullptr, del == DeleteStrategy::kAsr);
+      // Customer 2, the Seattle John: 2 Orders and 3 OrderLines.
+      auto john = store->SelectIds("Customer", "Address_City = 'Seattle'");
+      ASSERT_TRUE(john.ok() && john->size() == 1u);
+      ASSERT_TRUE(
+          store->CopySubtree("Customer", john->front(), store->root_id()).ok());
+      EXPECT_EQ(store->VerifyStore(), std::vector<std::string>{});
+      ASSERT_TRUE(store->DeleteWhere("Customer", "").ok());
+      EXPECT_EQ(store->VerifyStore(), std::vector<std::string>{});
+      EXPECT_EQ(Count(store.get(), "Order"), 0);
+      EXPECT_EQ(Count(store.get(), "OrderLine"), 0);
+    }
+  }
+  EXPECT_EQ(rejected, 5);
+  EXPECT_EQ(accepted, 7);
+}
+
 TEST(AsrTest, AsrRowCountEqualsLeafPathCount) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
   options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
   auto store = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store.ok());
   auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
@@ -383,6 +448,7 @@ TEST(AsrTest, BulkDeleteRepairsLeftCompleteness) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
   options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
   auto store_or = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store_or.ok());
   auto store = std::move(store_or).value();
@@ -572,6 +638,7 @@ class CopySharesStringsTest
 TEST_P(CopySharesStringsTest, CopiedRowsShareTheirSourceBlocks) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
+  options.delete_strategy = xupd::testing::PairedDelete(GetParam());
   options.insert_strategy = GetParam();
   auto store_or = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store_or.ok()) << store_or.status();
@@ -612,7 +679,8 @@ INSTANTIATE_TEST_SUITE_P(AllInsertStrategies, CopySharesStringsTest,
 TEST(PathQueryTest, JoinsAndAsrAgree) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
-  options.build_asr = true;
+  options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
   auto store_or = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store_or.ok());
   auto store = std::move(store_or).value();
@@ -633,7 +701,8 @@ TEST(PathQueryTest, EmptyLeafPredicateSelectsEveryPath) {
   // return exactly the customers that have at least one order line.
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
-  options.build_asr = true;
+  options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
   auto store_or = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store_or.ok());
   auto store = std::move(store_or).value();

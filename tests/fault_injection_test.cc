@@ -553,7 +553,14 @@ TEST(EngineFaultMatrixTest, UpdateOperationsSurviveInjectedFaults) {
 // just pass on healthy stores.
 
 TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
-  workload::GeneratedDoc gen = MakeDoc();
+  // Deep enough that every orphaned n3 tuple has descendants of its own.
+  workload::SyntheticSpec spec;
+  spec.scaling_factor = 6;
+  spec.depth = 5;
+  spec.fanout = 2;
+  auto doc = workload::GenerateFixedSynthetic(spec, 42);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const workload::GeneratedDoc& gen = *doc;
   RelationalStore::Options options;
   options.delete_strategy = DeleteStrategy::kCascade;  // no cascade triggers
   auto store = RelationalStore::Create(gen.dtd, options);
@@ -562,14 +569,21 @@ TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
   ASSERT_TRUE(store.value()->VerifyStore().empty());
   // Deleting mid-level tuples directly (no strategy, no cascade) orphans
   // their children — exactly what the engine scrub exists to catch.
+  auto children = store.value()->db()->ExecuteQuery(
+      "SELECT COUNT(*) FROM n3 WHERE parentId IN (SELECT id FROM n2)");
+  ASSERT_TRUE(children.ok()) << children.status();
+  const int64_t orphaned = children->rows[0][0].AsInt();
+  ASSERT_GT(orphaned, 0);
   ASSERT_TRUE(store.value()->db()->ExecuteQuery("DELETE FROM n2").ok());
   std::vector<std::string> violations = store.value()->VerifyStore();
   ASSERT_FALSE(violations.empty());
-  bool mentions_orphan = false;
+  // Each orphan is reported once, by itself; its descendants (n4 and
+  // below) still reach it and report nothing.
+  int64_t orphan_reports = 0;
   for (const std::string& v : violations) {
-    if (v.find("orphan") != std::string::npos) mentions_orphan = true;
+    if (v.find("orphan") != std::string::npos) ++orphan_reports;
   }
-  EXPECT_TRUE(mentions_orphan) << violations[0];
+  EXPECT_EQ(orphan_reports, orphaned) << violations[0];
 }
 
 /// An in-memory table t(k, v) with rows k = 1..5 at rowids 0..4 and a hash

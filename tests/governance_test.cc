@@ -115,8 +115,6 @@ std::unique_ptr<RelationalStore> MakeStore(const workload::GeneratedDoc& gen,
   RelationalStore::Options options;
   options.delete_strategy = del;
   options.insert_strategy = ins;
-  options.build_asr =
-      del == DeleteStrategy::kAsr || ins == InsertStrategy::kAsr;
   options.durability = true;
   options.data_dir = dir;
   options.sync_mode = rdb::SyncMode::kCommit;
@@ -155,7 +153,7 @@ std::vector<EngineCase> EngineCases() {
        InsertStrategy::kTable, bulk_delete},
       {"fig6-delete-cascade", DeleteStrategy::kCascade, InsertStrategy::kTable,
        bulk_delete},
-      {"fig6-delete-asr", DeleteStrategy::kAsr, InsertStrategy::kTable,
+      {"fig6-delete-asr", DeleteStrategy::kAsr, InsertStrategy::kAsr,
        bulk_delete},
       {"fig10-copy-tuple", DeleteStrategy::kCascade, InsertStrategy::kTuple,
        bulk_copy},

@@ -316,7 +316,7 @@ TEST_P(MvccDeleteStrategyTest, PinnedReaderSeesPreDeleteSubtrees) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
   options.delete_strategy = GetParam();
-  options.insert_strategy = InsertStrategy::kTable;
+  options.insert_strategy = xupd::testing::PairedInsert(GetParam());
   auto store = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store.ok()) << store.status();
   auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
@@ -349,7 +349,7 @@ class MvccInsertStrategyTest
 TEST_P(MvccInsertStrategyTest, PinnedReaderSeesPreInsertSubtrees) {
   auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
   RelationalStore::Options options;
-  options.delete_strategy = DeleteStrategy::kPerTupleTrigger;
+  options.delete_strategy = xupd::testing::PairedDelete(GetParam());
   options.insert_strategy = GetParam();
   auto store = RelationalStore::Create(dtd, options);
   ASSERT_TRUE(store.ok()) << store.status();

@@ -67,8 +67,7 @@ TEST_F(BranchingTest, OuterUnionRegionQueryOnMidLevel) {
   }
 }
 
-using ComboParam =
-    std::tuple<engine::DeleteStrategy, engine::InsertStrategy>;
+using ComboParam = std::pair<engine::DeleteStrategy, engine::InsertStrategy>;
 
 class BranchingComboTest
     : public BranchingTest,
@@ -113,22 +112,16 @@ TEST_P(BranchingComboTest, DeleteAndCopyOnBushyData) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Combos, BranchingComboTest,
-    ::testing::Combine(
-        ::testing::Values(engine::DeleteStrategy::kPerTupleTrigger,
-                          engine::DeleteStrategy::kPerStatementTrigger,
-                          engine::DeleteStrategy::kCascade,
-                          engine::DeleteStrategy::kAsr),
-        ::testing::Values(engine::InsertStrategy::kTuple,
-                          engine::InsertStrategy::kTable,
-                          engine::InsertStrategy::kAsr)));
+INSTANTIATE_TEST_SUITE_P(Combos, BranchingComboTest,
+                         ::testing::ValuesIn(testing::ValidStrategyPairs()));
 
 TEST_F(BranchingTest, CopiesAgreeAcrossInsertStrategies) {
   std::string canon;
   for (auto ins : {engine::InsertStrategy::kTuple, engine::InsertStrategy::kTable,
                    engine::InsertStrategy::kAsr}) {
-    auto store = MakeStore(engine::DeleteStrategy::kCascade, ins);
+    auto store =
+        MakeStore(testing::PairedDelete(ins, engine::DeleteStrategy::kCascade),
+                  ins);
     auto ids = store->SelectIds("conference", "");
     ASSERT_TRUE(ids.ok());
     ASSERT_TRUE(

@@ -60,35 +60,26 @@ TEST_P(SeededTest, AllStrategyCombosAgreeWithNativeExecution) {
     ASSERT_TRUE(native.ExecuteString(q).ok()) << q;
   }
 
-  // Every strategy combination.
-  const engine::DeleteStrategy dels[] = {
-      engine::DeleteStrategy::kPerTupleTrigger,
-      engine::DeleteStrategy::kPerStatementTrigger,
-      engine::DeleteStrategy::kCascade, engine::DeleteStrategy::kAsr};
-  const engine::InsertStrategy inss[] = {engine::InsertStrategy::kTuple,
-                                         engine::InsertStrategy::kTable,
-                                         engine::InsertStrategy::kAsr};
-  for (auto del : dels) {
-    for (auto ins : inss) {
-      engine::RelationalStore::Options options;
-      options.delete_strategy = del;
-      options.insert_strategy = ins;
-      auto store = engine::RelationalStore::Create(gen->dtd, options);
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store.value()->Load(*gen->doc).ok());
-      for (const char* q : kScript) {
-        Status s = store.value()->ExecuteXQueryUpdate(q);
-        ASSERT_TRUE(s.ok()) << engine::ToString(del) << "/"
-                            << engine::ToString(ins) << ": " << s << "\n"
-                            << q;
-      }
-      auto rebuilt = store.value()->Reconstruct();
-      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-      EXPECT_TRUE(xml::DeepEqualUnordered(*native_doc->root(),
-                                          *rebuilt.value()->root()))
-          << "strategies " << engine::ToString(del) << "/"
-          << engine::ToString(ins) << " diverged from native execution";
+  // Every strategy pair the store accepts.
+  for (auto [del, ins] : testing::ValidStrategyPairs()) {
+    engine::RelationalStore::Options options;
+    options.delete_strategy = del;
+    options.insert_strategy = ins;
+    auto store = engine::RelationalStore::Create(gen->dtd, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->Load(*gen->doc).ok());
+    for (const char* q : kScript) {
+      Status s = store.value()->ExecuteXQueryUpdate(q);
+      ASSERT_TRUE(s.ok()) << engine::ToString(del) << "/"
+                          << engine::ToString(ins) << ": " << s << "\n"
+                          << q;
     }
+    auto rebuilt = store.value()->Reconstruct();
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_TRUE(xml::DeepEqualUnordered(*native_doc->root(),
+                                        *rebuilt.value()->root()))
+        << "strategies " << engine::ToString(del) << "/"
+        << engine::ToString(ins) << " diverged from native execution";
   }
 }
 

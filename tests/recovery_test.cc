@@ -991,7 +991,7 @@ std::vector<StrategyOp> AllStrategyOps() {
       DeleteStrategy::kPerTupleTrigger, DeleteStrategy::kPerStatementTrigger,
       DeleteStrategy::kCascade, DeleteStrategy::kAsr};
   for (DeleteStrategy d : dels) {
-    ops.push_back({"bulk-delete", d, InsertStrategy::kTable,
+    ops.push_back({"bulk-delete", d, testing::PairedInsert(d),
                    [](RelationalStore* s) {
                      return s->DeleteWhere("n2", "v2 > 500000");
                    }});
@@ -1005,7 +1005,8 @@ std::vector<StrategyOp> AllStrategyOps() {
   const InsertStrategy inss[] = {InsertStrategy::kTuple,
                                  InsertStrategy::kTable, InsertStrategy::kAsr};
   for (InsertStrategy i : inss) {
-    ops.push_back({"bulk-copy", DeleteStrategy::kCascade, i,
+    ops.push_back({"bulk-copy",
+                   testing::PairedDelete(i, DeleteStrategy::kCascade), i,
                    [](RelationalStore* s) {
                      return s->CopySubtreesWhere("n2", "v2 < 300000",
                                                  s->root_id());
@@ -1216,16 +1217,6 @@ TEST(OptionsPersistenceTest, MismatchedReopenIsCleanError) {
   EXPECT_NE(mismatched.status().ToString().find("delete_strategy"),
             std::string::npos)
       << mismatched.status();
-
-  // ASR maintenance mismatch is caught too (build_asr differs even when
-  // the delete strategy field matches).
-  options.delete_strategy = DeleteStrategy::kPerTupleTrigger;
-  options.build_asr = true;
-  auto asr_mismatch = RelationalStore::Create(gen.dtd, options);
-  ASSERT_FALSE(asr_mismatch.ok());
-  EXPECT_NE(asr_mismatch.status().ToString().find("build_asr"),
-            std::string::npos)
-      << asr_mismatch.status();
 
   // The original options still reopen fine.
   auto reopened = MakeDurableStore(gen, dir.path(),

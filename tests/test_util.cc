@@ -112,4 +112,32 @@ xml::Dtd MustParseDtd(const std::string& text) {
   return std::move(dtd).value();
 }
 
+std::vector<std::pair<engine::DeleteStrategy, engine::InsertStrategy>>
+ValidStrategyPairs() {
+  using engine::DeleteStrategy;
+  using engine::InsertStrategy;
+  std::vector<std::pair<DeleteStrategy, InsertStrategy>> pairs;
+  for (DeleteStrategy del :
+       {DeleteStrategy::kPerTupleTrigger, DeleteStrategy::kPerStatementTrigger,
+        DeleteStrategy::kCascade}) {
+    for (InsertStrategy ins : {InsertStrategy::kTuple, InsertStrategy::kTable}) {
+      pairs.emplace_back(del, ins);
+    }
+  }
+  pairs.emplace_back(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  return pairs;
+}
+
+engine::InsertStrategy PairedInsert(engine::DeleteStrategy del,
+                                    engine::InsertStrategy other) {
+  return del == engine::DeleteStrategy::kAsr ? engine::InsertStrategy::kAsr
+                                             : other;
+}
+
+engine::DeleteStrategy PairedDelete(engine::InsertStrategy ins,
+                                    engine::DeleteStrategy other) {
+  return ins == engine::InsertStrategy::kAsr ? engine::DeleteStrategy::kAsr
+                                             : other;
+}
+
 }  // namespace xupd::testing

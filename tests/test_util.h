@@ -4,7 +4,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "engine/store.h"
 #include "xml/document.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
@@ -30,6 +33,20 @@ std::unique_ptr<xml::Document> MustParse(const std::string& text);
 
 /// Parses a DTD or aborts.
 xml::Dtd MustParseDtd(const std::string& text);
+
+/// The 7 strategy pairs RelationalStore::Create accepts: each non-ASR delete
+/// with each non-ASR insert, and (kAsr, kAsr).
+std::vector<std::pair<engine::DeleteStrategy, engine::InsertStrategy>>
+ValidStrategyPairs();
+
+/// The partner of the strategy a test varies: the other kAsr strategy for
+/// kAsr (a store keeps an ASR only when both are kAsr), else `other`.
+engine::InsertStrategy PairedInsert(
+    engine::DeleteStrategy del,
+    engine::InsertStrategy other = engine::InsertStrategy::kTable);
+engine::DeleteStrategy PairedDelete(
+    engine::InsertStrategy ins,
+    engine::DeleteStrategy other = engine::DeleteStrategy::kPerTupleTrigger);
 
 }  // namespace xupd::testing
 

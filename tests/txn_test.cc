@@ -290,17 +290,17 @@ class InsertRollbackTest : public ::testing::TestWithParam<InsertStrategy> {};
 
 TEST_P(InsertRollbackTest, MidCopySubtreesWhereFailureRollsBack) {
   CheckMidFailureRollback(
-      DeleteStrategy::kPerTupleTrigger, GetParam(), [](RelationalStore* s) {
+      testing::PairedDelete(GetParam()), GetParam(), [](RelationalStore* s) {
         return s->CopySubtreesWhere("Customer", "", s->root_id());
       });
 }
 
 TEST_P(InsertRollbackTest, StagingTablesAreEmptyAfterAFailedCopy) {
-  auto store = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
+  auto store = MakeStore(testing::PairedDelete(GetParam()), GetParam());
   int64_t total = CountStatements(store.get(), [](RelationalStore* s) {
     return s->CopySubtreesWhere("Customer", "", s->root_id());
   });
-  auto victim = MakeStore(DeleteStrategy::kPerTupleTrigger, GetParam());
+  auto victim = MakeStore(testing::PairedDelete(GetParam()), GetParam());
   victim->db()->InjectFailureAfterStatements(total / 2);
   Status s = victim->CopySubtreesWhere("Customer", "", victim->root_id());
   victim->db()->InjectFailureAfterStatements(-1);
@@ -420,7 +420,7 @@ TEST(TableStagingTest, CopyDoesNotJoinARunningBackgroundCheckpoint) {
 class DeleteRollbackTest : public ::testing::TestWithParam<DeleteStrategy> {};
 
 TEST_P(DeleteRollbackTest, MidDeleteFailureRollsBack) {
-  CheckMidFailureRollback(GetParam(), InsertStrategy::kTable,
+  CheckMidFailureRollback(GetParam(), testing::PairedInsert(GetParam()),
                           [](RelationalStore* s) {
                             return s->DeleteWhere("Customer", "");
                           });
