@@ -1,6 +1,8 @@
 // Observability smoke tool for CI: run the fig. 6-shaped workload, then
 // prove the observability surfaces carry real numbers — EXPLAIN ANALYZE
-// reports per-operator actuals that match the plain query, SHOW METRICS
+// reports per-operator actuals that match the plain query, a reader
+// session plans the §7.2 path join's inner step as a hash probe and returns
+// the writer's rows, SHOW METRICS
 // reports nonzero statement timings, the slow-statement log captures at
 // threshold 0, and the event ring holds statement spans. Exits nonzero on
 // any missing or zero timing field, so a silently-broken instrumentation
@@ -344,6 +346,31 @@ int main(int argc, char** argv) {
         "EXPLAIN ANALYZE row count matches the plain query");
   Check(plan_text.find("time_us=0.000") == std::string::npos,
         "no operator reports a zero time");
+
+  // --- the §7.2 path join through a reader session -------------------------
+  // Readers never probe an index: the inner n1 step must plan as a hash
+  // probe, and the snapshot rows must equal the writer's (index-probed).
+  const std::string path_join =
+      "SELECT l1.id, l0.id FROM n2 l0, n1 l1 WHERE l0.parentId = l1.id";
+  auto reader = db->OpenReaderSession();
+  if (!reader.ok()) {
+    std::fprintf(stderr, "reader session failed: %s\n",
+                 reader.status().ToString().c_str());
+    return 2;
+  }
+  auto reader_plan = (*reader)->ExecuteQuery("EXPLAIN " + path_join);
+  const std::string reader_plan_text =
+      reader_plan.ok() ? reader_plan->ToString() : "";
+  std::printf("%s", reader_plan_text.c_str());
+  Check(reader_plan_text.find("HashProbe n1 l1 (l1.id = l0.parentId)") !=
+            std::string::npos,
+        "the reader plans the inner n1 step as a hash probe");
+  auto writer_rows = db->ExecuteQuery(path_join);
+  auto reader_rows = (*reader)->ExecuteQuery(path_join);
+  Check(writer_rows.ok() && reader_rows.ok() && !writer_rows->rows.empty() &&
+            writer_rows->ToString(SIZE_MAX) == reader_rows->ToString(SIZE_MAX),
+        "the reader's join rows equal the writer's, in order");
+  reader->reset();
 
   // --- fig. 6 bulk delete + SHOW METRICS -----------------------------------
   Status deleted = store.value()->DeleteWhere("n1", "");

@@ -91,14 +91,21 @@ std::vector<std::string> RelationalStore::VerifyStore() {
     }
   }
   if (!tables_missing) {
+    std::unordered_set<int64_t> on_cycle;
+    std::vector<int64_t> walk;  // the ids one walk has passed through
     for (const TableMapping& tm : mapping_->tables()) {
       auto table_ids = ids.find(&tm);
       if (table_ids == ids.end()) continue;
       for (const auto& [id, parent_id] : table_ids->second.parent_of) {
-        // A broken link is reported by the tuple that holds it, not again
-        // by every descendant whose walk passes through it.
+        // A broken link is reported by the tuple that holds it, and a cycle
+        // by each tuple on it, not again by every descendant whose walk
+        // passes through them. A walk that returns to its own tuple has
+        // visited only tuples on that cycle; they are reported without a
+        // walk of their own, and other walks stop at them.
+        const bool cyclic = on_cycle.count(id) != 0;
         const TableMapping* at = &tm;
         int64_t up = parent_id;
+        walk.assign(1, id);
         for (size_t steps = 0;; ++steps) {
           const bool own = steps == 0;
           if (up == 0) {
@@ -118,12 +125,15 @@ std::vector<std::string> RelationalStore::VerifyStore() {
             }
             break;
           }
-          if (steps > owner.size()) {
+          if (up == id || cyclic) {
+            on_cycle.insert(walk.begin(), walk.end());
             violations.push_back("parent chain of '" + tm.table + "' id " +
                                  std::to_string(id) +
-                                 " does not terminate (cycle?)");
+                                 " returns to itself (cycle)");
             break;
           }
+          // Below a cycle: its own tuples report it.
+          if (on_cycle.count(up) != 0 || steps > owner.size()) break;
           auto parent_row = owner.find(up);
           if (parent_row == owner.end()) {
             if (own) {
@@ -135,6 +145,7 @@ std::vector<std::string> RelationalStore::VerifyStore() {
             }
             break;
           }
+          walk.push_back(up);
           at = parent_row->second.first;
           up = parent_row->second.second;
         }

@@ -71,8 +71,8 @@ StatementHandle NewStatementHandle(std::string_view sql, sql::Statement stmt);
 
 /// LRU cache of parsed statements keyed by SQL text. The writer's prepared
 /// cache and every reader session's statement cache are instances of it;
-/// reader sessions keep their own, so their scan-only plans never reach the
-/// writer.
+/// reader sessions keep their own, so their probe-free plans never reach
+/// the writer.
 class StatementCache {
  public:
   /// Capacity of the writer's cache and of every reader session's.
@@ -136,7 +136,9 @@ struct CheckpointCapture;
 //    in-flight reader statements; a pinned reader's NEXT statement sees the
 //    new catalog (e.g. "table not found" after a drop). Reader sessions plan
 //    with index probes disabled — hash indexes are writer-private — so
-//    snapshot reads always scan.
+//    readers never probe an index: a table step is a snapshot scan, and an
+//    inner equijoin step builds a per-statement hash table from one
+//    snapshot scan of its relation and probes that instead.
 //
 //  * Two background threads may exist: the group-commit flusher (kBatched
 //    durability; fsyncs the WAL every group_commit_window_us) and at most
@@ -879,7 +881,7 @@ class Database {
 ///
 /// The entry points keep the writer's contract: ExecuteQuery parses on every
 /// call, and ExecuteQueryBound prepares through the session's own LRU
-/// StatementCache (so its plans stay scan-only and never reach the writer).
+/// StatementCache (so its probe-free plans never reach the writer).
 /// Each statement pins the current epoch for its duration, unless
 /// PinSnapshot() opened an explicit multi-statement snapshot (then every
 /// statement reads the same pinned epoch until Unpin()). Only SELECT and

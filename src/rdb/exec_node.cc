@@ -252,7 +252,8 @@ Status GatherCandidates(const AccessPath& path,
   };
   switch (path.kind) {
     case AccessPath::Kind::kScan:
-      return Status::Internal("scan path has no candidates");
+    case AccessPath::Kind::kHashEq:
+      return Status::Internal("path has no index candidates");
     case AccessPath::Kind::kIndexEq: {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(path.probe, slots, ctx));
       probe(v);
@@ -525,6 +526,124 @@ class IndexProbeNode : public ExecNode {
   bool gathered_ = false;
 };
 
+/// Hash-join inner step (AccessPath::kHashEq). The first Open of an
+/// execution scans the relation once with a ScanNode — for a reader a
+/// snapshot scan at the pin — and keys every row by its join column,
+/// skipping NULL keys. Each Open then evaluates the probe value over the
+/// outer tuple and Next streams the rows whose key matches it under the
+/// index's own rules (Value::Hash, then Value::operator==: "42" matches 42,
+/// "7" does not match "07"), in ascending row order, that also satisfy the
+/// step's conjuncts. The join conjunct stays among them, so the rows and
+/// their order are the nested-loop plan's. The build is charged to
+/// mem.query_scratch until the pipeline is destroyed.
+class HashProbeNode : public ExecNode {
+ public:
+  HashProbeNode(const PlannedRelation* rel, const AccessPath* path,
+                const std::vector<BoundExpr>* filters, size_t k,
+                std::vector<const Value*>* slots)
+      : rel_(rel), path_(path), filters_(filters), k_(k), slots_(slots) {}
+  ~HashProbeNode() override {
+    if (charged_ != 0) mem_->Release(MemoryAccountant::kQueryScratch, charged_);
+  }
+
+  Status Open(ExecContext& ctx) override {
+    if (!built_) XUPD_RETURN_IF_ERROR(Build(ctx));
+    next_ = -1;
+    if (entries_.empty()) return Status::OK();
+    XUPD_ASSIGN_OR_RETURN(key_, EvalBound(path_->probe, *slots_, ctx));
+    if (key_.is_null()) return Status::OK();
+    hash_ = key_.Hash();
+    next_ = heads_[Bucket(hash_)];
+    return Status::OK();
+  }
+
+  Result<bool> Next(ExecContext& ctx) override {
+    while (next_ >= 0) {
+      XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
+      const Entry& e = entries_[static_cast<size_t>(next_)];
+      next_ = e.next;
+      if (e.hash != hash_ || !(e.row[path_->column] == key_)) continue;
+      (*slots_)[k_] = e.row;
+      XUPD_ASSIGN_OR_RETURN(bool holds, ConjunctsHold(*filters_, *slots_, ctx));
+      if (holds) return true;
+    }
+    return false;
+  }
+
+ private:
+  struct Entry {
+    const Value* row;
+    uint64_t hash;
+    int32_t next;  ///< next entry in the bucket's chain, -1 = end.
+  };
+
+  Status Build(ExecContext& ctx) {
+    built_ = true;
+    // One scan of the relation, governed and counted as any scan is. A
+    // snapshot scan materializes each row into its own staging row, so a
+    // reader's build copies the keyed rows into rows_ and points its
+    // entries there once rows_ has stopped growing.
+    const std::vector<BoundExpr> no_filters;
+    std::vector<const Value*> slot(k_ + 1, nullptr);
+    ScanNode scan(rel_, &no_filters, k_, &slot);
+    XUPD_RETURN_IF_ERROR(scan.Open(ctx));
+    const bool copy = rel_->table != nullptr && ctx.read_epoch != kLatestEpoch;
+    const size_t arity = rel_->columns.size();
+    const size_t col = path_->column;
+    while (true) {
+      XUPD_ASSIGN_OR_RETURN(bool more, scan.Next(ctx));
+      if (!more) break;
+      const Value* row = slot[k_];
+      if (row[col].is_null()) continue;
+      entries_.push_back({copy ? nullptr : row, row[col].Hash(), -1});
+      if (copy) rows_.insert(rows_.end(), row, row + arity);
+    }
+    if (copy) {
+      for (size_t i = 0; i < entries_.size(); ++i) {
+        entries_[i].row = rows_.data() + i * arity;
+      }
+    }
+    // Prepending in reverse row order leaves every chain ascending.
+    size_t buckets = 1;
+    while (buckets < 2 * entries_.size()) buckets <<= 1;
+    heads_.assign(buckets, -1);
+    for (size_t i = entries_.size(); i-- > 0;) {
+      int32_t& head = heads_[Bucket(entries_[i].hash)];
+      entries_[i].next = head;
+      head = static_cast<int32_t>(i);
+    }
+    mem_ = ctx.mem;
+    if (mem_ != nullptr) {
+      charged_ = entries_.capacity() * sizeof(Entry) +
+                 heads_.size() * sizeof(int32_t) +
+                 rows_.capacity() * sizeof(Value);
+      mem_->Charge(MemoryAccountant::kQueryScratch, charged_);
+    }
+    return Status::OK();
+  }
+
+  /// Integer keys hash to themselves, so the bucket mixes the hash first
+  /// (see HashIndex::Mix).
+  size_t Bucket(uint64_t hash) const {
+    return HashIndex::Mix(hash) & (heads_.size() - 1);
+  }
+
+  const PlannedRelation* rel_;
+  const AccessPath* path_;
+  const std::vector<BoundExpr>* filters_;
+  size_t k_;
+  std::vector<const Value*>* slots_;
+  bool built_ = false;
+  std::vector<Entry> entries_;  ///< ascending row order.
+  std::vector<int32_t> heads_;  ///< bucket -> first entry, -1 = empty.
+  Row rows_;                    ///< reader builds: the copied rows.
+  MemoryAccountant* mem_ = nullptr;
+  size_t charged_ = 0;
+  Value key_;          ///< the current probe value.
+  uint64_t hash_ = 0;  ///< key_.Hash().
+  int32_t next_ = -1;  ///< next chain entry to examine, -1 = done.
+};
+
 /// Nested-loop join: for each outer tuple, re-opens the inner side (whose
 /// probe expressions see the outer tuple through the shared slots).
 class NestedLoopJoinNode : public ExecNode {
@@ -594,6 +713,9 @@ std::unique_ptr<ExecNode> MakeAccessNode(const PlannedCore& core, size_t k,
   if (core.paths[k].kind == AccessPath::Kind::kScan) {
     node = std::make_unique<ScanNode>(&core.relations[k], &core.filters[k], k,
                                       slots);
+  } else if (core.paths[k].kind == AccessPath::Kind::kHashEq) {
+    node = std::make_unique<HashProbeNode>(&core.relations[k], &core.paths[k],
+                                           &core.filters[k], k, slots);
   } else {
     node = std::make_unique<IndexProbeNode>(
         &core.relations[k], &core.paths[k], &core.filters[k], k, slots);

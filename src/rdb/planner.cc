@@ -159,9 +159,35 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
                               const std::vector<BoundExpr*>& conjuncts,
                               AccessPath* path) const {
   path->kind = AccessPath::Kind::kScan;
-  const Table* table = rels[k].table;
-  if (table == nullptr) return -1;  // CTEs have no indexes
-  if (!db_->planner_index_probes_enabled() || !allow_index_probes_) return -1;
+  const Table* table = rels[k].table;  // null for a CTE: it has no indexes
+  if (table != nullptr && db_->planner_index_probes_enabled() &&
+      allow_index_probes_) {
+    const int consumed = ChooseIndexPath(*table, k, conjuncts, path);
+    if (consumed >= 0) return consumed;
+  }
+  if (k == 0) return -1;
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+    const BoundExpr& c = *conjuncts[ci];
+    if (c.kind != Expr::Kind::kBinary || c.op != Expr::Op::kEq) continue;
+    for (int side = 0; side < 2; ++side) {
+      const BoundExpr& lhs = c.children[static_cast<size_t>(side)];
+      const BoundExpr& rhs = c.children[static_cast<size_t>(1 - side)];
+      if (lhs.kind != Expr::Kind::kColumn || lhs.rel != k) continue;
+      // A row-free value would key every outer row alike: a filtered scan.
+      if (rhs.max_rel < 0 || rhs.max_rel >= static_cast<int>(k)) continue;
+      path->kind = AccessPath::Kind::kHashEq;
+      path->column = lhs.col;
+      path->column_name = lhs.name;
+      path->probe = rhs;
+      return static_cast<int>(ci);
+    }
+  }
+  return -1;
+}
+
+int Planner::ChooseIndexPath(const Table& table, size_t k,
+                             const std::vector<BoundExpr*>& conjuncts,
+                             AccessPath* path) const {
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     const BoundExpr& c = *conjuncts[ci];
     if (c.kind == Expr::Kind::kBinary && c.op == Expr::Op::kEq) {
@@ -172,7 +198,7 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
         // The probe value may only see strictly-earlier relations.
         if (rhs.max_rel >= static_cast<int>(k)) continue;
         const HashIndex* idx =
-            table->FindIndexOnColumn(static_cast<int>(lhs.col));
+            table.FindIndexOnColumn(static_cast<int>(lhs.col));
         if (idx == nullptr) continue;
         path->kind = AccessPath::Kind::kIndexEq;
         path->index = idx;
@@ -193,7 +219,7 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
       }
       if (!all_row_free) continue;
       const HashIndex* idx =
-          table->FindIndexOnColumn(static_cast<int>(c.children[0].col));
+          table.FindIndexOnColumn(static_cast<int>(c.children[0].col));
       if (idx == nullptr) continue;
       path->kind = AccessPath::Kind::kIndexIn;
       path->index = idx;
@@ -205,7 +231,7 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
                c.children[0].kind == Expr::Kind::kColumn &&
                c.children[0].rel == k) {
       const HashIndex* idx =
-          table->FindIndexOnColumn(static_cast<int>(c.children[0].col));
+          table.FindIndexOnColumn(static_cast<int>(c.children[0].col));
       if (idx == nullptr) continue;
       path->kind = AccessPath::Kind::kIndexInSubquery;
       path->index = idx;
@@ -691,6 +717,10 @@ void AccessNode(std::string* out, int depth, const PlannedRelation& rel,
     case AccessPath::Kind::kIndexInSubquery:
       text = "IndexProbe " + RelationLabel(rel) + " via " + path.index_name +
              " (" + path.column_name + " IN (subquery))";
+      break;
+    case AccessPath::Kind::kHashEq:
+      text = "HashProbe " + RelationLabel(rel) + " (" + path.column_name +
+             " = " + ExprStr(path.probe) + ")";
       break;
   }
   Line(out, depth, text + FilterSuffix(filters) +

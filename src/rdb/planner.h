@@ -65,15 +65,20 @@ struct PlannedRelation {
   std::vector<std::string> columns;  ///< column names, for * expansion.
 };
 
-/// How one relation is accessed: full scan, or a hash-index probe driven by
-/// an equality conjunct, an IN value list, or an IN (SELECT ...) set.
+/// How one relation is accessed: full scan, a hash-index probe driven by an
+/// equality conjunct, an IN value list, or an IN (SELECT ...) set, or (an
+/// inner join step with no index path) a probe of a hash table the step
+/// builds over its join column once per execution.
 struct AccessPath {
-  enum class Kind { kScan, kIndexEq, kIndexIn, kIndexInSubquery };
+  enum class Kind { kScan, kIndexEq, kIndexIn, kIndexInSubquery, kHashEq };
   Kind kind = Kind::kScan;
   const HashIndex* index = nullptr;
   std::string index_name;   ///< display only.
-  std::string column_name;  ///< indexed column, display only.
+  std::string column_name;  ///< indexed / join column, display only.
+  /// kHashEq: the join column of this step's relation (the build key).
+  size_t column = 0;
   /// kIndexEq: probe value over strictly-earlier relations (or no columns).
+  /// kHashEq: the probe value, which reads at least one earlier relation.
   BoundExpr probe;
   /// kIndexIn: the column-free IN-list values.
   std::vector<BoundExpr> probe_list;
@@ -184,7 +189,9 @@ class Planner {
       const sql::Statement& stmt, PlanCacheSlot* slot, Stats* stats);
 
   /// Reader sessions plan with index probes disabled: hash indexes are
-  /// writer-private (not epoch-versioned), so snapshot reads always scan.
+  /// writer-private (not epoch-versioned), so snapshot readers never probe
+  /// one. Their equijoin steps take the kHashEq path instead and build a
+  /// per-statement hash table from a snapshot scan.
   void set_allow_index_probes(bool allow) { allow_index_probes_ = allow; }
 
  private:
@@ -213,17 +220,24 @@ class Planner {
                          const std::vector<PlannedRelation>& rels,
                          bool values_context = false);
 
-  /// Picks an index access path for relation `k` from the conjuncts placed
-  /// at step `k` (first usable conjunct in order wins). Equality probes may
-  /// reference strictly-earlier relations; IN-list and IN-subquery probes
-  /// are row-free by construction (the dialect has no correlation) and are
-  /// considered at EVERY join position — at inner steps the executor
-  /// gathers their candidate set once per execution and replays it for each
-  /// outer row. Returns the index of the consumed conjunct in `conjuncts`
-  /// (-1 = scan).
+  /// Picks the access path for relation `k` from the conjuncts placed at
+  /// step `k` (first usable conjunct in order wins). An index path comes
+  /// first; equality probes may reference strictly-earlier relations;
+  /// IN-list and IN-subquery probes are row-free by construction (the
+  /// dialect has no correlation) and are considered at EVERY join position
+  /// — at inner steps the executor gathers their candidate set once per
+  /// execution and replays it for each outer row. An inner step (k > 0)
+  /// with no index path — a reader session, a CTE, an unindexed column, or
+  /// probes disabled — takes kHashEq on its first `rel_k.col = expr`
+  /// conjunct whose `expr` reads an earlier relation. Returns the index of
+  /// the consumed conjunct in `conjuncts` (-1 = scan).
   int ChooseAccessPath(const std::vector<PlannedRelation>& rels, size_t k,
                        const std::vector<BoundExpr*>& conjuncts,
                        AccessPath* path) const;
+  /// The index half of ChooseAccessPath (-1 = no index path).
+  int ChooseIndexPath(const Table& table, size_t k,
+                      const std::vector<BoundExpr*>& conjuncts,
+                      AccessPath* path) const;
 
   Database* db_;
   const TableSchema* old_schema_;

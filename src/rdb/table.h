@@ -14,9 +14,10 @@
 //    (indexes into the entry array) whose head is found through a second
 //    flat table keyed by value, so Lookup walks a chain and Erase of an
 //    exact (value, rowid) pair is O(1): the pair itself is open-addressed.
-//    Indexes are writer-private: snapshot readers always scan (their plans
-//    are built with index probes disabled), so index mutation needs no
-//    synchronization.
+//    Indexes are writer-private: snapshot readers never probe one (their
+//    plans are built with index probes disabled; an equijoin step builds a
+//    per-statement hash table from a snapshot scan instead), so index
+//    mutation needs no synchronization.
 //
 // MVCC (single writer, many pinned readers — see rdb/epoch.h):
 //
@@ -106,6 +107,19 @@ class HashIndex {
   uint64_t probes() const { return probes_; }
   uint64_t probe_hits() const { return hits_; }
 
+  /// Finalizing bit mixer (murmur3 fmix64). Value::Hash of an integer is
+  /// the identity (libstdc++ std::hash<int64_t>), and the engine's keys and
+  /// rowids are dense sequential ints — feeding them to linear probing
+  /// unmixed coalesces the table into one giant probe run (O(n) inserts).
+  static uint64_t Mix(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+  }
+
   /// Scrub hook (rdb/integrity.cc): calls fn(value, rowid) for every live
   /// entry, in slot order.
   template <typename Fn>
@@ -136,18 +150,6 @@ class HashIndex {
   int32_t FindHead(uint64_t vhash, const Value& v) const;
   /// Grows (or initializes) both flat tables and relinks every chain.
   void Rehash(size_t new_cap);
-  /// Finalizing bit mixer (murmur3 fmix64). Value::Hash of an integer is
-  /// the identity (libstdc++ std::hash<int64_t>), and the engine's keys and
-  /// rowids are dense sequential ints — feeding them to linear probing
-  /// unmixed coalesces the table into one giant probe run (O(n) inserts).
-  static uint64_t Mix(uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-  }
   static uint64_t PairHash(uint64_t vhash, uint64_t rowid) {
     return Mix(vhash ^ (rowid + 0x9e3779b97f4a7c15ULL));
   }

@@ -586,6 +586,39 @@ TEST(VerifyStoreTest, DetectsOrphanedSubtrees) {
   EXPECT_EQ(orphan_reports, orphaned) << violations[0];
 }
 
+TEST(VerifyStoreTest, ReportsAParentCycleOncePerTupleOnIt) {
+  workload::SyntheticSpec spec;
+  spec.scaling_factor = 1;
+  spec.depth = 5;
+  spec.fanout = 2;
+  auto doc = workload::GenerateFixedSynthetic(spec, 42);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  RelationalStore::Options options;
+  options.delete_strategy = DeleteStrategy::kCascade;
+  auto store = RelationalStore::Create(doc->dtd, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE(store.value()->Load(*doc->doc).ok());
+  ASSERT_TRUE(store.value()->VerifyStore().empty());
+  // One n2 tuple becomes the child of its own n3 child: a 2-tuple cycle
+  // with the rest of that n2 subtree (13 tuples) hanging below it.
+  rdb::Database* db = store.value()->db();
+  auto n3 = db->ExecuteQuery(
+      "SELECT id, parentId FROM n3 WHERE parentId IN (SELECT id FROM n2)");
+  ASSERT_TRUE(n3.ok() && !n3->rows.empty()) << n3.status();
+  const int64_t child = n3->rows[0][0].AsInt();
+  const int64_t n2 = n3->rows[0][1].AsInt();
+  ASSERT_TRUE(db->ExecuteQuery("UPDATE n2 SET parentId = " +
+                               std::to_string(child) +
+                               " WHERE id = " + std::to_string(n2))
+                  .ok());
+  std::vector<std::string> violations = store.value()->VerifyStore();
+  int cycle_reports = 0;
+  for (const std::string& v : violations) {
+    if (v.find("cycle") != std::string::npos) ++cycle_reports;
+  }
+  EXPECT_EQ(cycle_reports, 2) << (violations.empty() ? "" : violations[0]);
+}
+
 /// An in-memory table t(k, v) with rows k = 1..5 at rowids 0..4 and a hash
 /// index on k, for tampering with the index behind the scrub's back.
 class IndexScrubTest : public ::testing::Test {

@@ -739,6 +739,135 @@ TEST(ReaderGovernanceTest, SessionsHonorTimeoutAndCancelToken) {
 }
 
 // ---------------------------------------------------------------------------
+// Hash-join steps: the per-statement build is governed like any scan
+
+/// Tables a(x) with `outer` rows and b(y) with `inner` rows, keys 0..99
+/// (every 10th b key NULL), no indexes: `a, b WHERE b.y = a.x` plans a hash
+/// step over b for the writer and for readers alike.
+void MakeJoinTables(rdb::Database* db, int outer, int inner) {
+  ASSERT_TRUE(db->ExecuteQuery("CREATE TABLE a (x INTEGER)").ok());
+  ASSERT_TRUE(db->ExecuteQuery("CREATE TABLE b (y INTEGER)").ok());
+  ASSERT_TRUE(db->ExecuteQuery("CREATE TABLE out (x INTEGER, y INTEGER)").ok());
+  ASSERT_TRUE(db->Begin().ok());
+  auto ia = db->Prepare("INSERT INTO a VALUES (?)");
+  auto ib = db->Prepare("INSERT INTO b VALUES (?)");
+  ASSERT_TRUE(ia.ok() && ib.ok());
+  for (int i = 0; i < outer; ++i) {
+    ASSERT_TRUE(db->ExecuteQuery(ia.value(), {rdb::Value::Int(i % 100)}).ok());
+  }
+  for (int i = 0; i < inner; ++i) {
+    rdb::Value y = i % 10 == 0 ? rdb::Value::Null() : rdb::Value::Int(i % 100);
+    ASSERT_TRUE(db->ExecuteQuery(ib.value(), {y}).ok());
+  }
+  ASSERT_TRUE(db->Commit().ok());
+}
+
+constexpr char kHashJoin[] = "SELECT COUNT(*) FROM a, b WHERE b.y = a.x";
+
+TEST(HashJoinGovernanceTest, ReaderDeadlineExpiringMidBuildIsReported) {
+  rdb::Database db;
+  constexpr int kInner = 100000;
+  MakeJoinTables(&db, 1, kInner);
+  auto session = db.OpenReaderSession();
+  ASSERT_TRUE(session.ok());
+  auto plan = (*session)->ExecuteQuery(std::string("EXPLAIN ") + kHashJoin);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_NE(plan->ToString().find("HashProbe b"), std::string::npos)
+      << plan->ToString();
+  // One outer row, so all but one of the rows read belong to b's build.
+  db.set_statement_timeout_us(200);
+  auto timed_out = (*session)->ExecuteQuery(kHashJoin);
+  db.set_statement_timeout_us(0);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+      << timed_out.status();
+  const uint64_t scanned = (*session)->stats().rows_scanned;
+  EXPECT_GT(scanned, 1u);
+  EXPECT_LT(scanned, 1u + kInner);
+  EXPECT_EQ(db.memory_accountant().used(MemoryAccountant::kQueryScratch), 0u);
+}
+
+TEST(HashJoinGovernanceTest, QueryScratchReturnsToItsPreStatementValue) {
+  rdb::Database db;
+  MakeJoinTables(&db, 500, 5000);
+  auto session = db.OpenReaderSession();
+  ASSERT_TRUE(session.ok());
+  MemoryAccountant& mem = db.memory_accountant();
+  const uint64_t before = mem.used(MemoryAccountant::kQueryScratch);
+  for (bool read : {false, true}) {
+    SCOPED_TRACE(read ? "reader" : "writer");
+    auto run = [&]() {
+      return read ? (*session)->ExecuteQuery(kHashJoin)
+                  : db.ExecuteQuery(kHashJoin);
+    };
+    // The build's charge is real: with the hard budget frozen at the
+    // current total, the probes' governance polls fail the statement.
+    mem.set_hard_budget(mem.total_used());
+    auto killed = run();
+    mem.set_hard_budget(0);
+    ASSERT_FALSE(killed.ok());
+    EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted)
+        << killed.status();
+    EXPECT_EQ(mem.used(MemoryAccountant::kQueryScratch), before);
+    // 450 outer rows have a key ending in 1-9, and b holds 50 of each.
+    auto rows = run();
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(rows->rows[0][0].AsInt(), 500 * 45);
+    EXPECT_EQ(mem.used(MemoryAccountant::kQueryScratch), before);
+  }
+}
+
+TEST(HashJoinGovernanceTest, CancelAtEveryPullOfAForcedScanJoinRollsBack) {
+  constexpr char kInsert[] =
+      "INSERT INTO out SELECT a.x, b.y FROM a, b WHERE b.y = a.x";
+  auto make = [](rdb::Database* db) {
+    MakeJoinTables(db, 30, 60);
+    db->set_planner_index_probes_enabled(false);
+  };
+  std::string pre, post;
+  int64_t total_pulls = 0;
+  {
+    rdb::Database db;
+    make(&db);
+    auto plan = db.ExecuteQuery(std::string("EXPLAIN ") + kInsert);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_NE(plan->ToString().find("HashProbe b"), std::string::npos)
+        << plan->ToString();
+    pre = DumpDurableState(db);
+    const int64_t armed = int64_t{1} << 40;
+    ASSERT_TRUE(db.Begin().ok());
+    db.ArmCancelAtPull(armed);
+    ASSERT_TRUE(db.ExecuteQuery(kInsert).ok());
+    total_pulls = armed - db.cancel_at_pull_remaining();
+    db.DisarmCancelAtPull();
+    ASSERT_TRUE(db.Commit().ok());
+    post = DumpDurableState(db);
+    ASSERT_NE(pre, post);
+  }
+  ASSERT_GT(total_pulls, 60);
+  // The statement runs in a transaction, as every engine operation does:
+  // an INSERT ... SELECT outside one keeps the rows it inserted before the
+  // failing pull.
+  for (int64_t k = 1; k <= total_pulls; ++k) {
+    SCOPED_TRACE("cancel injected at pull " + std::to_string(k));
+    rdb::Database db;
+    make(&db);
+    ASSERT_TRUE(db.Begin().ok());
+    db.ArmCancelAtPull(k);
+    Status s = db.ExecuteQuery(kInsert).status();
+    db.DisarmCancelAtPull();
+    ASSERT_EQ(s.code(), StatusCode::kCancelled) << s;
+    ASSERT_TRUE(db.Rollback().ok());
+    EXPECT_EQ(DumpDurableState(db), pre);
+    EXPECT_TRUE(db.VerifyIntegrity().empty());
+    EXPECT_EQ(db.memory_accountant().used(MemoryAccountant::kQueryScratch),
+              0u);
+    ASSERT_TRUE(db.ExecuteQuery(kInsert).ok());
+    EXPECT_EQ(DumpDurableState(db), post);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Slow-statement log: governance kills carry their cause
 
 TEST(SlowLogCauseTest, KilledStatementsAreLoggedWithCauseAndDelta) {

@@ -290,7 +290,8 @@ TEST(MvccTest, ReaderQueriesWithPredicatesJoinsAndParams) {
   Must(&db, "INSERT INTO a VALUES (12, 2)");
   auto rs = db.OpenReaderSession();
   ASSERT_TRUE(rs.ok()) << rs.status();
-  // Joins run on snapshot scans (index probes are disabled for readers).
+  // Readers never probe an index: the join's inner step probes a hash
+  // table built from one snapshot scan of b.
   EXPECT_EQ(ReaderCount(rs->get(),
                         "SELECT COUNT(*) FROM a, b "
                         "WHERE a.bid = b.id AND b.name = 'y'"),
@@ -376,6 +377,72 @@ INSTANTIATE_TEST_SUITE_P(AllInsertStrategies, MvccInsertStrategyTest,
                          ::testing::Values(InsertStrategy::kTuple,
                                            InsertStrategy::kTable,
                                            InsertStrategy::kAsr));
+
+/// The paper's §7.2 conventional path join, one step up from OrderLine.
+constexpr char kPathJoin[] =
+    "SELECT l1.id, l0.id FROM OrderLine l0, Order l1 "
+    "WHERE l0.parentId = l1.id";
+
+std::vector<std::string> JoinRows(const Result<rdb::ResultSet>& r) {
+  std::vector<std::string> out;
+  EXPECT_TRUE(r.ok()) << r.status();
+  if (!r.ok()) return out;
+  for (const rdb::Row& row : r->rows) {
+    out.push_back(row[0].ToString() + "|" + row[1].ToString());
+  }
+  return out;
+}
+
+class MvccStrategyPairTest
+    : public ::testing::TestWithParam<
+          std::pair<DeleteStrategy, InsertStrategy>> {};
+
+TEST_P(MvccStrategyPairTest, PinnedReaderJoinMatchesTheWriterAtThePin) {
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  RelationalStore::Options options;
+  options.delete_strategy = GetParam().first;
+  options.insert_strategy = GetParam().second;
+  auto store = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
+  ASSERT_TRUE((*store)->Load(*doc).ok());
+  rdb::Database* db = (*store)->db();
+  const std::vector<std::string> at_pin = JoinRows(db->ExecuteQuery(kPathJoin));
+  ASSERT_FALSE(at_pin.empty());
+
+  auto rs = db->OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  auto plan = (*rs)->ExecuteQuery(std::string("EXPLAIN ") + kPathJoin);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->ToString().find("HashProbe Order l1"), std::string::npos)
+      << plan->ToString();
+  (*rs)->PinSnapshot();
+  // The pinned session joins on its own thread while the writer deletes a
+  // subtree and copies another.
+  std::vector<std::vector<std::string>> seen;
+  std::thread reader([&] {
+    for (int i = 0; i < 20; ++i) {
+      seen.push_back(JoinRows((*rs)->ExecuteQuery(kPathJoin)));
+    }
+  });
+  Status del = (*store)->DeleteWhere("Customer", "Name = 'John'");
+  Status copy = (*store)->CopySubtreesWhere("Customer", "Name = 'Mary'",
+                                            (*store)->root_id());
+  reader.join();
+  ASSERT_TRUE(del.ok()) << del;
+  ASSERT_TRUE(copy.ok()) << copy;
+  for (const std::vector<std::string>& rows : seen) EXPECT_EQ(rows, at_pin);
+  EXPECT_EQ(JoinRows((*rs)->ExecuteQuery(kPathJoin)), at_pin);
+  (*rs)->Unpin();
+  // After the commits: the writer's current result.
+  const std::vector<std::string> now = JoinRows(db->ExecuteQuery(kPathJoin));
+  EXPECT_NE(now, at_pin);
+  EXPECT_EQ(JoinRows((*rs)->ExecuteQuery(kPathJoin)), now);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategyPairs, MvccStrategyPairTest,
+    ::testing::ValuesIn(xupd::testing::ValidStrategyPairs()));
 
 // ---------------------------------------------------------------------------
 // background checkpoint

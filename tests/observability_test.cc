@@ -71,7 +71,8 @@ TEST(ExplainAnalyzeTest, AnnotatesEveryOperatorAndSummarizes) {
   for (const std::string& line : lines) {
     if (line.rfind("Execution:", 0) == 0) continue;
     const bool access = line.find("Scan ") != std::string::npos ||
-                        line.find("IndexProbe ") != std::string::npos;
+                        line.find("IndexProbe ") != std::string::npos ||
+                        line.find("HashProbe ") != std::string::npos;
     if (!access && line.find("Project") == std::string::npos) continue;
     EXPECT_NE(line.find("actual rows="), std::string::npos) << line;
     EXPECT_NE(line.find("time_us="), std::string::npos) << line;
@@ -81,6 +82,26 @@ TEST(ExplainAnalyzeTest, AnnotatesEveryOperatorAndSummarizes) {
   EXPECT_GE(annotated, 3u);
   // The summary line is last.
   EXPECT_EQ(lines.back().rfind("Execution: rows=", 0), 0u) << lines.back();
+}
+
+TEST(ExplainAnalyzeTest, HashProbeStepCountsEachOpenAsALoop) {
+  Database db;
+  Populate(&db);
+  db.set_planner_index_probes_enabled(false);
+  auto rs = db.ExecuteQuery(std::string("EXPLAIN ANALYZE ") + kJoin);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // One build over child's 30 rows at the first of 10 opens (one per parent
+  // row); each open emits that parent's 3 children.
+  bool found = false;
+  for (const std::string& line : PlanLines(*rs)) {
+    if (line.find("HashProbe child (child.parentId = parent.id)") ==
+        std::string::npos) {
+      continue;
+    }
+    found = true;
+    EXPECT_NE(line.find("actual rows=30 loops=10"), std::string::npos) << line;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(ExplainAnalyzeTest, ActualRowsMatchThePlainQuery) {

@@ -131,9 +131,10 @@ TEST_F(PlannerTest, JoinConjunctDrivesInnerIndexProbe) {
 TEST_F(PlannerTest, SingleRelationFilterIsAppliedBeforeTheJoin) {
   CreateEmpDept(/*indexed=*/false);
   Stats before = db_.stats();
+  // `Dept.id + 0` is no join column, so Dept stays a rescanned inner scan.
   ResultSet r = Query(
       "SELECT Emp.name FROM Emp, Dept "
-      "WHERE Emp.deptId = Dept.id AND Dept.name = 'hr'");
+      "WHERE Emp.deptId = Dept.id + 0 AND Dept.name = 'hr'");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsString(), "dan");
   // Emp (4 rows) scanned once; Dept (3 rows) rescanned per Emp row. Without
@@ -141,6 +142,49 @@ TEST_F(PlannerTest, SingleRelationFilterIsAppliedBeforeTheJoin) {
   // the filter placement keeps the inner loop's emitted tuples at 4.
   Stats delta = db_.stats().Delta(before);
   EXPECT_EQ(delta.rows_scanned, 4u + 4u * 3u);
+}
+
+TEST_F(PlannerTest, UnindexedEquijoinBuildsAHashTableOnce) {
+  CreateEmpDept(/*indexed=*/false);
+  const std::string sql =
+      "SELECT Emp.name FROM Emp, Dept "
+      "WHERE Emp.deptId = Dept.id AND Dept.name = 'hr'";
+  EXPECT_NE(Explain(sql).find("HashProbe Dept (Dept.id = Emp.deptId) "
+                              "(filter: (Emp.deptId = Dept.id) AND "
+                              "(Dept.name = 'hr'))"),
+            std::string::npos)
+      << Explain(sql);
+  Stats before = db_.stats();
+  ResultSet r = Query(sql);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "dan");
+  // Emp (4 rows) scanned once; Dept (3 rows) read once into the hash table.
+  Stats delta = db_.stats().Delta(before);
+  EXPECT_EQ(delta.rows_scanned, 4u + 3u);
+  EXPECT_EQ(delta.index_probes, 0u);
+}
+
+TEST_F(PlannerTest, AnIndexPathWinsOverAnEarlierHashableConjunct) {
+  CreateEmpDept(/*indexed=*/true);
+  // Dept.name has no index, Dept.id has one: the probe wins, whatever the
+  // conjunct order.
+  std::string plan = Explain(
+      "SELECT Emp.name FROM Emp, Dept "
+      "WHERE Dept.name = Emp.name AND Dept.id = Emp.deptId");
+  EXPECT_NE(plan.find("IndexProbe Dept via dept_id"), std::string::npos)
+      << plan;
+  // A row-free equality is a filter, not a join key: Dept is scanned.
+  db_.set_planner_index_probes_enabled(false);
+  plan = Explain("SELECT Emp.name FROM Emp, Dept WHERE Dept.id = 2");
+  EXPECT_NE(plan.find("Scan Dept (filter: (Dept.id = 2))"), std::string::npos)
+      << plan;
+  plan = Explain(
+      "SELECT Emp.name FROM Emp, Dept "
+      "WHERE Dept.name = Emp.name AND Dept.id = Emp.deptId");
+  EXPECT_NE(plan.find("HashProbe Dept (Dept.name = Emp.name)"),
+            std::string::npos)
+      << plan;
+  db_.set_planner_index_probes_enabled(true);
 }
 
 // ---------------------------------------------------------------------------

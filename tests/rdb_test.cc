@@ -934,9 +934,17 @@ TEST_F(ScanCounterTest, FilteredWriterScanCountsEveryExaminedRow) {
 
 TEST_F(ScanCounterTest, InnerJoinRescanCountsEachOpen) {
   // 3 of p's 8 live rows pass v <= 5 (1, 4, 5); q is re-opened and
-  // rescanned for each: 8 + 3 x 3 rows scanned.
-  ExpectDeltas("SELECT p.id FROM p, q WHERE p.v <= 5 AND q.v = p.v",
+  // rescanned for each: 8 + 3 x 3 rows scanned. (`q.v + 0` is no join
+  // column, so q stays a scan.)
+  ExpectDeltas("SELECT p.id FROM p, q WHERE p.v <= 5 AND q.v + 0 = p.v",
                {17, 1, 8, 3, 9, 0});
+}
+
+TEST_F(ScanCounterTest, HashJoinBuildCountsEachRowOnce) {
+  // The unindexed equijoin builds a hash table over q's 3 rows at the
+  // first of the 3 opens and probes it for the others: 8 + 3 rows scanned.
+  ExpectDeltas("SELECT p.id FROM p, q WHERE p.v <= 5 AND q.v = p.v",
+               {11, 1, 8, 1, 3, 0});
 }
 
 TEST_F(ScanCounterTest, IndexProbeCountsLiveCandidates) {
