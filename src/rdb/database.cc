@@ -40,6 +40,17 @@ bool IsDdl(const sql::Statement& stmt) {
   }
 }
 
+// Whether `stmt` writes rows: INSERT, DELETE or UPDATE, or EXPLAIN ANALYZE
+// of one (which executes it).
+bool IsDml(const sql::Statement& stmt) {
+  if (stmt.kind == sql::Statement::Kind::kExplain) {
+    return stmt.explain_analyze && IsDml(*stmt.explain);
+  }
+  return stmt.kind == sql::Statement::Kind::kInsert ||
+         stmt.kind == sql::Statement::Kind::kDelete ||
+         stmt.kind == sql::Statement::Kind::kUpdate;
+}
+
 // The bind check of every statement path: `bound` values for the
 // statement's ? placeholders.
 Status CheckBind(const sql::Statement& stmt, size_t bound) {
@@ -437,8 +448,8 @@ Status Database::WalFlush() {
   if (txn_.active()) return Status::OK();
   Status unit = WalCommitUnit();
   // Every top-level boundary publishes an epoch — also on statement failure
-  // (outside a transaction partial effects stay visible, matching the
-  // documented single-thread semantics) and on non-durable Databases.
+  // (a failed DML statement has rolled back its rows; the boundary
+  // publishes their restored metadata) and on non-durable Databases.
   AdvanceEpochBoundary();
   return unit;
 }
@@ -897,7 +908,20 @@ Result<ResultSet> Database::RunStatement(const sql::Statement& stmt,
   Executor exec(this, params, sql_text);
   exec.set_deadline(deadline_ns);
   Status gate = exempt ? Status::OK() : GovernanceAdmission(deadline_ns);
+  // DML outside a transaction runs in a scope of its own, so a statement
+  // that fails or is killed part way — in its trigger cascade too — rolls
+  // back every row it wrote and leaves no WAL unit.
+  const bool implicit_txn = gate.ok() && !txn_.active() && IsDml(stmt);
+  if (implicit_txn) txn_.Begin(next_id_);
   auto result = gate.ok() ? exec.Run(stmt, slot) : Result<ResultSet>(gate);
+  if (implicit_txn) {
+    // Neither can fail: the scope opened above is the only open one.
+    if (result.ok()) {
+      (void)txn_.Commit();
+    } else {
+      next_id_ = txn_.Rollback().value();
+    }
+  }
   Status wal = WalFlush();
   const uint64_t dur = MonotonicNanos() - t0;
   stmt_hists_[StmtKindSlot(stmt.kind)]->Record(dur);

@@ -234,8 +234,8 @@ class Database {
 
   /// Flushes pending redo as one committed unit when no transaction is
   /// open. The statement entry points call it at every top-level boundary
-  /// (autocommit statements and their trigger cascades persist as one unit
-  /// each); call it directly after direct bulk-API writes, which cross no
+  /// (a successful autocommit statement and its trigger cascade persist as
+  /// one unit; a failed one has rolled back and pends nothing); call it directly after direct bulk-API writes, which cross no
   /// statement boundary of their own. No-op when durability is off or a
   /// transaction is open.
   Status WalFlush();
@@ -460,9 +460,10 @@ class Database {
     return catalog_version_.load(std::memory_order_acquire);
   }
 
-  /// Planner knob: when false, every plan uses full scans. Its one user is
-  /// planner_test's probe/scan parity oracle, which compares probed and
-  /// scanned execution. Toggling invalidates cached plans.
+  /// Planner knob: when false, every plan uses full scans. Its users are the
+  /// probe/scan parity oracles (planner_test, join_oracle_test), which
+  /// compare probed and scanned execution. Toggling invalidates cached
+  /// plans.
   bool planner_index_probes_enabled() const {
     return planner_index_probes_enabled_;
   }
@@ -690,11 +691,12 @@ class Database {
   /// deadline and spins the simulated round trip (cut short at the
   /// deadline). Returns the deadline.
   uint64_t IssueStatement();
-  /// Shared tail of every writer entry point: runs the statement, then
-  /// flushes the WAL at the top-level boundary (even on statement failure —
-  /// without a transaction the partial effects stay in memory too). A
-  /// statement error outranks a flush error; a flush error surfaces on an
-  /// otherwise successful statement.
+  /// Shared tail of every writer entry point: runs the statement — DML
+  /// outside a transaction in an implicit scope of its own, committed when
+  /// it succeeds and rolled back when it fails — then flushes the WAL at the
+  /// top-level boundary (also on statement failure). A statement error
+  /// outranks a flush error; a flush error surfaces on an otherwise
+  /// successful statement.
   Result<ResultSet> RunStatement(const sql::Statement& stmt,
                                  const std::vector<Value>* params,
                                  std::string_view sql_text,

@@ -1,7 +1,6 @@
 #include "rdb/exec_node.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "common/metrics.h"
@@ -281,29 +280,6 @@ void SortUnique(std::vector<size_t>* rowids) {
   rowids->erase(std::unique(rowids->begin(), rowids->end()), rowids->end());
 }
 
-/// Rows one pull (or one DML gather) examined, added when the pull returns
-/// (on error returns too). The table's rows_read is an atomic that reader
-/// sessions add to as well, so it pays one add per pull, not one per row.
-/// Null targets are not counted.
-class RowTally {
- public:
-  RowTally(uint64_t* scanned, std::atomic<uint64_t>* read)
-      : scanned_(scanned), read_(read) {}
-  RowTally(const RowTally&) = delete;
-  RowTally& operator=(const RowTally&) = delete;
-  ~RowTally() {
-    if (rows_ == 0) return;
-    if (scanned_ != nullptr) *scanned_ += rows_;
-    if (read_ != nullptr) *read_ += rows_;
-  }
-  void Add() { ++rows_; }
-
- private:
-  uint64_t* scanned_;
-  std::atomic<uint64_t>* read_;
-  uint64_t rows_ = 0;
-};
-
 /// The operand of a direct comparison, in place: the current tuple's
 /// column cell, the literal, or the bound parameter. Null for every other
 /// operand shape and for a ? with no bound value (EvalBound reports it).
@@ -327,8 +303,8 @@ const Value* DirectOperand(const BoundExpr& e,
 }
 
 /// Whether every conjunct holds for the current tuple (NULL counts as
-/// not-true): the one predicate evaluator behind scans, index probes and
-/// the DML gather. A comparison of two direct operands is decided by
+/// not-true): the one predicate evaluator behind the row cursor and the
+/// hash steps. A comparison of two direct operands is decided by
 /// Value::Compare on the operands in place; every other conjunct goes
 /// through EvalBoolBound.
 Result<bool> ConjunctsHold(const std::vector<BoundExpr>& conjuncts,
@@ -376,104 +352,63 @@ class OneRowNode : public ExecNode {
   bool emitted_ = false;
 };
 
-/// Full scan over a catalog table or a materialized CTE, emitting only the
-/// rows that satisfy the relation's pushed-down conjuncts.
-class ScanNode : public ExecNode {
+/// The one row loop: reads the candidate rows of one access step. The
+/// candidates are every slot (a scan, or the build of a hash step) or the
+/// ascending, deduplicated rowids an index path gathers; the rows come from
+/// the writer's slab, a reader's snapshot at its pin, or a materialized
+/// CTE. Each candidate ticks governance. A live (writer) or visible (reader)
+/// row, or any CTE row, is examined: it is written into the shared slot
+/// array and returned when the step's conjuncts hold. The examined rows are
+/// counted once, when the cursor is destroyed: into the table's rows_read
+/// on every path, and for a scan also into rows_scanned, with each open
+/// counted in the table's scans.
+class RowCursor final : public ExecNode {
  public:
-  ScanNode(const PlannedRelation* rel, const std::vector<BoundExpr>* filters,
-           size_t k, std::vector<const Value*>* slots)
-      : rel_(rel), filters_(filters), k_(k), slots_(slots) {}
-
-  Status Open(ExecContext& ctx) override {
-    pos_ = 0;
-    mat_ = rel_->cte_slot >= 0
-               ? (*ctx.cte_values)[static_cast<size_t>(rel_->cte_slot)].get()
-               : nullptr;
-    // Per-table access stats (SHOW TABLE STATS); CTE scans have no table.
-    if (rel_->table != nullptr) ++rel_->table->access_stats().scans;
-    if (rel_->table != nullptr && ctx.read_epoch != kLatestEpoch) {
-      // Snapshot bound: slots appended after this point belong to epochs
-      // newer than the pin and would be invisible anyway.
-      snap_rows_ = rel_->table->SnapshotRowCount();
+  /// `candidates` (null = the cursor's own buffer) holds an index path's
+  /// rowids between Open and the last Next.
+  RowCursor(const PlannedRelation& rel, const AccessPath& path,
+            const std::vector<BoundExpr>& filters, size_t k,
+            std::vector<const Value*>* slots,
+            std::vector<size_t>* candidates = nullptr)
+      : rel_(rel),
+        path_(path),
+        filters_(filters),
+        k_(k),
+        slots_(slots),
+        index_(path.kind != AccessPath::Kind::kScan &&
+               path.kind != AccessPath::Kind::kHashEq),
+        candidates_(candidates != nullptr ? candidates : &own_candidates_) {}
+  RowCursor(const RowCursor&) = delete;
+  RowCursor& operator=(const RowCursor&) = delete;
+  ~RowCursor() override {
+    if (opens_ == 0) return;
+    const Table* table = rel_.table;
+    if (!index_) {
+      stats_->rows_scanned += rows_;
+      if (table != nullptr) table->access_stats().scans += opens_;
     }
-    return Status::OK();
+    if (table != nullptr && rows_ != 0) {
+      table->access_stats().rows_read += rows_;
+    }
   }
 
-  Result<bool> Next(ExecContext& ctx) override {
-    if (rel_->table == nullptr) {
-      RowTally tally(&ctx.stats->rows_scanned, nullptr);
-      while (pos_ < mat_->rows.size()) {
-        XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-        tally.Add();
-        (*slots_)[k_] = mat_->rows[pos_++].data();
-        if (filters_->empty()) return true;
-        XUPD_ASSIGN_OR_RETURN(bool holds,
-                              ConjunctsHold(*filters_, *slots_, ctx));
-        if (holds) return true;
-      }
-      return false;
-    }
-    const Table* table = rel_->table;
-    RowTally tally(&ctx.stats->rows_scanned, &table->access_stats().rows_read);
-    if (ctx.read_epoch != kLatestEpoch) {
-      // Snapshot read (reader session): visibility comes from row epoch
-      // metadata, not the writer-private liveness bitmap, and cell values
-      // are materialized through the seqlock into this node's staging row
-      // (stable while inner join steps iterate — only this node's own
-      // Next overwrites it).
-      while (pos_ < snap_rows_) {
-        XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-        size_t rowid = pos_++;
-        staging_.clear();
-        if (!table->SnapshotReadRow(rowid, ctx.read_epoch, &staging_)) {
-          continue;
-        }
-        tally.Add();
-        (*slots_)[k_] = staging_.data();
-        if (filters_->empty()) return true;
-        XUPD_ASSIGN_OR_RETURN(bool holds,
-                              ConjunctsHold(*filters_, *slots_, ctx));
-        if (holds) return true;
-      }
-      return false;
-    }
-    while (pos_ < table->capacity()) {
-      XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-      size_t rowid = pos_++;
-      if (!table->is_live(rowid)) continue;
-      tally.Add();
-      (*slots_)[k_] = table->row(rowid);
-      if (filters_->empty()) return true;
-      XUPD_ASSIGN_OR_RETURN(bool holds,
-                            ConjunctsHold(*filters_, *slots_, ctx));
-      if (holds) return true;
-    }
-    return false;
-  }
-
- private:
-  const PlannedRelation* rel_;
-  const std::vector<BoundExpr>* filters_;
-  size_t k_;
-  std::vector<const Value*>* slots_;
-  size_t pos_ = 0;
-  size_t snap_rows_ = 0;
-  Row staging_;  // snapshot reads materialize here (owned copies).
-  const ResultSet* mat_ = nullptr;
-};
-
-/// Hash-index probe: gathers candidate rowids at Open (probe values may
-/// reference earlier relations' current tuples) and streams the live ones
-/// that satisfy the relation's remaining conjuncts.
-class IndexProbeNode : public ExecNode {
- public:
-  IndexProbeNode(const PlannedRelation* rel, const AccessPath* path,
-                 const std::vector<BoundExpr>* filters, size_t k,
-                 std::vector<const Value*>* slots)
-      : rel_(rel), path_(path), filters_(filters), k_(k), slots_(slots) {}
-
   Status Open(ExecContext& ctx) override {
+    ++opens_;
+    stats_ = ctx.stats;
     pos_ = 0;
+    const Table* table = rel_.table;
+    if (table == nullptr) {
+      mat_ = (*ctx.cte_values)[static_cast<size_t>(rel_.cte_slot)].get();
+      end_ = mat_->rows.size();
+      return Status::OK();
+    }
+    if (!index_) {
+      // A snapshot scan stops at the slots that existed at Open: later ones
+      // belong to epochs newer than the pin and would be invisible anyway.
+      end_ = ctx.read_epoch != kLatestEpoch ? table->SnapshotRowCount()
+                                            : table->capacity();
+      return Status::OK();
+    }
     if (ctx.read_epoch != kLatestEpoch) {
       // Reader sessions plan with index probes disabled (hash indexes are
       // writer-private, not epoch-versioned); reaching here means a plan
@@ -482,55 +417,85 @@ class IndexProbeNode : public ExecNode {
     }
     // IN-list / IN-subquery probe values are row-free by construction, so
     // at an inner join step the candidate set is identical for every outer
-    // row: gather it once per execution and replay it on later re-Opens
-    // (liveness is still checked per Next, and mutations never interleave
-    // with an executing pipeline).
-    if (gathered_ && path_->kind != AccessPath::Kind::kIndexEq) {
-      return Status::OK();
+    // row: gather it once per execution and replay it on later opens
+    // (liveness is still checked per candidate, and mutations never
+    // interleave with an executing pipeline).
+    if (!gathered_ || path_.kind == AccessPath::Kind::kIndexEq) {
+      candidates_->clear();
+      XUPD_RETURN_IF_ERROR(GatherCandidates(path_, *slots_, ctx, candidates_));
+      // Multi-probe paths can surface a rowid twice; dedupe. Sorting puts
+      // every probe kind in ascending rowid order == scan order, keeping
+      // output order stable vs a filtered scan.
+      SortUnique(candidates_);
+      gathered_ = true;
     }
-    rowids_.clear();
-    XUPD_RETURN_IF_ERROR(GatherCandidates(*path_, *slots_, ctx, &rowids_));
-    // Multi-probe paths can surface a rowid twice; dedupe. Sorting puts
-    // every probe kind in ascending rowid order == scan order, keeping
-    // output order stable vs a filtered scan.
-    SortUnique(&rowids_);
-    gathered_ = true;
+    end_ = candidates_->size();
     return Status::OK();
   }
 
   Result<bool> Next(ExecContext& ctx) override {
-    const Table* table = rel_->table;
-    RowTally tally(nullptr, &table->access_stats().rows_read);
-    while (pos_ < rowids_.size()) {
+    const Table* table = rel_.table;
+    while (pos_ < end_) {
       XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-      size_t rowid = rowids_[pos_++];
-      if (!table->is_live(rowid)) continue;
-      tally.Add();
-      (*slots_)[k_] = table->row(rowid);
-      if (filters_->empty()) return true;
-      XUPD_ASSIGN_OR_RETURN(bool holds,
-                            ConjunctsHold(*filters_, *slots_, ctx));
+      const size_t i = pos_++;
+      rowid_ = index_ ? (*candidates_)[i] : i;
+      const Value* row;
+      if (table == nullptr) {
+        row = mat_->rows[i].data();
+      } else if (ctx.read_epoch == kLatestEpoch) {
+        if (!table->is_live(rowid_)) continue;
+        row = table->row(rowid_);
+      } else {
+        // Snapshot read (reader session): visibility comes from row epoch
+        // metadata, not the writer-private liveness bitmap, and cell values
+        // are materialized through the seqlock into the staging row (stable
+        // while inner join steps iterate — only this cursor's own Next
+        // overwrites it).
+        staging_.clear();
+        if (!table->SnapshotReadRow(rowid_, ctx.read_epoch, &staging_)) {
+          continue;
+        }
+        row = staging_.data();
+      }
+      ++rows_;
+      (*slots_)[k_] = row;
+      if (filters_.empty()) return true;
+      XUPD_ASSIGN_OR_RETURN(bool holds, ConjunctsHold(filters_, *slots_, ctx));
       if (holds) return true;
     }
     return false;
   }
 
+  /// The current row (valid after Next returned true, until the next Next).
+  const Value* row() const { return (*slots_)[k_]; }
+  /// The current row's slot (for a CTE, its position in the result).
+  size_t rowid() const { return rowid_; }
+
  private:
-  const PlannedRelation* rel_;
-  const AccessPath* path_;
-  const std::vector<BoundExpr>* filters_;
-  size_t k_;
-  std::vector<const Value*>* slots_;
-  std::vector<size_t> rowids_;
-  size_t pos_ = 0;
+  const PlannedRelation& rel_;
+  const AccessPath& path_;
+  const std::vector<BoundExpr>& filters_;
+  const size_t k_;
+  std::vector<const Value*>* const slots_;
+  const bool index_;  ///< candidates come from an index path.
+  std::vector<size_t> own_candidates_;
+  std::vector<size_t>* const candidates_;
   bool gathered_ = false;
+  const ResultSet* mat_ = nullptr;  ///< CTE rows.
+  Row staging_;  ///< snapshot reads materialize here (owned copies).
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  size_t rowid_ = 0;
+  Stats* stats_ = nullptr;
+  uint64_t opens_ = 0;
+  uint64_t rows_ = 0;  ///< rows examined.
 };
 
 /// Hash-join inner step (AccessPath::kHashEq). The first Open of an
-/// execution scans the relation once with a ScanNode — for a reader a
-/// snapshot scan at the pin — and keys every row by its join column,
-/// skipping NULL keys. Each Open then evaluates the probe value over the
-/// outer tuple and Next streams the rows whose key matches it under the
+/// execution reads every row of the relation once through a RowCursor —
+/// for a reader a snapshot read at the pin — and keys every row by its join
+/// column, skipping NULL keys. Each Open then evaluates the probe value over
+/// the outer tuple and Next streams the rows whose key matches it under the
 /// index's own rules (Value::Hash, then Value::operator==: "42" matches 42,
 /// "7" does not match "07"), in ascending row order, that also satisfy the
 /// step's conjuncts. The join conjunct stays among them, so the rows and
@@ -579,21 +544,21 @@ class HashProbeNode : public ExecNode {
 
   Status Build(ExecContext& ctx) {
     built_ = true;
-    // One scan of the relation, governed and counted as any scan is. A
-    // snapshot scan materializes each row into its own staging row, so a
-    // reader's build copies the keyed rows into rows_ and points its
-    // entries there once rows_ has stopped growing.
-    const std::vector<BoundExpr> no_filters;
-    std::vector<const Value*> slot(k_ + 1, nullptr);
-    ScanNode scan(rel_, &no_filters, k_, &slot);
-    XUPD_RETURN_IF_ERROR(scan.Open(ctx));
+    // One pass over every row of the relation, governed and counted as any
+    // scan is. A snapshot read materializes each row into the cursor's
+    // staging row, so a reader's build copies the keyed rows into rows_ and
+    // points its entries there once rows_ has stopped growing. Outer slots
+    // stay as they are; slot k_ is rewritten by Next before it is read.
+    static const std::vector<BoundExpr> kNoFilters;
+    RowCursor rows(*rel_, *path_, kNoFilters, k_, slots_);
+    XUPD_RETURN_IF_ERROR(rows.Open(ctx));
     const bool copy = rel_->table != nullptr && ctx.read_epoch != kLatestEpoch;
     const size_t arity = rel_->columns.size();
     const size_t col = path_->column;
     while (true) {
-      XUPD_ASSIGN_OR_RETURN(bool more, scan.Next(ctx));
+      XUPD_ASSIGN_OR_RETURN(bool more, rows.Next(ctx));
       if (!more) break;
-      const Value* row = slot[k_];
+      const Value* row = rows.row();
       if (row[col].is_null()) continue;
       entries_.push_back({copy ? nullptr : row, row[col].Hash(), -1});
       if (copy) rows_.insert(rows_.end(), row, row + arity);
@@ -710,15 +675,12 @@ std::unique_ptr<ExecNode> MakeAccessNode(const PlannedCore& core, size_t k,
                                          std::vector<const Value*>* slots,
                                          OpStats* stats) {
   std::unique_ptr<ExecNode> node;
-  if (core.paths[k].kind == AccessPath::Kind::kScan) {
-    node = std::make_unique<ScanNode>(&core.relations[k], &core.filters[k], k,
-                                      slots);
-  } else if (core.paths[k].kind == AccessPath::Kind::kHashEq) {
+  if (core.paths[k].kind == AccessPath::Kind::kHashEq) {
     node = std::make_unique<HashProbeNode>(&core.relations[k], &core.paths[k],
                                            &core.filters[k], k, slots);
   } else {
-    node = std::make_unique<IndexProbeNode>(
-        &core.relations[k], &core.paths[k], &core.filters[k], k, slots);
+    node = std::make_unique<RowCursor>(core.relations[k], core.paths[k],
+                                       core.filters[k], k, slots);
   }
   if (stats != nullptr) {
     node = std::make_unique<TimedNode>(std::move(node), stats);
@@ -939,38 +901,14 @@ Status CollectMatchingRowids(const PlannedMutation& m, ExecContext& ctx,
   } timer(ctx.analyze);
 
   std::vector<size_t>& out = scratch->rowids;
-  std::vector<const Value*>& slots = scratch->slots;
   out.clear();
-  auto gather = [&](size_t rowid) -> Status {
-    slots[0] = m.table->row(rowid);
-    XUPD_ASSIGN_OR_RETURN(bool holds, ConjunctsHold(m.filters, slots, ctx));
-    if (holds) out.push_back(rowid);
-    return Status::OK();
-  };
-
-  if (m.path.kind == AccessPath::Kind::kScan) {
-    ++m.table->access_stats().scans;
-    RowTally tally(&ctx.stats->rows_scanned,
-                   &m.table->access_stats().rows_read);
-    for (size_t rowid = 0; rowid < m.table->capacity(); ++rowid) {
-      XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-      if (!m.table->is_live(rowid)) continue;
-      tally.Add();
-      XUPD_RETURN_IF_ERROR(gather(rowid));
-    }
-    if (timer.os != nullptr) timer.os->rows = out.size();
-    return Status::OK();
-  }
-
-  std::vector<size_t>& candidates = scratch->candidates;
-  candidates.clear();
-  const std::vector<const Value*> no_slots;
-  XUPD_RETURN_IF_ERROR(GatherCandidates(m.path, no_slots, ctx, &candidates));
-  SortUnique(&candidates);
-  for (size_t rowid : candidates) {
-    XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-    if (!m.table->is_live(rowid)) continue;
-    XUPD_RETURN_IF_ERROR(gather(rowid));
+  RowCursor rows(m.relation, m.path, m.filters, 0, &scratch->slots,
+                 &scratch->candidates);
+  XUPD_RETURN_IF_ERROR(rows.Open(ctx));
+  while (true) {
+    XUPD_ASSIGN_OR_RETURN(bool more, rows.Next(ctx));
+    if (!more) break;
+    out.push_back(rows.rowid());
   }
   if (timer.os != nullptr) timer.os->rows = out.size();
   return Status::OK();

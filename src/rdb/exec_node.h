@@ -144,13 +144,14 @@ Result<const std::unordered_set<Value, ValueHash>*> SubquerySet(
 /// of allocating.
 struct MutationScratch {
   std::vector<size_t> rowids;      ///< CollectMatchingRowids' result.
-  std::vector<size_t> candidates;  ///< Index-probe candidates.
+  std::vector<size_t> candidates;  ///< The gather's index-path rowids.
   std::vector<const Value*> slots = std::vector<const Value*>(1);
 };
 
 /// Fills scratch->rowids with the rowids of the mutation's target table
 /// matching its access path + residual filters, in ascending rowid order
-/// (the order DELETE/UPDATE apply their changes in).
+/// (the order DELETE/UPDATE apply their changes in). The rows are read by
+/// the same row cursor as a SELECT's access step, and counted as it counts.
 Status CollectMatchingRowids(const PlannedMutation& m, ExecContext& ctx,
                              MutationScratch* scratch);
 

@@ -430,17 +430,18 @@ Result<std::shared_ptr<const PlannedSelect>> Planner::PlanSelect(
 // ---------------------------------------------------------------------------
 // DML planning
 
-Result<PlannedMutation> Planner::PlanDelete(const sql::DeleteStmt& stmt) {
+Result<PlannedMutation> Planner::PlanMutation(
+    const std::string& table, const std::optional<Expr>& where,
+    const std::vector<std::pair<std::string, Expr>>& sets) {
   PlannedMutation m;
-  m.table = db_->FindTable(stmt.table);
+  m.table = db_->FindTable(table);
   if (m.table == nullptr) {
-    return Status::NotFound("table '" + stmt.table + "' not found");
+    return Status::NotFound("table '" + table + "' not found");
   }
-  m.table_name = m.table->schema().name();
   std::vector<PlannedRelation> rels = SingleTableRelations(m.table);
 
   std::vector<const Expr*> conjuncts;
-  if (stmt.where.has_value()) FlattenConjuncts(*stmt.where, &conjuncts);
+  if (where.has_value()) FlattenConjuncts(*where, &conjuncts);
   std::vector<BoundExpr> bound;
   bound.reserve(conjuncts.size());
   for (const Expr* c : conjuncts) {
@@ -455,17 +456,8 @@ Result<PlannedMutation> Planner::PlanDelete(const sql::DeleteStmt& stmt) {
     if (static_cast<int>(i) == consumed) continue;
     m.filters.push_back(std::move(bound[i]));
   }
-  return m;
-}
 
-Result<PlannedMutation> Planner::PlanUpdate(const sql::UpdateStmt& stmt) {
-  sql::DeleteStmt shape;
-  shape.table = stmt.table;
-  shape.where = stmt.where;
-  XUPD_ASSIGN_OR_RETURN(PlannedMutation m, PlanDelete(shape));
-
-  std::vector<PlannedRelation> rels = SingleTableRelations(m.table);
-  for (const auto& [name, expr] : stmt.sets) {
+  for (const auto& [name, expr] : sets) {
     int col = m.table->schema().ColumnIndex(name);
     if (col < 0) {
       return Status::NotFound("column '" + name + "' not found");
@@ -476,6 +468,7 @@ Result<PlannedMutation> Planner::PlanUpdate(const sql::UpdateStmt& stmt) {
     XUPD_ASSIGN_OR_RETURN(set.expr, Bind(expr, rels));
     m.sets.push_back(std::move(set));
   }
+  m.relation = std::move(rels[0]);
   return m;
 }
 
@@ -537,11 +530,14 @@ Result<std::shared_ptr<const PlannedStatement>> Planner::Plan(
       break;
     }
     case sql::Statement::Kind::kDelete: {
-      XUPD_ASSIGN_OR_RETURN(plan->mutation, PlanDelete(stmt.del));
+      XUPD_ASSIGN_OR_RETURN(plan->mutation,
+                            PlanMutation(stmt.del.table, stmt.del.where, {}));
       break;
     }
     case sql::Statement::Kind::kUpdate: {
-      XUPD_ASSIGN_OR_RETURN(plan->mutation, PlanUpdate(stmt.update));
+      XUPD_ASSIGN_OR_RETURN(plan->mutation,
+                            PlanMutation(stmt.update.table, stmt.update.where,
+                                         stmt.update.sets));
       break;
     }
     case sql::Statement::Kind::kInsert: {
@@ -790,14 +786,6 @@ void SelectToString(std::string* out, int depth, const PlannedSelect& sel,
   }
 }
 
-void MutationAccess(std::string* out, int depth, const PlannedMutation& m,
-                    const OpStats* os = nullptr) {
-  PlannedRelation rel;
-  rel.alias = m.table_name;
-  rel.name = m.table_name;
-  AccessNode(out, depth, rel, m.path, m.filters, os);
-}
-
 std::string PlanToStringImpl(const PlannedStatement& plan,
                              const AnalyzeStats* an) {
   std::string out;
@@ -808,9 +796,10 @@ std::string PlanToStringImpl(const PlannedStatement& plan,
       SelectToString(&out, 0, *plan.select, an);
       break;
     case sql::Statement::Kind::kDelete:
-      Line(&out, 0, "Delete " + plan.mutation.table_name +
+      Line(&out, 0, "Delete " + plan.mutation.relation.name +
                         ActualSuffix(root, /*loops=*/false));
-      MutationAccess(&out, 1, plan.mutation, mut);
+      AccessNode(&out, 1, plan.mutation.relation, plan.mutation.path,
+                 plan.mutation.filters, mut);
       break;
     case sql::Statement::Kind::kUpdate: {
       std::string sets;
@@ -820,9 +809,10 @@ std::string PlanToStringImpl(const PlannedStatement& plan,
                     .columns()[static_cast<size_t>(set.col)]
                     .name;
       }
-      Line(&out, 0, "Update " + plan.mutation.table_name + " [set " + sets +
-                        "]" + ActualSuffix(root, /*loops=*/false));
-      MutationAccess(&out, 1, plan.mutation, mut);
+      Line(&out, 0, "Update " + plan.mutation.relation.name + " [set " +
+                        sets + "]" + ActualSuffix(root, /*loops=*/false));
+      AccessNode(&out, 1, plan.mutation.relation, plan.mutation.path,
+                 plan.mutation.filters, mut);
       break;
     }
     case sql::Statement::Kind::kInsert: {

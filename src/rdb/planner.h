@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,8 @@ struct PlannedSelect {
 /// A planned DELETE or UPDATE: single-table access path + residual filters.
 struct PlannedMutation {
   Table* table = nullptr;
-  std::string table_name;
+  /// The one-relation FROM list its expressions are bound against.
+  PlannedRelation relation;
   AccessPath path;
   std::vector<BoundExpr> filters;  ///< conjuncts not consumed by the path.
   struct Set {
@@ -204,8 +206,10 @@ class Planner {
   Result<std::shared_ptr<const PlannedSelect>> PlanSelect(
       const sql::SelectStmt& stmt);
   Result<PlannedCore> PlanCore(const sql::SelectCore& core);
-  Result<PlannedMutation> PlanDelete(const sql::DeleteStmt& stmt);
-  Result<PlannedMutation> PlanUpdate(const sql::UpdateStmt& stmt);
+  /// Plans a DELETE (`sets` empty) or an UPDATE.
+  Result<PlannedMutation> PlanMutation(
+      const std::string& table, const std::optional<sql::Expr>& where,
+      const std::vector<std::pair<std::string, sql::Expr>>& sets);
   Result<PlannedInsert> PlanInsert(const sql::InsertStmt& stmt);
 
   /// Resolves [alias.]column against `rels` (all of them; ambiguity and

@@ -65,15 +65,16 @@ namespace xupd::rdb {
   X(rows_inserted, "ins")                                                    \
   X(rows_deleted, "del")                                                     \
   X(rows_updated, "upd")                                                     \
-  /* Transaction scopes opened (nested Begin = savepoint counts too). */     \
+  /* Transaction scopes opened (nested Begin = savepoint counts too, and so  \
+     does the implicit scope of each autocommit DML statement). */           \
   X(txn_begins, "txn_begin")                                                 \
   /* Scopes committed (outermost commit makes the changes durable). */       \
   X(txn_commits, "txn_commit")                                               \
   /* Scopes rolled back (each undoes that scope's records LIFO). */          \
   X(txn_rollbacks, "txn_rollback")                                           \
-  /* Undo records logged (one per row insert/delete/column update executed   \
-     while a transaction was active) — the txn write-amplification           \
-     signal. */                                                              \
+  /* Undo records logged (one per row insert/delete/column update of a       \
+     durable table, inside a transaction or the implicit scope of an         \
+     autocommit DML statement) — the txn write-amplification signal. */      \
   X(undo_records, "undo")                                                    \
   /* Redo records written to the WAL file (data records, DDL records and     \
      commit markers) — the durability write-amplification signal. Pending    \
@@ -87,7 +88,9 @@ namespace xupd::rdb {
      `batched`, zero in `none`). Database::stats() reads it from the         \
      wal.fsync histogram's count, which the flusher also records. */         \
   X(wal_fsyncs, "wal_fsyncs")                                                \
-  /* Snapshot checkpoints taken (each truncates the WAL). */                 \
+  /* Snapshot checkpoints taken. Checkpoint() truncates the WAL;             \
+     CheckpointBackground() never does (its snapshot records the WAL         \
+     offset it covers, and the WAL keeps growing). */                        \
   X(checkpoints, "checkpoints")                                              \
   /* Redo records replayed from the WAL by the last Database::Open. */       \
   X(recovery_replayed, "replayed")                                           \

@@ -165,13 +165,28 @@ void HashIndex::Erase(const Value& v, size_t rowid) {
 
 void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
   ++probes_;
-  int32_t hpos = FindHead(v.Hash(), v);
-  if (hpos < 0) return;
-  ++hits_;
-  for (int32_t at = heads_[static_cast<size_t>(hpos)]; at >= 0;
-       at = slots_[static_cast<size_t>(at)].next) {
-    out->push_back(slots_[static_cast<size_t>(at)].rowid);
+  if (heads_.empty()) return;
+  const uint64_t vhash = v.Hash();
+  const size_t mask = heads_.size() - 1;
+  bool hit = false;
+  // Every SQL write coerces to the column's type, so a key equals a probe
+  // of its own type only when identical: one chain. A probe of the other
+  // type can equal several keys — 7 equals both "7" and "07" — which all
+  // hash alike and so sit in one probe run: read every matching chain.
+  for (size_t pos = HeadHash(vhash) & mask;; pos = (pos + 1) & mask) {
+    const int32_t head = heads_[pos];
+    if (head == kHeadEmpty) break;
+    if (head == kHeadTombstone) continue;
+    const Slot& h = slots_[static_cast<size_t>(head)];
+    if (h.vhash != vhash || !(h.value == v)) continue;
+    hit = true;
+    for (int32_t at = head; at >= 0;
+         at = slots_[static_cast<size_t>(at)].next) {
+      out->push_back(slots_[static_cast<size_t>(at)].rowid);
+    }
+    if (h.value.type() == v.type()) break;
   }
+  if (hit) ++hits_;
 }
 
 void HashIndex::Clear() {

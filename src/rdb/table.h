@@ -4,9 +4,11 @@
 //
 //  * Rows live in ONE contiguous slab per table — `(arity + 1) * 16` bytes
 //    per row slot (16-byte compact Values, rdb/value.h, plus one trailing
-//    16-byte MVCC metadata slot), appended in rowid order. Scan/IndexProbe/
-//    Filter stream over cache-line-friendly memory and a row is addressed
-//    by one multiply (`slab + rowid * stride`), not a double indirection.
+//    16-byte MVCC metadata slot), appended in rowid order. The executor's
+//    row cursor (scans, index probes, hash-join builds, DELETE/UPDATE
+//    gathers) streams over cache-line-friendly memory and a row is
+//    addressed by one multiply (`slab + rowid * stride`), not a double
+//    indirection.
 //
 //  * HashIndex is a flat open-addressing table whose entries hold
 //    (hash, value, rowid) inline — no per-key map node, no per-entry set

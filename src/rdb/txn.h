@@ -145,17 +145,18 @@ class TransactionManager {
   Status Release(std::string_view name);
 
   /// Attaches the write-ahead log (rdb/wal.h): from then on every mutation
-  /// hook also pends a redo record for durable tables — inside a
-  /// transaction (truncated again if the scope rolls back) or not (the
-  /// Database flushes autocommit units at statement boundaries).
+  /// hook also pends a redo record for durable tables, truncated again if
+  /// its scope rolls back. SQL DML always runs in a scope (an autocommit
+  /// statement in an implicit one of its own); only the direct bulk API
+  /// writes outside one, and the Database flushes that at WalFlush.
   void AttachWal(WalWriter* wal) { wal_ = wal; }
 
   /// Wires the memory accountant into the undo log (see UndoLog).
   void set_accountant(MemoryAccountant* mem) { log_.set_accountant(mem); }
 
-  /// Record hooks (no-ops unless a transaction is active or a WAL is
-  /// attached). Inline: they sit on the per-row hot path of every Table
-  /// mutation.
+  /// Record hooks (no-ops unless a scope is open — a transaction, or the
+  /// implicit scope of an autocommit DML statement — or a WAL is attached).
+  /// Inline: they sit on the per-row hot path of every Table mutation.
   void LogInsert(Table* table, size_t rowid) {
     if (wal_ != nullptr) WalInsert(table, rowid);
     if (scopes_.empty()) return;

@@ -382,17 +382,6 @@ void WalWriter::PendDdl(std::string_view sql) {
 
 Status WalWriter::CommitPending(int64_t next_id) {
   if (pending_.empty()) return Status::OK();
-  if (broken()) {
-    // This unit can never persist. Keeping it would fail every later unit
-    // boundary on the same redo, read-only statements included.
-    DropPendingUnit();
-    std::string cause = broken_cause();
-    return Status::Internal(
-        "WAL writer is fail-stopped (" +
-        (cause.empty() ? std::string("unknown cause") : cause) +
-        "); the on-disk log ends at the last fully persisted unit — reopen "
-        "or heal the database to resume");
-  }
   const uint64_t t0 = commit_hist_ != nullptr ? MonotonicNanos() : 0;
   // The commit unit is a span of its own (child of the enclosing statement
   // or txn span); the fsync that persists it — inline under kCommit, on the
@@ -410,6 +399,19 @@ Status WalWriter::CommitPending(int64_t next_id) {
   // and was framed outside the lock.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Checked under mu_: the flusher marks a failed fsync broken before it
+    // releases mu_, so no unit is appended behind a failed sync.
+    if (broken()) {
+      // This unit can never persist. Keeping it would fail every later unit
+      // boundary on the same redo, read-only statements included.
+      DropPendingUnit();
+      std::string cause = broken_cause();
+      return Status::Internal(
+          "WAL writer is fail-stopped (" +
+          (cause.empty() ? std::string("unknown cause") : cause) +
+          "); the on-disk log ends at the last fully persisted unit — reopen "
+          "or heal the database to resume");
+    }
     Status write_status = WriteFully(file_.get(), pending_.data(),
                                      pending_.size(), "cannot append to WAL",
                                      path_);

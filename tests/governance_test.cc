@@ -304,7 +304,12 @@ TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
   // No deadline, no budget, no cancel-at-pull hook, slow log threshold
   // disabled: only the token can kill the join.
   ASSERT_LT(db.slow_statement_threshold_us(), 0.0);
-  // Cancel once the join is pulling rows of its innermost relation.
+  // Cancel once the join is running. A table's rows_read lands when the
+  // access step that read the rows ends, so the innermost relation is a CTE
+  // over c: c's rows are counted once the CTE is materialized, before the
+  // join's first pull.
+  constexpr char kJoin[] =
+      "WITH w (x) AS (SELECT x FROM c) SELECT COUNT(*) FROM a, b, w";
   const auto& inner_rows = db.FindTable("c")->access_stats().rows_read;
   std::thread canceller([&db, &inner_rows] {
     const auto give_up =
@@ -315,7 +320,7 @@ TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
     }
     db.cancel_token().Cancel();
   });
-  auto joined = db.ExecuteQuery("SELECT COUNT(*) FROM a, b, c");
+  auto joined = db.ExecuteQuery(kJoin);
   canceller.join();
   db.cancel_token().Reset();
   ASSERT_FALSE(joined.ok());
@@ -323,7 +328,7 @@ TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
   ASSERT_FALSE(db.slow_statements().empty());
   const rdb::Database::SlowStatement& killed = db.slow_statements().back();
   EXPECT_EQ(killed.cause, "cancelled");
-  EXPECT_EQ(killed.sql, "SELECT COUNT(*) FROM a, b, c");
+  EXPECT_EQ(killed.sql, kJoin);
   EXPECT_GT(killed.delta.rows_scanned, 0u) << killed.delta.ToString();
 }
 
@@ -835,29 +840,24 @@ TEST(HashJoinGovernanceTest, CancelAtEveryPullOfAForcedScanJoinRollsBack) {
         << plan->ToString();
     pre = DumpDurableState(db);
     const int64_t armed = int64_t{1} << 40;
-    ASSERT_TRUE(db.Begin().ok());
     db.ArmCancelAtPull(armed);
     ASSERT_TRUE(db.ExecuteQuery(kInsert).ok());
     total_pulls = armed - db.cancel_at_pull_remaining();
     db.DisarmCancelAtPull();
-    ASSERT_TRUE(db.Commit().ok());
     post = DumpDurableState(db);
     ASSERT_NE(pre, post);
   }
   ASSERT_GT(total_pulls, 60);
-  // The statement runs in a transaction, as every engine operation does:
-  // an INSERT ... SELECT outside one keeps the rows it inserted before the
-  // failing pull.
+  // No transaction: the autocommit statement rolls back on its own.
   for (int64_t k = 1; k <= total_pulls; ++k) {
     SCOPED_TRACE("cancel injected at pull " + std::to_string(k));
     rdb::Database db;
     make(&db);
-    ASSERT_TRUE(db.Begin().ok());
     db.ArmCancelAtPull(k);
     Status s = db.ExecuteQuery(kInsert).status();
     db.DisarmCancelAtPull();
     ASSERT_EQ(s.code(), StatusCode::kCancelled) << s;
-    ASSERT_TRUE(db.Rollback().ok());
+    EXPECT_FALSE(db.in_transaction());
     EXPECT_EQ(DumpDurableState(db), pre);
     EXPECT_TRUE(db.VerifyIntegrity().empty());
     EXPECT_EQ(db.memory_accountant().used(MemoryAccountant::kQueryScratch),

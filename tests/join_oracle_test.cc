@@ -11,6 +11,12 @@
 //   - a ReaderSession (hash steps over snapshot scans).
 // A reader pinned before the writer changes an inner key must keep joining
 // on the parked pre-image.
+//
+// The DML half runs seeded DELETE and UPDATE statements (=, IN-list,
+// IN-subquery, NOT IN and ? bound to NULL, over the same keys, plus a
+// per-row trigger body) on twin databases, one with index probes and one
+// without, and compares the tables and the deleted and updated row counts
+// after every statement.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +25,7 @@
 
 #include "common/rng.h"
 #include "rdb/database.h"
+#include "rdb/stats.h"
 
 namespace xupd::rdb {
 namespace {
@@ -223,8 +230,9 @@ TEST(JoinOracleTest, FourPlansReturnTheSameRowsInTheSameOrder) {
     Must(&db, "UPDATE c SET k = '07' WHERE k = '7'");
     Must(&db, "UPDATE a SET k = NULL WHERE k = '42'");
     Must(&db, "DELETE FROM c WHERE n = 0");
-    Must(&db, "INSERT INTO b VALUES (" + std::to_string(next_id++) +
-                  ", 2, 2), (" + std::to_string(next_id++) + ", 42, 0)");
+    Must(&db, "INSERT INTO b VALUES (" + std::to_string(next_id) +
+                  ", 2, 2), (" + std::to_string(next_id + 1) + ", 42, 0)");
+    next_id += 2;
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE(queries[i].sql);
       EXPECT_EQ(Rows((*reader)->ExecuteQuery(queries[i].sql)), at_pin[i]);
@@ -263,6 +271,127 @@ TEST(JoinOracleTest, HashStepsFollowTheIndexKeyRules) {
     EXPECT_EQ(run("SELECT s.id, t.id FROM s, t WHERE t.k = s.k"),
               (std::vector<std::string>{"id|id|", "2|21|", "3|20|"}));
   }
+}
+
+TEST(JoinOracleTest, AnIntegerProbeOfStringKeysReadsEveryEqualKey) {
+  Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER, k VARCHAR)");
+  Must(&db, "CREATE INDEX idx_t_k ON t (k)");
+  Must(&db, "INSERT INTO t VALUES (20, '7'), (21, '07'), (22, '70'), (23, NULL)");
+  // 7 equals both '7' and '07', which are two keys of the index.
+  EXPECT_EQ(Rows(db.ExecuteQuery("SELECT id FROM t WHERE k = 7")),
+            (std::vector<std::string>{"id|", "20|", "21|"}));
+  Must(&db, "DELETE FROM t WHERE k IN (7)");
+  EXPECT_EQ(Rows(db.ExecuteQuery("SELECT id FROM t")),
+            (std::vector<std::string>{"id|", "22|", "23|"}));
+}
+
+/// A random DELETE or UPDATE over a, b or c. `params` gets the values of
+/// its ? placeholders.
+std::string MakeMutation(Rng* rng, std::vector<Value>* params) {
+  const char* const kTables[] = {"a", "b", "c"};
+  const std::string t = Pick(kTables, rng);
+  auto key = [&] {
+    return std::string(rng->Uniform(2) == 0 ? Pick(kIntKeys, rng)
+                                            : Pick(kStrKeys, rng));
+  };
+  const std::string col = rng->Uniform(4) == 0 ? "n" : "k";
+  std::string pred;
+  switch (rng->Uniform(5)) {
+    case 0:
+      pred = col + " = " + key();
+      break;
+    case 1:
+      pred = col + " IN (" + key() + ", " + key() + ", " + key() + ")";
+      break;
+    case 2:
+      pred = col + " IN (SELECT " + col + " FROM " + Pick(kTables, rng) +
+             " WHERE n <> " + std::to_string(rng->Uniform(4)) + ")";
+      break;
+    case 3:
+      pred = col + " NOT IN (" + key() + ", " + key() + ")";
+      break;
+    default:
+      pred = col + " = ?";
+      params->push_back(rng->Uniform(2) == 0 ? Value::Null()
+                                             : Value::Int(42));
+      break;
+  }
+  if (rng->Uniform(3) == 0) pred += " AND n <> 1";
+  switch (rng->Uniform(3)) {
+    case 0:
+      return "DELETE FROM " + t + " WHERE " + pred;
+    case 1:
+      return "UPDATE " + t + " SET n = n + 1 WHERE " + pred;
+    default:
+      return "UPDATE " + t + " SET k = " + key() + " WHERE " + pred;
+  }
+}
+
+/// Every table's rows in slot order, and the deleted and updated counts.
+std::vector<std::string> State(Database* db) {
+  std::vector<std::string> out;
+  for (const char* t : {"a", "b", "c"}) {
+    for (std::string& row :
+         Rows(db->ExecuteQuery(std::string("SELECT * FROM ") + t))) {
+      out.push_back(t + std::string(": ") + std::move(row));
+    }
+    const TableAccessStats& s = db->FindTable(t)->access_stats();
+    out.push_back(t + std::string(" deleted ") +
+                  std::to_string(s.rows_deleted) + " updated " +
+                  std::to_string(s.rows_updated));
+  }
+  out.push_back("deleted " + std::to_string(db->stats().rows_deleted) +
+                " updated " + std::to_string(db->stats().rows_updated));
+  return out;
+}
+
+TEST(JoinOracleTest, DeleteAndUpdateChangeTheSameRowsProbedOrScanned) {
+  uint64_t changed = 0;
+  size_t probed_paths = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database probed, scanned;
+    scanned.set_planner_index_probes_enabled(false);
+    for (Database* db : {&probed, &scanned}) {
+      Rng rng(seed);
+      int64_t next_id = 1;
+      Populate(db, &rng, &next_id);
+      if (HasFatalFailure()) return;
+      // Deleting an a row deletes the b rows keyed by its n and bumps the
+      // c rows that share its key.
+      Must(db,
+           "CREATE TRIGGER trg_a AFTER DELETE ON a FOR EACH ROW BEGIN "
+           "DELETE FROM b WHERE k = OLD.n; "
+           "UPDATE c SET n = n + 1 WHERE k = OLD.k; END");
+    }
+    ASSERT_EQ(State(&probed), State(&scanned));
+    const uint64_t before = probed.stats().rows_deleted +
+                            probed.stats().rows_updated;
+    Rng rng(seed + 1000);
+    for (int i = 0; i < kQueriesPerSeed; ++i) {
+      std::vector<Value> params;
+      const std::string sql = MakeMutation(&rng, &params);
+      SCOPED_TRACE(sql);
+      const std::string plan = Explain(probed.ExecuteQueryBound(
+          "EXPLAIN " + sql, std::vector<Value>(params)));
+      probed_paths += Count(plan, "IndexProbe ");
+      EXPECT_EQ(Count(Explain(scanned.ExecuteQueryBound("EXPLAIN " + sql,
+                                                        params)),
+                      "IndexProbe "),
+                0u);
+      const Status p = probed.ExecuteQueryBound(sql, params).status();
+      const Status q = scanned.ExecuteQueryBound(sql, params).status();
+      EXPECT_EQ(p.ToString(), q.ToString());
+      ASSERT_EQ(State(&probed), State(&scanned)) << plan;
+    }
+    changed += probed.stats().rows_deleted + probed.stats().rows_updated -
+               before;
+  }
+  // The generator is not vacuous: statements change rows, and the probed
+  // twin takes index paths.
+  EXPECT_GT(changed, kSeeds);
+  EXPECT_GT(probed_paths, kSeeds);
 }
 
 }  // namespace

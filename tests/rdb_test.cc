@@ -871,8 +871,9 @@ TEST_F(DirectComparisonTest, UnboundParameterStillFails) {
 
 // ---------------------------------------------------------------------------
 // Scan counters. Stats::rows_scanned and SHOW TABLE STATS rows_read / scans
-// count every live row a scan examines (probes: every live candidate), the
-// same totals whether a pull adds them per row or once per pull.
+// count every live row a scan examines (probes: every live candidate), for
+// SELECT, DELETE and UPDATE alike; each access step adds its counts once,
+// when it ends.
 
 class ScanCounterTest : public RdbTest {
  protected:
@@ -966,6 +967,12 @@ TEST_F(ScanCounterTest, DmlGatherCountsEveryExaminedRow) {
   ExpectDeltas("DELETE FROM p WHERE v > 5", {8, 1, 8, 0, 0, 0});
   ExpectDeltas("UPDATE p SET v = v + 1 WHERE v < 0", {3, 1, 3, 0, 0, 0});
   ASSERT_TRUE(db_.Rollback().ok());
+}
+
+TEST_F(ScanCounterTest, DmlProbeCountsLiveCandidates) {
+  // r's index holds 4, 5 and 7 (6 was deleted): the probe examines 5 and 7.
+  ExpectDeltas("DELETE FROM r WHERE id IN (5, 6, 7)", {0, 0, 0, 0, 0, 2});
+  ExpectDeltas("UPDATE r SET id = 40 WHERE id = 4", {0, 0, 0, 0, 0, 1});
 }
 
 TEST_F(ScanCounterTest, ReaderSessionScanCountsIntoItsOwnStats) {

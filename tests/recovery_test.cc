@@ -369,6 +369,25 @@ TEST_F(RdbRecoveryTest, AutocommitStatementsPersistWithoutExplicitTxn) {
   EXPECT_EQ(r->rows[0][0].AsString(), "z");
 }
 
+TEST_F(RdbRecoveryTest, FailedAutocommitStatementLeavesNoTraceAfterReopen) {
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db,
+         "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (4611686018427387904, 'c'), "
+         "(3, 'd')");
+    expected = DumpDurableState(db);
+    // Overflows at the third row, after two rows were rewritten.
+    Status s = db.ExecuteQuery("UPDATE t SET id = id * 2").status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_EQ(DumpDurableState(db), expected);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
+}
+
 TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
   {
     rdb::Database db;

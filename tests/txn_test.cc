@@ -196,6 +196,43 @@ TEST_F(RdbTxnTest, InjectedFailureInsideStatementSequence) {
   EXPECT_EQ(Count("t"), 2);
 }
 
+// Outside a transaction every DML statement is atomic: a failure part way
+// through — in its trigger cascade too — leaves none of its writes.
+
+TEST_F(RdbTxnTest, AutocommitUpdateThatOverflowsChangesNoRow) {
+  Must("CREATE TABLE s (x INTEGER)");
+  Must("INSERT INTO s VALUES (1), (2), (4611686018427387904), (3)");
+  Status s = db_.ExecuteQuery("UPDATE s SET x = x * 2").status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+  EXPECT_EQ(s.message(), "integer overflow");
+  EXPECT_FALSE(db_.in_transaction());
+  auto rows = db_.ExecuteQuery("SELECT x FROM s");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  std::vector<int64_t> xs;
+  for (const rdb::Row& row : rows->rows) xs.push_back(row[0].AsInt());
+  EXPECT_EQ(xs, (std::vector<int64_t>{1, 2, 4611686018427387904, 3}));
+}
+
+TEST_F(RdbTxnTest, AutocommitDeleteWhoseTriggerFailsDeletesNoRow) {
+  Must("CREATE TABLE p (id INTEGER)");
+  Must("CREATE TABLE c (id INTEGER, pid INTEGER)");
+  Must("CREATE INDEX idx_c_pid ON c (pid)");
+  Must("INSERT INTO p VALUES (1), (2), (3), (4)");
+  Must("INSERT INTO c VALUES (10, 1), (11, 2), (12, 3), (13, 4)");
+  // The first firing deletes c's row 10, then fails in its second statement.
+  Must("CREATE TRIGGER trg_p AFTER DELETE ON p FOR EACH ROW BEGIN "
+       "DELETE FROM c WHERE pid = OLD.id; UPDATE c SET pid = pid / 0; END");
+  Status s = db_.ExecuteQuery("DELETE FROM p").status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+  EXPECT_FALSE(db_.in_transaction());
+  EXPECT_EQ(Count("p"), 4);
+  EXPECT_EQ(Count("c"), 4);
+  auto probe = db_.ExecuteQuery("SELECT id FROM c WHERE pid = 1");
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  ASSERT_EQ(probe->rows.size(), 1u);  // the index entry is back too
+  EXPECT_EQ(probe->rows[0][0].AsInt(), 10);
+}
+
 // ---------------------------------------------------------------------------
 // engine layer: mid-operation failure must restore the pre-op snapshot.
 
