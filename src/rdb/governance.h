@@ -54,7 +54,7 @@ class MemoryAccountant {
   enum Category : int {
     kTableSlabs = 0,   ///< row-slab capacity bytes (charged at growth).
     kVersionBuffers,   ///< MVCC parked pre-images.
-    kUndoLog,          ///< undo record chunks of open scopes.
+    kUndoLog,          ///< undo record chunks (in use and retained).
     kWalPending,       ///< WAL bytes staged but not yet committed.
     kQueryScratch,     ///< sort / CTE / result materialization.
     kNumCategories,

@@ -72,9 +72,9 @@ namespace xupd::rdb {
   X(txn_commits, "txn_commit")                                               \
   /* Scopes rolled back (each undoes that scope's records LIFO). */          \
   X(txn_rollbacks, "txn_rollback")                                           \
-  /* Undo records logged (one per row insert/delete/column update of a       \
-     durable table, inside a transaction or the implicit scope of an         \
-     autocommit DML statement) — the txn write-amplification signal. */      \
+  /* Undo records logged (one per row insert/delete/column update made       \
+     inside a transaction or the implicit scope of an autocommit DML         \
+     statement) — the txn write-amplification signal. */                     \
   X(undo_records, "undo")                                                    \
   /* Redo records written to the WAL file (data records, DDL records and     \
      commit markers) — the durability write-amplification signal. Pending    \

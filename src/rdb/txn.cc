@@ -32,7 +32,7 @@ Status TransactionManager::Commit() {
   }
   scopes_.pop_back();
   // Outermost commit: the changes are durable, the log is dead weight. The
-  // log keeps its chunks; only the old-value side vector frees memory.
+  // log keeps a few chunks for the next transaction (UndoLog::clear).
   if (scopes_.empty()) {
     log_.clear();
     old_values_.clear();

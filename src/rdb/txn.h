@@ -64,26 +64,24 @@ struct UndoRecord {
 };
 
 /// Chunked region log of UndoRecords. Appends never relocate existing
-/// records; chunks are retained on clear() for reuse.
+/// records; clear() keeps up to kRetainedChunks chunks for reuse.
 class UndoLog {
  public:
   /// 4096 records/chunk * 24 bytes = one ~96 KiB region per chunk.
   static constexpr size_t kChunkBits = 12;
   static constexpr size_t kChunkRecords = size_t{1} << kChunkBits;
+  /// Chunks clear() keeps (16,384 records, ~384 KiB): a larger transaction
+  /// (an autocommit DELETE of a big table) leaves no more than this charged.
+  static constexpr size_t kRetainedChunks = 4;
 
-  ~UndoLog() {
-    if (mem_ != nullptr) {
-      mem_->Release(MemoryAccountant::kUndoLog,
-                    chunks_.size() * kChunkRecords * sizeof(UndoRecord));
-    }
-  }
+  ~UndoLog() { FreeChunksPast(0); }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
   /// Wires the Database's memory accountant: chunk regions charge to
-  /// mem.undo_log when allocated (chunks are retained across transactions,
-  /// so the charge tracks the log's high-water footprint).
+  /// mem.undo_log when allocated and release when freed (between
+  /// transactions the charge is the retained chunks).
   void set_accountant(MemoryAccountant* mem) { mem_ = mem; }
 
   void Append(const UndoRecord& rec) {
@@ -104,10 +102,25 @@ class UndoLog {
   const UndoRecord& back() const { return at(size_ - 1); }
 
   void pop_back() { --size_; }
-  /// Keeps the chunks for the next transaction.
-  void clear() { size_ = 0; }
+  /// Empties the log, keeping at most kRetainedChunks chunks for the next
+  /// transaction.
+  void clear() {
+    size_ = 0;
+    FreeChunksPast(kRetainedChunks);
+  }
 
  private:
+  /// Frees, and uncharges, every chunk after the first `keep`.
+  void FreeChunksPast(size_t keep) {
+    if (chunks_.size() <= keep) return;
+    const size_t freed = chunks_.size() - keep;
+    if (mem_ != nullptr) {
+      mem_->Release(MemoryAccountant::kUndoLog,
+                    freed * kChunkRecords * sizeof(UndoRecord));
+    }
+    chunks_.resize(keep);
+  }
+
   std::vector<std::unique_ptr<UndoRecord[]>> chunks_;
   size_t size_ = 0;
   MemoryAccountant* mem_ = nullptr;

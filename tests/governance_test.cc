@@ -27,6 +27,7 @@
 #include "engine/store.h"
 #include "rdb/database.h"
 #include "rdb/governance.h"
+#include "rdb/txn.h"
 #include "rdb/vfs.h"
 #include "workload/synthetic.h"
 
@@ -311,6 +312,8 @@ TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
   constexpr char kJoin[] =
       "WITH w (x) AS (SELECT x FROM c) SELECT COUNT(*) FROM a, b, w";
   const auto& inner_rows = db.FindTable("c")->access_stats().rows_read;
+  const auto& outer_rows = db.FindTable("a")->access_stats().rows_read;
+  const uint64_t outer_before = outer_rows.load();
   std::thread canceller([&db, &inner_rows] {
     const auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -329,7 +332,11 @@ TEST(CancelTokenTest, CancelledStatementLogsItsPartialWork) {
   const rdb::Database::SlowStatement& killed = db.slow_statements().back();
   EXPECT_EQ(killed.cause, "cancelled");
   EXPECT_EQ(killed.sql, kJoin);
-  EXPECT_GT(killed.delta.rows_scanned, 0u) << killed.delta.ToString();
+  // The CTE scanned c's 120 rows before the join; every join step the kill
+  // unwound added the rows it had examined, a's included (the first poll
+  // after the CTE comes several pulls into the join).
+  EXPECT_GT(killed.delta.rows_scanned, 120u) << killed.delta.ToString();
+  EXPECT_GT(outer_rows.load(), outer_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,6 +558,37 @@ TEST(MemoryAccountingTest, GaugesTrackTheDominantConsumers) {
   // Commit retires the undo scope, but the log's chunks are pooled for reuse
   // (txn.h): the charge reflects retained capacity, so it must not grow.
   EXPECT_LE(mem.used(MemoryAccountant::kUndoLog), undo_mid);
+}
+
+TEST(SoftBudgetTest, LargeAutocommitDeleteLeavesLaterStatementsAdmitted) {
+  using rdb::UndoLog;
+  rdb::Database db;
+  MemoryAccountant& mem = db.memory_accountant();
+  ASSERT_TRUE(db.ExecuteQuery("CREATE TABLE t (id INTEGER)").ok());
+  // 40,000 rows in statements of 4,000: each logs one undo chunk at most.
+  constexpr int kStatements = 10;
+  constexpr int kRowsPerStatement = 4000;
+  for (int s = 0; s < kStatements; ++s) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 0; i < kRowsPerStatement; ++i) {
+      sql += (i == 0 ? "(" : ", (") +
+             std::to_string(s * kRowsPerStatement + i) + ")";
+    }
+    ASSERT_TRUE(db.ExecuteQuery(sql).ok());
+  }
+  // The DELETE's implicit scope logs one undo record per row, about ten
+  // chunks. Once it commits, the log keeps only its retained chunks
+  // charged, so usage settles under the budget and the next statement is
+  // admitted.
+  const uint64_t retained = UndoLog::kRetainedChunks * UndoLog::kChunkRecords *
+                            sizeof(rdb::UndoRecord);
+  mem.set_soft_budget(mem.total_used() + retained);
+  ASSERT_TRUE(db.ExecuteQuery("DELETE FROM t").ok());
+  EXPECT_LE(mem.used(MemoryAccountant::kUndoLog), retained);
+  auto rows = db.ExecuteQuery("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 0);
+  mem.set_soft_budget(0);
 }
 
 // ---------------------------------------------------------------------------
