@@ -244,6 +244,48 @@ Status RelationalStore::Load(const xml::Document& doc) {
 }
 
 // ---------------------------------------------------------------------------
+// Indexes on demand
+
+RelationalStore::OpScope::OpScope(RelationalStore* store) : store_(store) {
+  ++store_->op_depth_;
+}
+
+RelationalStore::OpScope::~OpScope() {
+  if (--store_->op_depth_ == 0 && ok_) store_->IndexHotColumns();
+}
+
+void RelationalStore::IndexHotColumns() {
+  // DDL cannot ride in a caller's transaction, and a read-only store
+  // rejects it.
+  if (db_.in_transaction() || db_.read_only()) return;
+  const uint64_t version = db_.catalog_version();
+  if (version != demand_tables_version_) {
+    demand_tables_.clear();
+    for (const std::string& name : db_.TableNames()) {
+      rdb::Table* table = db_.FindTable(name);
+      if (table != nullptr && table->durable()) demand_tables_.push_back(table);
+    }
+    demand_tables_version_ = version;
+  }
+  // CREATE INDEX frees no Table, so every pointer stays valid through the
+  // builds below; the version it bumps refreshes the list next time.
+  for (rdb::Table* table : demand_tables_) {
+    const uint64_t bar = kIndexAfterScans * table->live_count();
+    for (size_t col = 0; col < table->arity(); ++col) {
+      const int c = static_cast<int>(col);
+      if (table->index_demand(c) <= bar) continue;
+      // A failed build (a name clash, a full disk) leaves the op's result
+      // alone and starts the count again.
+      table->ResetIndexDemand(c);
+      const std::string& name = table->schema().name();
+      const std::string& column = table->schema().columns()[col].name;
+      (void)db_.ExecuteQuery("CREATE INDEX idx_" + name + "_" + column +
+                             " ON " + name + " (" + column + ")");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Transactions
 
 Status RelationalStore::RunInTxn(const std::function<Status()>& fn) {
@@ -263,17 +305,20 @@ Status RelationalStore::RunInTxn(const std::function<Status()>& fn) {
 
 Status RelationalStore::DeleteWhere(const std::string& element,
                                     const std::string& predicate) {
+  OpScope op(this);
   const TableMapping* tm = mapping_->ForElement(element);
   if (tm == nullptr) {
     return Status::InvalidArgument("element <" + element +
                                    "> is not table-mapped");
   }
   EngineSpan span(&db_, "delete_where", &delete_where_hist_);
-  return RunInTxn([&] { return DeleteSubtreesImpl(tm, predicate); });
+  return op.Done(
+      RunInTxn([&] { return DeleteSubtreesImpl(tm, predicate); }));
 }
 
 Status RelationalStore::DeleteByIds(const std::string& element,
                                     const std::vector<int64_t>& ids) {
+  OpScope op(this);
   const TableMapping* tm = mapping_->ForElement(element);
   if (tm == nullptr) {
     return Status::InvalidArgument("element <" + element +
@@ -282,7 +327,7 @@ Status RelationalStore::DeleteByIds(const std::string& element,
   // One entry point = one transaction: the id batch lands or rolls back as a
   // unit (each id's delete still issues its own statements, §7.3).
   EngineSpan span(&db_, "delete_by_ids", &delete_by_ids_hist_);
-  return RunInTxn([&]() -> Status {
+  return op.Done(RunInTxn([&]() -> Status {
     if (options_.delete_strategy == DeleteStrategy::kPerTupleTrigger ||
         options_.delete_strategy == DeleteStrategy::kPerStatementTrigger) {
       // The random workload issues one DELETE per subtree (§7.3); with the
@@ -302,7 +347,7 @@ Status RelationalStore::DeleteByIds(const std::string& element,
           DeleteSubtreesImpl(tm, "id = " + std::to_string(id)));
     }
     return Status::OK();
-  });
+  }));
 }
 
 Status RelationalStore::DeleteSubtreesImpl(const TableMapping* tm,
@@ -463,6 +508,7 @@ Status RelationalStore::CopySubtree(const std::string& element, int64_t src_id,
 Status RelationalStore::CopySubtreesWhere(const std::string& element,
                                           const std::string& predicate,
                                           int64_t dest_parent_id) {
+  OpScope op(this);
   const TableMapping* tm = mapping_->ForElement(element);
   if (tm == nullptr) {
     return Status::InvalidArgument("element <" + element +
@@ -471,11 +517,14 @@ Status RelationalStore::CopySubtreesWhere(const std::string& element,
   EngineSpan span(&db_, "copy_subtrees", &copy_subtrees_hist_);
   switch (options_.insert_strategy) {
     case InsertStrategy::kTuple:
-      return RunInTxn([&] { return TupleInsert(tm, predicate, dest_parent_id); });
+      return op.Done(RunInTxn(
+          [&] { return TupleInsert(tm, predicate, dest_parent_id); }));
     case InsertStrategy::kTable:
-      return RunInTxn([&] { return TableInsert(tm, predicate, dest_parent_id); });
+      return op.Done(RunInTxn(
+          [&] { return TableInsert(tm, predicate, dest_parent_id); }));
     case InsertStrategy::kAsr:
-      return RunInTxn([&] { return AsrInsert(tm, predicate, dest_parent_id); });
+      return op.Done(RunInTxn(
+          [&] { return AsrInsert(tm, predicate, dest_parent_id); }));
   }
   return Status::Internal("unknown insert strategy");
 }
@@ -731,9 +780,10 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
 
 Status RelationalStore::InsertConstructed(const xml::Element& content,
                                           int64_t dest_parent_id) {
+  OpScope op(this);
   EngineSpan span(&db_, "insert_constructed", &insert_constructed_hist_);
-  return RunInTxn(
-      [&] { return InsertConstructedImpl(content, dest_parent_id); });
+  return op.Done(RunInTxn(
+      [&] { return InsertConstructedImpl(content, dest_parent_id); }));
 }
 
 Status RelationalStore::InsertConstructedImpl(const xml::Element& content,
@@ -803,6 +853,7 @@ Result<std::string> RelationalStore::IdListPredicate(
 
 Result<std::vector<int64_t>> RelationalStore::SelectIds(
     const std::string& element, const std::string& predicate) {
+  OpScope op(this);
   const TableMapping* tm = mapping_->ForElement(element);
   if (tm == nullptr) {
     return Status::InvalidArgument("element <" + element +
@@ -822,6 +873,7 @@ Result<std::vector<int64_t>> RelationalStore::SelectIds(
 Result<std::vector<int64_t>> RelationalStore::PathQueryJoins(
     const std::string& start_element, const std::string& leaf_element,
     const std::string& leaf_predicate) {
+  OpScope op(this);
   const TableMapping* start = mapping_->ForElement(start_element);
   const TableMapping* leaf = mapping_->ForElement(leaf_element);
   if (start == nullptr || leaf == nullptr) {
@@ -863,6 +915,7 @@ Result<std::vector<int64_t>> RelationalStore::PathQueryJoins(
 Result<std::vector<int64_t>> RelationalStore::PathQueryAsr(
     const std::string& start_element, const std::string& leaf_element,
     const std::string& leaf_predicate) {
+  OpScope op(this);
   if (asr_ == nullptr) return Status::InvalidArgument("store has no ASR");
   const TableMapping* start = mapping_->ForElement(start_element);
   const TableMapping* leaf = mapping_->ForElement(leaf_element);
@@ -887,6 +940,7 @@ Result<std::vector<int64_t>> RelationalStore::PathQueryAsr(
 
 Result<rdb::ResultSet> RelationalStore::OuterUnion(
     const std::string& element, const std::string& root_where) {
+  OpScope op(this);
   const TableMapping* tm = mapping_->ForElement(element);
   if (tm == nullptr) {
     return Status::InvalidArgument("element <" + element +
@@ -898,6 +952,7 @@ Result<rdb::ResultSet> RelationalStore::OuterUnion(
 }
 
 Result<std::unique_ptr<xml::Document>> RelationalStore::Reconstruct() {
+  OpScope op(this);
   return shred::ReconstructDocument(*mapping_, &db_);
 }
 

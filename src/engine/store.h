@@ -40,8 +40,21 @@ enum class InsertStrategy {
 const char* ToString(DeleteStrategy s);
 const char* ToString(InsertStrategy s);
 
+/// Indexes on demand: `Mapping::SchemaSql` indexes only `id` and
+/// `parentId`. When a public query or update operation returns outside any
+/// transaction, the store is writable and the operation did not fail an
+/// update, the engine may add an index between operations. It indexes each
+/// column of a durable table that writer statements filtered with
+/// `col = <literal or ?>` but read through a scan, a hash build or an IN
+/// probe, once the rows those statements examined pass kIndexAfterScans
+/// times the table's live rows. It issues `CREATE INDEX idx_<table>_<col>`,
+/// which is WAL-logged and snapshotted like the schema's own indexes, so a
+/// reopened store keeps it. A failed build never fails the operation.
 class RelationalStore {
  public:
+  /// The on-demand index threshold, in table sizes of examined rows.
+  static constexpr uint64_t kIndexAfterScans = 4;
+
   struct Options {
     /// The store keeps an ASR exactly when both strategies are kAsr: only
     /// the §6.1.3 delete and the §6.2.3 copy maintain it, so Create rejects
@@ -192,6 +205,33 @@ class RelationalStore {
  private:
   RelationalStore() = default;
 
+  /// Marks one public operation; when the outermost one ends (nested ops
+  /// run inside it), IndexHotColumns runs, unless the op failed a write. An
+  /// update that fails leaves the store exactly as it was, so it is not
+  /// followed by a build.
+  class OpScope {
+   public:
+    explicit OpScope(RelationalStore* store);
+    ~OpScope();
+    OpScope(const OpScope&) = delete;
+    OpScope& operator=(const OpScope&) = delete;
+
+    /// Passes an update's result through, noting whether it failed.
+    Status Done(Status s) {
+      ok_ = s.ok();
+      return s;
+    }
+
+   private:
+    RelationalStore* store_;
+    bool ok_ = true;
+  };
+  /// The on-demand index decision (see the class comment): outside any
+  /// transaction and not read-only, indexes each column whose
+  /// Table::index_demand passes kIndexAfterScans x the live rows, and
+  /// resets that counter.
+  void IndexHotColumns();
+
   /// Runs `fn` inside a transaction scope (a savepoint when one is already
   /// open): Begin, fn, Commit — or Rollback when fn fails, propagating fn's
   /// error. With Options::transactional off it just runs fn.
@@ -245,6 +285,11 @@ class RelationalStore {
   Histogram* insert_constructed_hist_ = nullptr;
   Histogram* xquery_update_hist_ = nullptr;
   std::atomic<uint64_t>* asr_ns_ = nullptr;
+  int op_depth_ = 0;  ///< open OpScopes.
+  /// IndexHotColumns' durable tables, as of catalog version
+  /// demand_tables_version_ (0 = never listed).
+  std::vector<rdb::Table*> demand_tables_;
+  uint64_t demand_tables_version_ = 0;
 };
 
 }  // namespace xupd::engine

@@ -690,16 +690,17 @@ class Translator {
 }  // namespace
 
 Status RelationalStore::ExecuteXQueryUpdate(std::string_view query) {
+  OpScope op(this);
   EngineSpan span(&db_, "xquery_update", &xquery_update_hist_);
   auto stmt = xquery::ParseStatement(query);
   if (!stmt.ok()) return stmt.status();
   // Whole-statement atomicity (§6): bind + every sub-operation commit or
   // roll back together; the sub-operations' own entry-point transactions
   // nest as savepoints inside this scope.
-  return RunInTxn([&]() -> Status {
+  return op.Done(RunInTxn([&]() -> Status {
     Translator translator(this);
     return translator.Execute(stmt.value());
-  });
+  }));
 }
 
 }  // namespace xupd::engine

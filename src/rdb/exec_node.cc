@@ -84,14 +84,14 @@ bool ComparisonHolds(Expr::Op op, int cmp) {
 // ---------------------------------------------------------------------------
 // Bound-expression evaluation
 
-Result<const std::unordered_set<Value, ValueHash>*> SubquerySet(
+Result<const SubqueryValues*> SubquerySet(
     const PlannedSelect& sub, ExecContext& ctx) {
   auto it = ctx.subquery_memo->find(&sub);
   if (it != ctx.subquery_memo->end()) return it->second.get();
   XUPD_ASSIGN_OR_RETURN(ResultSet result, ExecutePlannedSelect(sub, ctx));
-  auto set = std::make_unique<std::unordered_set<Value, ValueHash>>();
+  auto set = std::make_unique<SubqueryValues>();
   for (const Row& row : result.rows) {
-    if (!row.empty() && !row[0].is_null()) set->insert(row[0]);
+    if (!row.empty() && !row[0].is_null()) set->Insert(row[0]);
   }
   const auto* raw = set.get();
   ctx.subquery_memo->emplace(&sub, std::move(set));
@@ -215,7 +215,7 @@ Result<Value> EvalBound(const BoundExpr& expr,
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(expr.children[0], slots, ctx));
       if (v.is_null()) return Value::Null();
       XUPD_ASSIGN_OR_RETURN(const auto* set, SubquerySet(*expr.subquery, ctx));
-      bool found = set->count(v) > 0;
+      bool found = set->Contains(v);
       return Value::Int((found != expr.negated) ? 1 : 0);
     }
     case Expr::Kind::kAggregate:
@@ -361,7 +361,8 @@ class OneRowNode : public ExecNode {
 /// array and returned when the step's conjuncts hold. The examined rows are
 /// counted once, when the cursor is destroyed: into the table's rows_read
 /// on every path, and for a scan also into rows_scanned, with each open
-/// counted in the table's scans.
+/// counted in the table's scans; a step with index demand also adds them
+/// to the table's counter of its demand column.
 class RowCursor final : public ExecNode {
  public:
   /// `candidates` (null = the cursor's own buffer) holds an index path's
@@ -389,6 +390,9 @@ class RowCursor final : public ExecNode {
     }
     if (table != nullptr && rows_ != 0) {
       table->access_stats().rows_read += rows_;
+      if (path_.demand_column >= 0) {
+        table->AddIndexDemand(path_.demand_column, rows_);
+      }
     }
   }
 

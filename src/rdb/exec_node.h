@@ -23,14 +23,44 @@ namespace xupd::rdb {
 
 class Database;
 
+/// The non-NULL first-column values an IN-subquery produced.
+/// Value::operator== is not transitive across types ('07' == 7 and
+/// 7 == '7', but '07' != '7'), so a set keyed by it would keep whichever of
+/// two mixed-type values came first and answer membership by row order.
+/// This one keeps every value that differs from the others in type or
+/// content, and Contains tests == against each value in the probe's hash
+/// bucket: SQL `=` to any produced value. Value::Hash coerces integer-like
+/// strings, so every value == the probe shares its bucket.
+class SubqueryValues {
+ public:
+  void Insert(const Value& v) { set_.insert(v); }
+  bool Contains(const Value& v) const {
+    if (set_.empty()) return false;
+    const size_t b = set_.bucket(v);
+    for (auto it = set_.begin(b); it != set_.end(b); ++it) {
+      if (*it == v) return true;
+    }
+    return false;
+  }
+  auto begin() const { return set_.begin(); }
+  auto end() const { return set_.end(); }
+
+ private:
+  struct SameTypeEq {
+    bool operator()(const Value& a, const Value& b) const {
+      return a.type() == b.type() && a == b;
+    }
+  };
+  std::unordered_set<Value, ValueHash, SameTypeEq> set_;
+};
+
 /// Per-statement execution context threaded through every operator.
 struct ExecContext {
   /// Memoized IN-subquery result sets, keyed by planned-subquery identity.
   /// Owned by the Executor so the memo spans a whole top-level statement
   /// (including its trigger cascade), matching the seed interpreter.
   using SubqueryMemo =
-      std::map<const PlannedSelect*,
-               std::unique_ptr<std::unordered_set<Value, ValueHash>>>;
+      std::map<const PlannedSelect*, std::unique_ptr<SubqueryValues>>;
 
   Database* db = nullptr;
   /// Event-count sink for this execution: the Database's Stats on the
@@ -134,9 +164,9 @@ std::unique_ptr<ExecNode> BuildCorePipeline(
 Result<ResultSet> ExecutePlannedSelect(const PlannedSelect& plan,
                                        ExecContext& ctx);
 
-/// Evaluates (and memoizes) the hash set of first-column values a planned
+/// Evaluates (and memoizes) the set of first-column values a planned
 /// IN-subquery produces.
-Result<const std::unordered_set<Value, ValueHash>*> SubquerySet(
+Result<const SubqueryValues*> SubquerySet(
     const PlannedSelect& sub, ExecContext& ctx);
 
 /// Caller-owned buffers of one DELETE/UPDATE gather. A trigger cascade

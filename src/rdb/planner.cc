@@ -154,18 +154,104 @@ Result<BoundExpr> Planner::Bind(const Expr& e,
 // ---------------------------------------------------------------------------
 // Access-path selection
 
+namespace {
+
+/// The index path conjunct `c` offers relation `k` of `table`: an equality
+/// whose probe value sees only strictly-earlier relations (or none), or a
+/// non-negated IN list of row-free values or IN subquery, on an indexed
+/// column of relation `k`. Returns false when it offers none.
+bool IndexPathFor(const BoundExpr& c, const Table& table, size_t k,
+                  AccessPath* path) {
+  if (c.kind == Expr::Kind::kBinary && c.op == Expr::Op::kEq) {
+    for (int side = 0; side < 2; ++side) {
+      const BoundExpr& lhs = c.children[static_cast<size_t>(side)];
+      const BoundExpr& rhs = c.children[static_cast<size_t>(1 - side)];
+      if (lhs.kind != Expr::Kind::kColumn || lhs.rel != k) continue;
+      if (rhs.max_rel >= static_cast<int>(k)) continue;
+      const HashIndex* idx = table.FindIndexOnColumn(static_cast<int>(lhs.col));
+      if (idx == nullptr) continue;
+      path->kind = AccessPath::Kind::kIndexEq;
+      path->index = idx;
+      path->index_name = idx->name();
+      path->column_name = lhs.name;
+      path->probe = rhs;
+      return true;
+    }
+    return false;
+  }
+  const bool in_form = (c.kind == Expr::Kind::kInList ||
+                        c.kind == Expr::Kind::kInSubquery) &&
+                       !c.negated &&
+                       c.children[0].kind == Expr::Kind::kColumn &&
+                       c.children[0].rel == k;
+  if (!in_form) return false;
+  for (const BoundExpr& item : c.in_list) {
+    if (item.max_rel >= 0) return false;
+  }
+  const HashIndex* idx =
+      table.FindIndexOnColumn(static_cast<int>(c.children[0].col));
+  if (idx == nullptr) return false;
+  path->index = idx;
+  path->index_name = idx->name();
+  path->column_name = c.children[0].name;
+  if (c.kind == Expr::Kind::kInList) {
+    path->kind = AccessPath::Kind::kIndexIn;
+    path->probe_list = c.in_list;
+  } else {
+    path->kind = AccessPath::Kind::kIndexInSubquery;
+    path->probe_subquery = c.subquery;
+  }
+  return true;
+}
+
+/// The column of the first conjunct other than `consumed` that is
+/// `rel_k.col = <row-free value>` on a column no index serves, or -1.
+int UnindexedEqColumn(const Table& table, size_t k,
+                      const std::vector<BoundExpr*>& conjuncts, int consumed) {
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+    const BoundExpr& c = *conjuncts[ci];
+    if (static_cast<int>(ci) == consumed || c.kind != Expr::Kind::kBinary ||
+        c.op != Expr::Op::kEq) {
+      continue;
+    }
+    for (int side = 0; side < 2; ++side) {
+      const BoundExpr& lhs = c.children[static_cast<size_t>(side)];
+      const BoundExpr& rhs = c.children[static_cast<size_t>(1 - side)];
+      if (lhs.kind != Expr::Kind::kColumn || lhs.rel != k || rhs.max_rel >= 0) {
+        continue;
+      }
+      const int col = static_cast<int>(lhs.col);
+      if (table.FindIndexOnColumn(col) == nullptr) return col;
+    }
+  }
+  return -1;
+}
+
+}  // namespace
+
 int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
                               size_t k,
                               const std::vector<BoundExpr*>& conjuncts,
                               AccessPath* path) const {
   path->kind = AccessPath::Kind::kScan;
   const Table* table = rels[k].table;  // null for a CTE: it has no indexes
-  if (table != nullptr && db_->planner_index_probes_enabled() &&
-      allow_index_probes_) {
-    const int consumed = ChooseIndexPath(*table, k, conjuncts, path);
-    if (consumed >= 0) return consumed;
+  const bool probes = table != nullptr &&
+                      db_->planner_index_probes_enabled() &&
+                      allow_index_probes_;
+  int consumed = probes ? ChooseIndexPath(*table, k, conjuncts, path) : -1;
+  if (consumed < 0 && k > 0) consumed = ChooseHashPath(k, conjuncts, path);
+  // Index demand: a writer step over a durable table that scans, builds a
+  // hash table or probes an IN form would take an equality path instead if
+  // its row-free equality's column had an index (see ChooseIndexPath).
+  if (probes && table->durable() &&
+      path->kind != AccessPath::Kind::kIndexEq) {
+    path->demand_column = UnindexedEqColumn(*table, k, conjuncts, consumed);
   }
-  if (k == 0) return -1;
+  return consumed;
+}
+
+int Planner::ChooseHashPath(size_t k, const std::vector<BoundExpr*>& conjuncts,
+                            AccessPath* path) const {
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     const BoundExpr& c = *conjuncts[ci];
     if (c.kind != Expr::Kind::kBinary || c.op != Expr::Op::kEq) continue;
@@ -188,60 +274,20 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
 int Planner::ChooseIndexPath(const Table& table, size_t k,
                              const std::vector<BoundExpr*>& conjuncts,
                              AccessPath* path) const {
+  // The first applicable conjunct wins, with one exception: an equality on
+  // a row-free value (a literal or ?) beats an earlier IN-list or
+  // IN-subquery path, whose candidate set is usually far larger.
+  int chosen = -1;
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-    const BoundExpr& c = *conjuncts[ci];
-    if (c.kind == Expr::Kind::kBinary && c.op == Expr::Op::kEq) {
-      for (int side = 0; side < 2; ++side) {
-        const BoundExpr& lhs = c.children[static_cast<size_t>(side)];
-        const BoundExpr& rhs = c.children[static_cast<size_t>(1 - side)];
-        if (lhs.kind != Expr::Kind::kColumn || lhs.rel != k) continue;
-        // The probe value may only see strictly-earlier relations.
-        if (rhs.max_rel >= static_cast<int>(k)) continue;
-        const HashIndex* idx =
-            table.FindIndexOnColumn(static_cast<int>(lhs.col));
-        if (idx == nullptr) continue;
-        path->kind = AccessPath::Kind::kIndexEq;
-        path->index = idx;
-        path->index_name = idx->name();
-        path->column_name = lhs.name;
-        path->probe = rhs;
-        return static_cast<int>(ci);
-      }
-    } else if (c.kind == Expr::Kind::kInList && !c.negated &&
-               c.children[0].kind == Expr::Kind::kColumn &&
-               c.children[0].rel == k) {
-      bool all_row_free = true;
-      for (const BoundExpr& item : c.in_list) {
-        if (item.max_rel >= 0) {
-          all_row_free = false;
-          break;
-        }
-      }
-      if (!all_row_free) continue;
-      const HashIndex* idx =
-          table.FindIndexOnColumn(static_cast<int>(c.children[0].col));
-      if (idx == nullptr) continue;
-      path->kind = AccessPath::Kind::kIndexIn;
-      path->index = idx;
-      path->index_name = idx->name();
-      path->column_name = c.children[0].name;
-      path->probe_list = c.in_list;
-      return static_cast<int>(ci);
-    } else if (c.kind == Expr::Kind::kInSubquery && !c.negated &&
-               c.children[0].kind == Expr::Kind::kColumn &&
-               c.children[0].rel == k) {
-      const HashIndex* idx =
-          table.FindIndexOnColumn(static_cast<int>(c.children[0].col));
-      if (idx == nullptr) continue;
-      path->kind = AccessPath::Kind::kIndexInSubquery;
-      path->index = idx;
-      path->index_name = idx->name();
-      path->column_name = c.children[0].name;
-      path->probe_subquery = c.subquery;
-      return static_cast<int>(ci);
-    }
+    AccessPath candidate;
+    if (!IndexPathFor(*conjuncts[ci], table, k, &candidate)) continue;
+    const bool eq = candidate.kind == AccessPath::Kind::kIndexEq;
+    if (chosen >= 0 && !(eq && candidate.probe.max_rel < 0)) continue;
+    *path = std::move(candidate);
+    if (eq) return static_cast<int>(ci);
+    chosen = static_cast<int>(ci);
   }
-  return -1;
+  return chosen;
 }
 
 // ---------------------------------------------------------------------------

@@ -86,6 +86,12 @@ struct AccessPath {
   /// kIndexInSubquery: the planned set-producing subquery (shared with the
   /// bound conjunct, so the execution-time memo covers both uses).
   std::shared_ptr<const PlannedSelect> probe_subquery;
+  /// Index demand (-1 = none): on a writer plan's step over a durable table
+  /// that is not an equality probe, the column of its first other
+  /// `col = <row-free value>` conjunct when no index serves that column.
+  /// The step's row cursor adds the rows it examined to the table's
+  /// Table::index_demand counter of this column.
+  int demand_column = -1;
 };
 
 /// One planned SELECT core: a left-to-right nested-loop join pipeline with
@@ -225,23 +231,29 @@ class Planner {
                          bool values_context = false);
 
   /// Picks the access path for relation `k` from the conjuncts placed at
-  /// step `k` (first usable conjunct in order wins). An index path comes
-  /// first; equality probes may reference strictly-earlier relations;
+  /// step `k`. An index path comes first (see ChooseIndexPath); equality
+  /// probes may reference strictly-earlier relations;
   /// IN-list and IN-subquery probes are row-free by construction (the
   /// dialect has no correlation) and are considered at EVERY join position
   /// — at inner steps the executor gathers their candidate set once per
   /// execution and replays it for each outer row. An inner step (k > 0)
   /// with no index path — a reader session, a CTE, an unindexed column, or
   /// probes disabled — takes kHashEq on its first `rel_k.col = expr`
-  /// conjunct whose `expr` reads an earlier relation. Returns the index of
-  /// the consumed conjunct in `conjuncts` (-1 = scan).
+  /// conjunct whose `expr` reads an earlier relation. A writer step over a
+  /// durable table records its index demand (AccessPath::demand_column).
+  /// Returns the index of the consumed conjunct in `conjuncts` (-1 = scan).
   int ChooseAccessPath(const std::vector<PlannedRelation>& rels, size_t k,
                        const std::vector<BoundExpr*>& conjuncts,
                        AccessPath* path) const;
-  /// The index half of ChooseAccessPath (-1 = no index path).
+  /// The index half of ChooseAccessPath (-1 = no index path): the first
+  /// applicable conjunct, except that an equality on a row-free value wins
+  /// over an earlier IN-list or IN-subquery path.
   int ChooseIndexPath(const Table& table, size_t k,
                       const std::vector<BoundExpr*>& conjuncts,
                       AccessPath* path) const;
+  /// The kHashEq half of ChooseAccessPath (-1 = none).
+  int ChooseHashPath(size_t k, const std::vector<BoundExpr*>& conjuncts,
+                     AccessPath* path) const;
 
   Database* db_;
   const TableSchema* old_schema_;

@@ -63,6 +63,14 @@ void HashIndex::Rehash(size_t new_cap) {
   }
 }
 
+void HashIndex::Reserve(size_t entries) {
+  if (entries == 0) return;
+  // The smallest capacity Insert's 3/4 load check accepts `entries` in.
+  size_t cap = kInitialCap;
+  while (entries * 4 > cap * 3) cap <<= 1;
+  if (cap > slots_.size()) Rehash(cap);
+}
+
 void HashIndex::Insert(const Value& v, size_t rowid) {
   // Grow at 3/4 load of the entry table (tombstones count — they lengthen
   // probe runs just like live entries).
@@ -551,6 +559,7 @@ Status Table::CreateIndex(const std::string& index_name, int column) {
     return Status::InvalidArgument("bad index column");
   }
   auto index = std::make_unique<HashIndex>(index_name, column);
+  index->Reserve(live_count_);
   for (size_t rowid = 0; rowid < live_.size(); ++rowid) {
     if (live_[rowid]) {
       index->Insert(row(rowid)[static_cast<size_t>(column)], rowid);

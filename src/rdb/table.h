@@ -93,6 +93,9 @@ class HashIndex {
   const std::string& name() const { return name_; }
   int column() const { return column_; }
 
+  /// Sizes both flat tables so that `entries` inserts into an empty index
+  /// never rehash (CreateIndex builds over the live rows in one pass).
+  void Reserve(size_t entries);
   /// Adds (v, rowid); a duplicate exact pair is a no-op (set semantics).
   void Insert(const Value& v, size_t rowid);
   /// Removes (v, rowid); absent pairs are a no-op.
@@ -230,7 +233,8 @@ class Table {
       : schema_(std::move(schema)),
         arity_(schema_.column_count()),
         stride_(arity_ + 1),
-        txn_(txn) {}
+        txn_(txn),
+        index_demand_(arity_, 0) {}
   ~Table();
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -341,13 +345,29 @@ class Table {
   Status SetColumn(size_t rowid, int column, Value v);
 
   /// Creates a hash index over `column` (by index), populating from current
-  /// rows. Fails if an index of this name exists.
+  /// rows into tables sized once for the live row count. Fails if an index
+  /// of this name exists.
   Status CreateIndex(const std::string& index_name, int column);
   Status DropIndex(const std::string& index_name);
   /// Drops the index if this table owns one of that name; returns whether it
   /// did. Single scan — lets DROP INDEX's owning-table search avoid the
   /// find-then-drop double lookup.
   bool TryDropIndex(std::string_view index_name);
+
+  /// The on-demand index counter of `column` (see
+  /// AccessPath::demand_column): rows examined by writer-plan access steps
+  /// that filtered on `column` = <row-free value> with no index over the
+  /// column. The engine indexes the column once it passes a few table
+  /// sizes. Writer thread only; not persisted.
+  uint64_t index_demand(int column) const {
+    return index_demand_[static_cast<size_t>(column)];
+  }
+  void AddIndexDemand(int column, uint64_t rows) const {
+    index_demand_[static_cast<size_t>(column)] += rows;
+  }
+  void ResetIndexDemand(int column) {
+    index_demand_[static_cast<size_t>(column)] = 0;
+  }
 
   /// Index over `column`, or null.
   const HashIndex* FindIndexOnColumn(int column) const;
@@ -434,6 +454,7 @@ class Table {
   uint64_t version_rows_ = 0;
   uint64_t version_bytes_ = 0;
   mutable TableAccessStats access_stats_;
+  mutable std::vector<uint64_t> index_demand_;  ///< per column.
   std::vector<std::unique_ptr<HashIndex>> indexes_;
 };
 

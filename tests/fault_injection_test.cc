@@ -548,6 +548,37 @@ TEST(EngineFaultMatrixTest, UpdateOperationsSurviveInjectedFaults) {
   }
 }
 
+TEST(ReadOnlyModeTest, ValueQueriesBuildNoIndexWhileReadOnly) {
+  workload::GeneratedDoc gen = MakeDoc();
+  TempDir dir;
+  FaultVfs fault(rdb::Vfs::Default());
+  auto store = MakeFaultStore(gen, dir.path(), DeleteStrategy::kPerTupleTrigger,
+                              InsertStrategy::kTable, &fault);
+  ASSERT_NE(store, nullptr);
+  // A broken WAL fails the next update and leaves the store read-only.
+  fault.ArmFault(FaultKind::kEio, 1, "wal");
+  ASSERT_FALSE(store->DeleteWhere("n2", "v2 > 500000").ok());
+  ASSERT_TRUE(store->db()->read_only());
+
+  // Value queries keep serving, and their scans pass the index threshold
+  // many times over, but no index is built while the store is read-only.
+  auto v1 = store->db()->ExecuteQuery("SELECT v1 FROM n1");
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  const std::string predicate = "v1 = '" + v1->rows[0][0].ToString() + "'";
+  std::vector<int64_t> first;
+  for (uint64_t q = 0; q < 4 * RelationalStore::kIndexAfterScans; ++q) {
+    auto ids = store->SelectIds("n1", predicate);
+    ASSERT_TRUE(ids.ok()) << ids.status();
+    if (q == 0) first = *ids;
+    EXPECT_EQ(*ids, first);
+  }
+  EXPECT_EQ(first.size(), 1u);
+  const rdb::Table* n1 = store->db()->FindTable("n1");
+  EXPECT_EQ(n1->FindIndexByName("idx_n1_v1"), nullptr);
+  EXPECT_GT(n1->index_demand(n1->schema().ColumnIndex("v1")),
+            RelationalStore::kIndexAfterScans * n1->live_count());
+}
+
 // ---------------------------------------------------------------------------
 // Scrub detection power: the scrubs must actually catch corruption, not
 // just pass on healthy stores.

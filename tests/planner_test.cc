@@ -187,6 +187,117 @@ TEST_F(PlannerTest, AnIndexPathWinsOverAnEarlierHashableConjunct) {
   db_.set_planner_index_probes_enabled(true);
 }
 
+TEST_F(PlannerTest, ARowFreeEqualityWinsOverAnEarlierInPath) {
+  // The translator's step shape: the parentId probe matches most n1 rows,
+  // the v1 probe the two x rows.
+  Must("CREATE TABLE n1 (id INTEGER, parentId INTEGER, v1 VARCHAR)");
+  Must("CREATE TABLE idlist (id INTEGER)");
+  Must("CREATE INDEX idx_n1_pid ON n1 (parentId)");
+  Must("CREATE INDEX idx_n1_v1 ON n1 (v1)");
+  Must("INSERT INTO idlist VALUES (1)");
+  Must("INSERT INTO n1 VALUES (10, 1, 'x'), (11, 1, 'y'), (12, 1, 'z'), "
+       "(13, 2, 'x')");
+  const std::string in_subquery = "parentId IN (SELECT id FROM idlist)";
+  for (const std::string& where :
+       {in_subquery + " AND v1 = 'x'", "v1 = 'x' AND " + in_subquery,
+        std::string("parentId IN (1, 3) AND v1 = 'x'")}) {
+    SCOPED_TRACE(where);
+    const std::string sql = "SELECT id FROM n1 WHERE " + where;
+    EXPECT_NE(Explain(sql).find("IndexProbe n1 via idx_n1_v1 (v1 = 'x')"),
+              std::string::npos)
+        << Explain(sql);
+    for (const char* verb : {"DELETE FROM n1", "UPDATE n1 SET v1 = 'w'"}) {
+      const std::string mutation = std::string(verb) + " WHERE " + where;
+      EXPECT_NE(Explain(mutation).find("via idx_n1_v1 (v1 = 'x')"),
+                std::string::npos)
+          << Explain(mutation);
+    }
+    Stats before = db_.stats();
+    ResultSet r = Query(sql);
+    Stats delta = db_.stats().Delta(before);
+    // Both x rows are candidates; the residual IN drops id 13.
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].AsInt(), 10);
+    EXPECT_EQ(delta.index_probes, 1u);
+  }
+}
+
+TEST_F(PlannerTest, InSubquerySetKeepsMixedTypeValues) {
+  // '07' = 7 and 7 = '7' under SQL comparison, but '07' <> '7': a set keyed
+  // by that equality kept whichever of '07' and 7 came first, so the row
+  // '7' matched in one branch order and not in the other.
+  Must("CREATE TABLE s (k VARCHAR)");
+  Must("CREATE TABLE i (k INTEGER)");
+  Must("CREATE TABLE t (x VARCHAR)");
+  Must("INSERT INTO s VALUES ('07')");
+  Must("INSERT INTO i VALUES (7)");
+  Must("INSERT INTO t VALUES ('7'), ('07'), ('8')");
+  for (bool indexed : {false, true}) {
+    if (indexed) Must("CREATE INDEX idx_t_x ON t (x)");
+    for (const char* branches : {"SELECT k FROM s UNION ALL SELECT k FROM i",
+                                 "SELECT k FROM i UNION ALL SELECT k FROM s"}) {
+      SCOPED_TRACE(std::string(indexed ? "probe: " : "scan: ") + branches);
+      const std::string sql =
+          std::string("SELECT x FROM t WHERE x IN (") + branches + ")";
+      EXPECT_NE(Explain(sql).find(indexed ? "IndexProbe t via idx_t_x"
+                                          : "Scan t"),
+                std::string::npos)
+          << Explain(sql);
+      ResultSet r = Query(sql + " ORDER BY x");
+      ASSERT_EQ(r.rows.size(), 2u);
+      EXPECT_EQ(r.rows[0][0].AsString(), "07");
+      EXPECT_EQ(r.rows[1][0].AsString(), "7");
+      // DELETE drops the probed conjunct: the probes alone must find both.
+      Must("BEGIN");
+      Must("DELETE FROM t WHERE x IN (" + std::string(branches) + ")");
+      EXPECT_EQ(Query("SELECT COUNT(*) FROM t").rows[0][0].AsInt(), 1);
+      Must("ROLLBACK");
+    }
+  }
+}
+
+TEST_F(PlannerTest, IndexDemandCountsWriterStepsOverDurableTablesOnly) {
+  CreateEmpDept(/*indexed=*/true);
+  Table* emp = db_.FindTable("Emp");
+  const int name = emp->schema().ColumnIndex("name");
+  const int id = emp->schema().ColumnIndex("id");
+  // A scan, and a probe of an IN path, both examine rows an index on the
+  // equality's column would skip: 4 rows, then the 3 of departments 1 and 2.
+  Query("SELECT id FROM Emp WHERE name = 'bob'");
+  EXPECT_EQ(emp->index_demand(name), 4u);
+  Query("SELECT id FROM Emp WHERE deptId IN (1, 2) AND name = 'bob'");
+  EXPECT_EQ(emp->index_demand(name), 7u);
+  ASSERT_TRUE(db_.ExecuteQueryBound("UPDATE Emp SET name = 'x' WHERE id = ?",
+                                    {Value::Int(99)})
+                  .ok());
+  EXPECT_EQ(emp->index_demand(id), 4u);
+  emp->ResetIndexDemand(name);
+  emp->ResetIndexDemand(id);
+  // An equality probe, a join value, a CTE, a reader session and a
+  // probe-free plan record none.
+  Query("SELECT id FROM Emp WHERE deptId = 1 AND name = 'bob'");
+  Query("SELECT Emp.id FROM Dept, Emp WHERE Emp.name = Dept.name");
+  Query("WITH e (n) AS (SELECT name FROM Emp) SELECT n FROM e WHERE n = 'x'");
+  {
+    auto reader = db_.OpenReaderSession();
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    ASSERT_TRUE((*reader)->ExecuteQuery("SELECT id FROM Emp WHERE name = 'a'")
+                    .ok());
+  }
+  db_.set_planner_index_probes_enabled(false);
+  Query("SELECT id FROM Emp WHERE name = 'bob'");
+  db_.set_planner_index_probes_enabled(true);
+  EXPECT_EQ(emp->index_demand(name), 0u);
+  EXPECT_EQ(emp->index_demand(id), 0u);
+  // A scratch table (direct catalog API) is never indexed by SQL DDL.
+  auto scratch = db_.CreateTableDirect(
+      TableSchema("scratch", {{"id", ColumnType::kInteger}}));
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  ASSERT_TRUE(db_.InsertDirect(*scratch, {Value::Int(1)}).ok());
+  Query("SELECT id FROM scratch WHERE id = 1");
+  EXPECT_EQ((*scratch)->index_demand(0), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache: reuse and invalidation.
 

@@ -1211,6 +1211,145 @@ TEST(EngineRecoveryTest, CheckpointThenMutateThenRecover) {
 }
 
 // ---------------------------------------------------------------------------
+// Indexes on demand: the engine's CREATE INDEX between operations is logged
+// and snapshotted like the schema's, and a crash anywhere in the operation
+// that triggers it recovers a committed state.
+
+/// The n1 v1 values, in id order.
+std::vector<std::string> V1Values(RelationalStore* store) {
+  auto rows = store->db()->ExecuteQuery("SELECT id, v1 FROM n1 ORDER BY id");
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  std::vector<std::string> out;
+  if (rows.ok()) {
+    for (const rdb::Row& row : rows->rows) out.emplace_back(row[1].ToString());
+  }
+  return out;
+}
+
+bool HasV1Index(RelationalStore* store) {
+  return store->db()->FindTable("n1")->FindIndexByName("idx_n1_v1") != nullptr;
+}
+
+/// Value-filtered operations whose `i`-th run targets the i-th n1: a §6.1
+/// delete by value, and an XQuery update binding the n1 by value (the
+/// translator probes n1's parentId with an IN subquery).
+using ValueOp = std::function<Status(RelationalStore*, const std::string&)>;
+std::vector<std::pair<const char*, ValueOp>> ValueOps() {
+  return {
+      {"delete-where",
+       [](RelationalStore* s, const std::string& v1) {
+         return s->DeleteWhere("n1", "v1 = '" + v1 + "'");
+       }},
+      {"xquery",
+       [](RelationalStore* s, const std::string& v1) {
+         return s->ExecuteXQueryUpdate(
+             "FOR $d IN document(\"x\"), $p IN $d/n1[v1 = \"" + v1 +
+             "\"], $t IN $p/n2 UPDATE $p { DELETE $t }");
+       }},
+  };
+}
+
+TEST(EngineRecoveryTest, OnDemandIndexSurvivesReopenAndCheckpoint) {
+  workload::GeneratedDoc gen = MakeDoc();
+  TempDir dir;
+  std::string expected;
+  {
+    auto store = MakeDurableStore(gen, dir.path(),
+                                  DeleteStrategy::kPerTupleTrigger,
+                                  InsertStrategy::kTable, true);
+    ASSERT_NE(store, nullptr);
+    for (const std::string& v1 : V1Values(store.get())) {
+      if (HasV1Index(store.get())) break;
+      ASSERT_TRUE(store->DeleteWhere("n1", "v1 = '" + v1 + "'").ok());
+    }
+    ASSERT_TRUE(HasV1Index(store.get()));
+    expected = DumpDurableState(*store->db());
+  }
+  for (bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "from the snapshot" : "from the WAL");
+    auto reopened = MakeDurableStore(gen, dir.path(),
+                                     DeleteStrategy::kPerTupleTrigger,
+                                     InsertStrategy::kTable, false);
+    ASSERT_NE(reopened, nullptr);
+    ASSERT_TRUE(reopened->recovered());
+    EXPECT_TRUE(HasV1Index(reopened.get()));
+    EXPECT_EQ(DumpDurableState(*reopened->db()), expected);
+    EXPECT_TRUE(reopened->db()->VerifyIntegrity().empty());
+    if (!checkpoint) ASSERT_TRUE(reopened->Checkpoint().ok());
+  }
+}
+
+TEST(EngineRecoveryTest, CrashInjectionAcrossAnOnDemandIndexBuild) {
+  workload::GeneratedDoc gen = MakeDoc();
+  for (const auto& [name, op] : ValueOps()) {
+    SCOPED_TRACE(name);
+    // One clean run finds the operation after which the engine builds the
+    // index, and the statements it issues, the CREATE INDEX included.
+    std::vector<std::string> values;
+    size_t builder = 0;
+    int64_t statements = 0;
+    {
+      TempDir dir;
+      auto store = MakeDurableStore(gen, dir.path(),
+                                    DeleteStrategy::kPerTupleTrigger,
+                                    InsertStrategy::kTable, true);
+      ASSERT_NE(store, nullptr);
+      values = V1Values(store.get());
+      for (; builder < values.size(); ++builder) {
+        const rdb::Stats before = store->stats();
+        ASSERT_TRUE(op(store.get(), values[builder]).ok());
+        const rdb::Stats d = store->stats().Delta(before);
+        statements = static_cast<int64_t>(d.statements + d.trigger_statements);
+        if (HasV1Index(store.get())) break;
+      }
+      ASSERT_LT(builder, values.size()) << "no index was built";
+      ASSERT_GT(builder, 0u);
+    }
+    bool build_failed = false;
+    for (int64_t k = 0; k <= statements; ++k) {
+      TempDir dir;
+      std::string pre_op;
+      std::string post_op;
+      bool completed = false;
+      {
+        auto store = MakeDurableStore(gen, dir.path(),
+                                      DeleteStrategy::kPerTupleTrigger,
+                                      InsertStrategy::kTable, true);
+        ASSERT_NE(store, nullptr);
+        for (size_t i = 0; i < builder; ++i) {
+          ASSERT_TRUE(op(store.get(), values[i]).ok());
+        }
+        ASSERT_FALSE(HasV1Index(store.get()));
+        pre_op = DumpDurableState(*store->db());
+        store->db()->InjectFailureAfterStatements(k);
+        Status s = op(store.get(), values[builder]);
+        store->db()->InjectFailureAfterStatements(-1);
+        completed = s.ok();
+        if (completed) {
+          post_op = DumpDurableState(*store->db());
+          // A failed build leaves the operation's own result standing.
+          if (!HasV1Index(store.get())) build_failed = true;
+        }
+      }
+      auto reopened = MakeDurableStore(gen, dir.path(),
+                                       DeleteStrategy::kPerTupleTrigger,
+                                       InsertStrategy::kTable, false);
+      ASSERT_NE(reopened, nullptr);
+      ASSERT_TRUE(reopened->recovered());
+      std::string recovered = DumpDurableState(*reopened->db());
+      if (completed) {
+        EXPECT_EQ(recovered, post_op) << "boundary " << k << " (completed)";
+      } else {
+        EXPECT_EQ(recovered, pre_op) << "boundary " << k << " (aborted)";
+      }
+      std::vector<std::string> iv = reopened->db()->VerifyIntegrity();
+      EXPECT_TRUE(iv.empty()) << "boundary " << k << ": " << iv[0];
+    }
+    EXPECT_TRUE(build_failed) << "no boundary hit the CREATE INDEX";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Strategy options are persisted in the durable state (the xupd_meta
 // table) and verified on reopen: a mismatched reopen is a clean error.
 
