@@ -57,6 +57,7 @@ class MemoryAccountant {
     kUndoLog,          ///< undo record chunks (in use and retained).
     kWalPending,       ///< WAL bytes staged but not yet committed.
     kQueryScratch,     ///< sort / CTE / result materialization.
+    kIndexes,          ///< hash-index entry arrays and key tables.
     kNumCategories,
   };
 
@@ -67,6 +68,7 @@ class MemoryAccountant {
       case kUndoLog: return "mem.undo_log";
       case kWalPending: return "mem.wal_pending";
       case kQueryScratch: return "mem.query_scratch";
+      case kIndexes: return "mem.indexes";
     }
     return "mem.unknown";
   }

@@ -471,15 +471,29 @@ Result<ResultSet> Executor::RunPlannedInsert(const PlannedStatement& plan) {
       static_cast<size_t>(plan.cte_slot_count));
   ExecContext ctx = MakeContext(&cte_store);
 
-  auto build_row = [&](const std::vector<Value>& values) -> Result<Row> {
+  // An identity column map (every column, in table order — as every
+  // engine-issued staging and copy INSERT writes) coerces in place.
+  const size_t arity = ins.table->schema().column_count();
+  bool identity = ins.column_map.size() == arity;
+  for (size_t i = 0; identity && i < arity; ++i) {
+    identity = ins.column_map[i] == static_cast<int>(i);
+  }
+  auto build_row = [&](Row&& values) -> Result<Row> {
     if (values.size() != ins.column_map.size()) {
       return Status::InvalidArgument("INSERT arity mismatch");
     }
-    Row row(ins.table->schema().column_count(), Value::Null());
+    if (identity) {
+      for (size_t i = 0; i < arity; ++i) {
+        XUPD_ASSIGN_OR_RETURN(
+            values[i], CoerceValue(std::move(values[i]), ins.column_types[i]));
+      }
+      return std::move(values);
+    }
+    Row row(arity, Value::Null());
     for (size_t i = 0; i < values.size(); ++i) {
-      XUPD_ASSIGN_OR_RETURN(Value coerced,
-                            CoerceValue(values[i], ins.column_types[i]));
-      row[static_cast<size_t>(ins.column_map[i])] = std::move(coerced);
+      XUPD_ASSIGN_OR_RETURN(
+          row[static_cast<size_t>(ins.column_map[i])],
+          CoerceValue(std::move(values[i]), ins.column_types[i]));
     }
     return row;
   };
@@ -487,9 +501,10 @@ Result<ResultSet> Executor::RunPlannedInsert(const PlannedStatement& plan) {
   if (ins.select != nullptr) {
     XUPD_ASSIGN_OR_RETURN(ResultSet result,
                           ExecutePlannedSelect(*ins.select, ctx));
-    for (const Row& row : result.rows) {
+    ins.table->Reserve(result.rows.size());
+    for (Row& row : result.rows) {
       XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
-      XUPD_ASSIGN_OR_RETURN(Row built, build_row(row));
+      XUPD_ASSIGN_OR_RETURN(Row built, build_row(std::move(row)));
       XUPD_ASSIGN_OR_RETURN(size_t rowid, ins.table->Insert(std::move(built)));
       (void)rowid;
       ++db_->stats_.rows_inserted;
@@ -510,9 +525,10 @@ Result<ResultSet> Executor::RunPlannedInsert(const PlannedStatement& plan) {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(e, no_slots, ctx));
       values.push_back(std::move(v));
     }
-    XUPD_ASSIGN_OR_RETURN(Row built, build_row(values));
+    XUPD_ASSIGN_OR_RETURN(Row built, build_row(std::move(values)));
     built_rows.push_back(std::move(built));
   }
+  ins.table->Reserve(built_rows.size());
   for (Row& row : built_rows) {
     XUPD_RETURN_IF_ERROR(ctx.TickGovernance());
     XUPD_ASSIGN_OR_RETURN(size_t rowid, ins.table->Insert(std::move(row)));

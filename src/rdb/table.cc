@@ -1,5 +1,6 @@
 #include "rdb/table.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -8,167 +9,133 @@
 namespace xupd::rdb {
 
 // ---------------------------------------------------------------------------
-// HashIndex: flat open-addressing (value, rowid) pair table + chain heads.
+// HashIndex: entry array by row id + key table of chain heads.
 
 namespace {
-constexpr uint8_t kEmpty = 0;
-constexpr uint8_t kOccupied = 1;
-constexpr uint8_t kTombstone = 2;
 constexpr int32_t kHeadEmpty = -1;
 constexpr int32_t kHeadTombstone = -2;
 constexpr size_t kInitialCap = 16;
+
+/// The smallest key-table capacity holding `keys` under the 3/4 load limit.
+size_t KeyCapFor(size_t keys) {
+  size_t cap = kInitialCap;
+  while (keys * 4 > cap * 3) cap <<= 1;
+  return cap;
+}
 }  // namespace
 
-int32_t HashIndex::FindPair(uint64_t vhash, const Value& v,
-                            size_t rowid) const {
-  if (slots_.empty()) return -1;
-  const size_t mask = slots_.size() - 1;
-  size_t pos = PairHash(vhash, rowid) & mask;
-  for (;;) {
-    const Slot& s = slots_[pos];
-    if (s.state == kEmpty) return -1;
-    if (s.state == kOccupied && s.rowid == rowid && s.vhash == vhash &&
-        s.value == v) {
-      return static_cast<int32_t>(pos);
-    }
-    pos = (pos + 1) & mask;
+void HashIndex::Recharge() {
+  const size_t bytes = entries_.capacity() * sizeof(Entry) +
+                       heads_.capacity() * sizeof(int32_t);
+  if (mem_ != nullptr && bytes > charged_) {
+    mem_->Charge(MemoryAccountant::kIndexes, bytes - charged_);
+  } else if (mem_ != nullptr && bytes < charged_) {
+    mem_->Release(MemoryAccountant::kIndexes, charged_ - bytes);
   }
+  charged_ = bytes;
 }
 
-int32_t HashIndex::FindHead(uint64_t vhash, const Value& v) const {
-  if (heads_.empty()) return -1;
-  const size_t mask = heads_.size() - 1;
-  size_t pos = HeadHash(vhash) & mask;
-  for (;;) {
-    int32_t head = heads_[pos];
-    if (head == kHeadEmpty) return -1;
-    if (head != kHeadTombstone) {
-      const Slot& s = slots_[static_cast<size_t>(head)];
-      if (s.vhash == vhash && s.value == v) return static_cast<int32_t>(pos);
-    }
-    pos = (pos + 1) & mask;
+void HashIndex::RebuildKeys(size_t cap) {
+  std::vector<int32_t> old = std::move(heads_);
+  heads_.assign(cap, kHeadEmpty);
+  heads_used_ = keys_;
+  const size_t mask = cap - 1;
+  for (const int32_t head : old) {
+    if (head < 0) continue;
+    size_t pos = HeadHash(entries_[static_cast<size_t>(head)].vhash) & mask;
+    while (heads_[pos] != kHeadEmpty) pos = (pos + 1) & mask;
+    heads_[pos] = head;
   }
+  Recharge();
 }
 
-void HashIndex::Rehash(size_t new_cap) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.clear();
-  slots_.resize(new_cap);
-  heads_.assign(new_cap, kHeadEmpty);
-  slots_used_ = 0;
-  heads_used_ = 0;
-  size_ = 0;
-  for (Slot& s : old) {
-    if (s.state == kOccupied) InsertEntry(s.vhash, s.value, s.rowid);
+void HashIndex::Reserve(size_t rowid_end, size_t new_keys) {
+  if (rowid_end > entries_.size()) {
+    entries_.resize(std::max({rowid_end, entries_.size() * 2, kInitialCap}));
+    Recharge();
   }
-}
-
-void HashIndex::Reserve(size_t entries) {
-  if (entries == 0) return;
-  // The smallest capacity Insert's 3/4 load check accepts `entries` in.
-  size_t cap = kInitialCap;
-  while (entries * 4 > cap * 3) cap <<= 1;
-  if (cap > slots_.size()) Rehash(cap);
+  if ((heads_used_ + new_keys) * 4 > heads_.size() * 3) {
+    RebuildKeys(std::max(heads_.size(), KeyCapFor(keys_ + new_keys)));
+  }
 }
 
 void HashIndex::Insert(const Value& v, size_t rowid) {
-  // Grow at 3/4 load of the entry table (tombstones count — they lengthen
-  // probe runs just like live entries).
-  if (slots_.empty()) {
-    Rehash(kInitialCap);
-  } else if ((slots_used_ + 1) * 4 > slots_.size() * 3 ||
-             (heads_used_ + 1) * 4 > heads_.size() * 3) {
-    Rehash(slots_.size() * 2);
+  if (rowid >= entries_.size()) Reserve(rowid + 1, 0);
+  Entry& e = entries_[rowid];
+  const uint64_t vhash = v.Hash();
+  if (e.prev != kNoEntry) {
+    if (e.vhash == vhash && e.value == v) return;  // same key: no-op
+    Unlink(rowid);                                  // another key: move
   }
-  InsertEntry(v.Hash(), v, rowid);
-}
-
-void HashIndex::InsertEntry(uint64_t vhash, const Value& v, size_t rowid) {
-  const size_t mask = slots_.size() - 1;
-
-  // One probe pass finds an existing exact pair (duplicate insert = no-op,
-  // matching the old map-of-sets semantics) or the insertion slot.
-  size_t pos = PairHash(vhash, rowid) & mask;
-  int32_t insert_at = -1;
-  for (;;) {
-    const Slot& s = slots_[pos];
-    if (s.state == kEmpty) {
-      if (insert_at < 0) insert_at = static_cast<int32_t>(pos);
-      break;
-    }
-    if (s.state == kTombstone) {
-      if (insert_at < 0) insert_at = static_cast<int32_t>(pos);
-    } else if (s.rowid == rowid && s.vhash == vhash && s.value == v) {
-      return;  // exact pair already present
-    }
-    pos = (pos + 1) & mask;
+  // Past the 3/4 load limit (tombstones count — they lengthen probe runs),
+  // rebuild: at the same capacity when live keys fill at most half the
+  // limit (tombstones filled the rest), else at double.
+  if ((heads_used_ + 1) * 4 > heads_.size() * 3) {
+    RebuildKeys(std::max(heads_.size(), KeyCapFor(2 * (keys_ + 1))));
   }
-
-  Slot& dst = slots_[static_cast<size_t>(insert_at)];
-  const bool was_empty = dst.state == kEmpty;
-  dst.vhash = vhash;
-  dst.rowid = rowid;
-  dst.value = v;
-  dst.prev = -1;
-  dst.next = -1;
-  dst.state = kOccupied;
-  if (was_empty) ++slots_used_;
-  ++size_;
-
-  // Link at the head of the key's chain.
-  const size_t hmask = heads_.size() - 1;
-  size_t hpos = HeadHash(vhash) & hmask;
-  int32_t hinsert = -1;
-  for (;;) {
-    int32_t head = heads_[hpos];
+  const auto self = static_cast<int32_t>(rowid);
+  const size_t mask = heads_.size() - 1;
+  size_t insert_at = heads_.size();
+  for (size_t pos = HeadHash(vhash) & mask;; pos = (pos + 1) & mask) {
+    const int32_t head = heads_[pos];
     if (head == kHeadEmpty) {
-      if (hinsert < 0) {
-        hinsert = static_cast<int32_t>(hpos);
+      if (insert_at == heads_.size()) {
+        insert_at = pos;
         ++heads_used_;
       }
-      heads_[static_cast<size_t>(hinsert)] = insert_at;
-      return;
+      heads_[insert_at] = self;  // a new key: a one-row chain
+      e.next = -1;
+      ++keys_;
+      break;
     }
     if (head == kHeadTombstone) {
-      if (hinsert < 0) hinsert = static_cast<int32_t>(hpos);
-    } else {
-      Slot& h = slots_[static_cast<size_t>(head)];
-      if (h.vhash == vhash && h.value == v) {
-        dst.next = head;
-        h.prev = insert_at;
-        heads_[hpos] = insert_at;
-        return;
-      }
+      if (insert_at == heads_.size()) insert_at = pos;
+      continue;
     }
-    hpos = (hpos + 1) & hmask;
+    Entry& h = entries_[static_cast<size_t>(head)];
+    if (h.vhash == vhash && h.value == v) {
+      e.next = head;  // link at the head of the key's chain
+      h.prev = self;
+      heads_[pos] = self;
+      break;
+    }
   }
+  e.value = v;
+  e.vhash = vhash;
+  e.prev = -1;
+  ++size_;
+}
+
+void HashIndex::Unlink(size_t rowid) {
+  Entry& e = entries_[rowid];
+  if (e.prev >= 0) {
+    entries_[static_cast<size_t>(e.prev)].next = e.next;
+    if (e.next >= 0) entries_[static_cast<size_t>(e.next)].prev = e.prev;
+  } else {
+    // Chain head: repoint (or tombstone) the key-table slot holding it.
+    const auto self = static_cast<int32_t>(rowid);
+    const size_t mask = heads_.size() - 1;
+    size_t pos = HeadHash(e.vhash) & mask;
+    while (heads_[pos] != self) pos = (pos + 1) & mask;
+    if (e.next >= 0) {
+      heads_[pos] = e.next;
+      entries_[static_cast<size_t>(e.next)].prev = -1;
+    } else {
+      heads_[pos] = kHeadTombstone;
+      --keys_;
+    }
+  }
+  e.value = Value();  // release a heap string's reference
+  e.prev = kNoEntry;
+  e.next = -1;
+  --size_;
 }
 
 void HashIndex::Erase(const Value& v, size_t rowid) {
-  const uint64_t vhash = v.Hash();
-  int32_t at = FindPair(vhash, v, rowid);
-  if (at < 0) return;
-  Slot& s = slots_[static_cast<size_t>(at)];
-  if (s.prev >= 0) {
-    slots_[static_cast<size_t>(s.prev)].next = s.next;
-    if (s.next >= 0) slots_[static_cast<size_t>(s.next)].prev = s.prev;
-  } else {
-    // Chain head: repoint (or tombstone) its heads_ entry.
-    int32_t hpos = FindHead(vhash, v);
-    if (hpos >= 0) {
-      if (s.next >= 0) {
-        heads_[static_cast<size_t>(hpos)] = s.next;
-        slots_[static_cast<size_t>(s.next)].prev = -1;
-      } else {
-        heads_[static_cast<size_t>(hpos)] = kHeadTombstone;
-      }
-    }
-  }
-  s.state = kTombstone;
-  s.value = Value();  // release a heap string's reference
-  s.prev = -1;
-  s.next = -1;
-  --size_;
+  if (rowid >= entries_.size()) return;
+  const Entry& e = entries_[rowid];
+  if (e.prev == kNoEntry || !(e.value == v)) return;
+  Unlink(rowid);
 }
 
 void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
@@ -185,12 +152,12 @@ void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
     const int32_t head = heads_[pos];
     if (head == kHeadEmpty) break;
     if (head == kHeadTombstone) continue;
-    const Slot& h = slots_[static_cast<size_t>(head)];
+    const Entry& h = entries_[static_cast<size_t>(head)];
     if (h.vhash != vhash || !(h.value == v)) continue;
     hit = true;
     for (int32_t at = head; at >= 0;
-         at = slots_[static_cast<size_t>(at)].next) {
-      out->push_back(slots_[static_cast<size_t>(at)].rowid);
+         at = entries_[static_cast<size_t>(at)].next) {
+      out->push_back(static_cast<size_t>(at));
     }
     if (h.value.type() == v.type()) break;
   }
@@ -198,11 +165,12 @@ void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
 }
 
 void HashIndex::Clear() {
-  for (Slot& s : slots_) s = Slot();
-  heads_.assign(heads_.size(), kHeadEmpty);
+  entries_ = std::vector<Entry>();
+  heads_ = std::vector<int32_t>();
   size_ = 0;
-  slots_used_ = 0;
+  keys_ = 0;
   heads_used_ = 0;
+  Recharge();
 }
 
 // ---------------------------------------------------------------------------
@@ -225,33 +193,39 @@ Table::~Table() {
 }
 
 Value* Table::ReserveRowSlot() {
+  const size_t rows = filled_.load(std::memory_order_relaxed);
+  if (rows == cap_rows_) GrowSlab(cap_rows_ == 0 ? 8 : cap_rows_ * 2);
+  return cells_.load(std::memory_order_relaxed) + rows * stride_;
+}
+
+void Table::GrowSlab(size_t new_cap) {
   Value* cells = cells_.load(std::memory_order_relaxed);
   const size_t rows = filled_.load(std::memory_order_relaxed);
-  if (rows == cap_rows_) {
-    const size_t new_cap = cap_rows_ == 0 ? 8 : cap_rows_ * 2;
-    const size_t old_bytes = cap_rows_ * stride_ * sizeof(Value);
-    auto* grown =
-        static_cast<Value*>(::operator new(new_cap * stride_ * sizeof(Value)));
-    if (mem_ != nullptr) {
-      mem_->Charge(MemoryAccountant::kTableSlabs,
-                   new_cap * stride_ * sizeof(Value));
-    }
-    if (cells != nullptr) {
-      // Raw byte copy, NOT Value moves: the new buffer takes over every
-      // heap reference; the old buffer keeps ghost images that pinned
-      // readers may still be streaming, and is retired without running
-      // destructors.
-      std::memcpy(static_cast<void*>(grown), static_cast<const void*>(cells),
-                  rows * stride_ * sizeof(Value));
-    }
-    cells_.store(grown, std::memory_order_release);
-    cap_rows_ = new_cap;
-    if (cells != nullptr) {
-      RetireBuffer(cells, rows, /*destroy_values=*/false, old_bytes);
-    }
-    cells = grown;
+  const size_t old_bytes = cap_rows_ * stride_ * sizeof(Value);
+  auto* grown =
+      static_cast<Value*>(::operator new(new_cap * stride_ * sizeof(Value)));
+  if (mem_ != nullptr) {
+    mem_->Charge(MemoryAccountant::kTableSlabs,
+                 new_cap * stride_ * sizeof(Value));
   }
-  return cells + rows * stride_;
+  if (cells != nullptr) {
+    // Raw byte copy, NOT Value moves: the new buffer takes over every heap
+    // reference; the old buffer keeps ghost images that pinned readers may
+    // still be streaming, and is retired without running destructors.
+    std::memcpy(static_cast<void*>(grown), static_cast<const void*>(cells),
+                rows * stride_ * sizeof(Value));
+  }
+  cells_.store(grown, std::memory_order_release);
+  cap_rows_ = new_cap;
+  if (cells != nullptr) {
+    RetireBuffer(cells, rows, /*destroy_values=*/false, old_bytes);
+  }
+}
+
+void Table::Reserve(size_t rows) {
+  const size_t end = live_.size() + rows;
+  if (end > cap_rows_) GrowSlab(std::max({end, cap_rows_ * 2, size_t{8}}));
+  for (const auto& index : indexes_) index->Reserve(end, rows);
 }
 
 void Table::RetireBuffer(Value* buf, size_t rows, bool destroy_values,
@@ -558,8 +532,8 @@ Status Table::CreateIndex(const std::string& index_name, int column) {
   if (column < 0 || static_cast<size_t>(column) >= arity_) {
     return Status::InvalidArgument("bad index column");
   }
-  auto index = std::make_unique<HashIndex>(index_name, column);
-  index->Reserve(live_count_);
+  auto index = std::make_unique<HashIndex>(index_name, column, mem_);
+  index->Reserve(live_.size(), live_count_);
   for (size_t rowid = 0; rowid < live_.size(); ++rowid) {
     if (live_[rowid]) {
       index->Insert(row(rowid)[static_cast<size_t>(column)], rowid);

@@ -10,12 +10,12 @@
 //    addressed by one multiply (`slab + rowid * stride`), not a double
 //    indirection.
 //
-//  * HashIndex is a flat open-addressing table whose entries hold
-//    (hash, value, rowid) inline — no per-key map node, no per-entry set
-//    node. Entries of equal key are threaded through a doubly-linked chain
-//    (indexes into the entry array) whose head is found through a second
-//    flat table keyed by value, so Lookup walks a chain and Erase of an
-//    exact (value, rowid) pair is O(1): the pair itself is open-addressed.
+//  * HashIndex keeps one entry per row id (a row holds one value per
+//    column) in an array addressed by the row id, beside one flat key
+//    table that maps each key to the row id heading its chain; rows of
+//    equal key are threaded through a doubly-linked chain of row ids. An
+//    insert writes entries_[rowid] and probes the key table once; an erase
+//    probes it only when the row heads its chain; Lookup walks one chain.
 //    Indexes are writer-private: snapshot readers never probe one (their
 //    plans are built with index probes disabled; an equijoin step builds a
 //    per-statement hash table from a snapshot scan instead), so index
@@ -80,32 +80,42 @@ struct TableAccessStats {
   uint64_t rows_updated = 0;
 };
 
-/// Hash index over one column: value -> set of row ids. Erase of an exact
-/// (value, rowid) pair stays O(1) even for low-cardinality keys (e.g. a
-/// parentId shared by thousands of children, or an ASR column holding the
-/// single root id) because the pair table is open-addressed on
-/// (value, rowid), not on the value alone.
+/// Hash index over one column: each live row id -> its key, and each key ->
+/// its row ids. The entry array is addressed by row id, so Insert and Erase
+/// find a row's entry without hashing it, and Erase stays O(1) for
+/// low-cardinality keys (a parentId shared by thousands of children, or an
+/// ASR column holding the single root id). The key table is open-addressed
+/// on the key's hash and holds the row id heading each key's chain.
+/// Entry array and key table are charged to mem.indexes.
 class HashIndex {
  public:
-  HashIndex(std::string name, int column)
-      : name_(std::move(name)), column_(column) {}
+  HashIndex(std::string name, int column, MemoryAccountant* mem = nullptr)
+      : name_(std::move(name)), column_(column), mem_(mem) {}
+  ~HashIndex() { Clear(); }
+  HashIndex(const HashIndex&) = delete;
+  HashIndex& operator=(const HashIndex&) = delete;
 
   const std::string& name() const { return name_; }
   int column() const { return column_; }
 
-  /// Sizes both flat tables so that `entries` inserts into an empty index
-  /// never rehash (CreateIndex builds over the live rows in one pass).
-  void Reserve(size_t entries);
-  /// Adds (v, rowid); a duplicate exact pair is a no-op (set semantics).
+  /// Sizes the entry array for row ids below `rowid_end` and the key table
+  /// for `new_keys` more keys, so that many inserts never regrow either (a
+  /// set-oriented INSERT, or CreateIndex's build over the live rows).
+  void Reserve(size_t rowid_end, size_t new_keys);
+  /// Makes `v` the key of row `rowid`. Inserting a row id again under an
+  /// equal key is a no-op; under another key it moves the row.
   void Insert(const Value& v, size_t rowid);
-  /// Removes (v, rowid); absent pairs are a no-op.
+  /// Removes row `rowid` when its key equals `v`; otherwise a no-op.
   void Erase(const Value& v, size_t rowid);
   /// Appends matching row ids to *out (chain order — callers that need a
   /// deterministic order sort; multi-probe callers dedupe too). Counts one
   /// probe, and one hit when at least one row id matched.
   void Lookup(const Value& v, std::vector<size_t>* out) const;
+  /// Empties the index and frees (and uncharges) its storage.
   void Clear();
   size_t size() const { return size_; }
+  /// Key-table slots (a power of two, or 0 before the first insert).
+  size_t key_capacity() const { return heads_.size(); }
 
   /// Probe lookups issued against this index, and how many found at least
   /// one entry (SHOW TABLE STATS). Only the writer thread probes.
@@ -113,9 +123,9 @@ class HashIndex {
   uint64_t probe_hits() const { return hits_; }
 
   /// Finalizing bit mixer (murmur3 fmix64). Value::Hash of an integer is
-  /// the identity (libstdc++ std::hash<int64_t>), and the engine's keys and
-  /// rowids are dense sequential ints — feeding them to linear probing
-  /// unmixed coalesces the table into one giant probe run (O(n) inserts).
+  /// the identity (libstdc++ std::hash<int64_t>), and the engine's keys are
+  /// dense sequential ints — feeding them to linear probing unmixed
+  /// coalesces the table into one giant probe run (O(n) inserts).
   static uint64_t Mix(uint64_t x) {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
@@ -126,51 +136,48 @@ class HashIndex {
   }
 
   /// Scrub hook (rdb/integrity.cc): calls fn(value, rowid) for every live
-  /// entry, in slot order.
+  /// entry, in row id order.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.state == 1) fn(s.value, static_cast<size_t>(s.rowid));
+    for (size_t rowid = 0; rowid < entries_.size(); ++rowid) {
+      const Entry& e = entries_[rowid];
+      if (e.prev != kNoEntry) fn(e.value, rowid);
     }
   }
 
  private:
-  /// One entry: the key's hash, the key, the rowid, and the doubly-linked
-  /// same-key chain threaded through the entry array.
-  struct Slot {
-    uint64_t vhash = 0;
-    uint64_t rowid = 0;
+  static constexpr int32_t kNoEntry = -2;  ///< Entry::prev of an absent row.
+  /// Row `rowid`'s entry: its key, the key's hash, and the doubly-linked
+  /// chain of the key's row ids.
+  struct Entry {
     Value value;
-    int32_t prev = -1;  ///< chain: previous entry index, -1 = chain head.
-    int32_t next = -1;  ///< chain: next entry index, -1 = chain tail.
-    uint8_t state = 0;  ///< 0 empty, 1 occupied, 2 tombstone.
+    uint64_t vhash = 0;
+    int32_t prev = kNoEntry;  ///< previous row id; -1 = chain head.
+    int32_t next = -1;        ///< next row id; -1 = chain tail.
   };
 
-  /// Entry index of (v, rowid) in slots_, or -1.
-  int32_t FindPair(uint64_t vhash, const Value& v, size_t rowid) const;
-  /// Insert with a precomputed value hash (Rehash relinks without
-  /// recomputing Value::Hash, which re-parses numeric-looking strings).
-  void InsertEntry(uint64_t vhash, const Value& v, size_t rowid);
-  /// heads_ position whose chain head carries key `v`, or -1.
-  int32_t FindHead(uint64_t vhash, const Value& v) const;
-  /// Grows (or initializes) both flat tables and relinks every chain.
-  void Rehash(size_t new_cap);
-  static uint64_t PairHash(uint64_t vhash, uint64_t rowid) {
-    return Mix(vhash ^ (rowid + 0x9e3779b97f4a7c15ULL));
-  }
+  /// Removes row `rowid`'s (present) entry from its chain.
+  void Unlink(size_t rowid);
+  /// Re-places every chain head into a fresh key table of `cap` slots,
+  /// dropping tombstones.
+  void RebuildKeys(size_t cap);
+  /// Brings the mem.indexes charge in line with the allocated capacity.
+  void Recharge();
   static uint64_t HeadHash(uint64_t vhash) { return Mix(vhash); }
 
   std::string name_;
   int column_;
-  /// Flat entry array, open-addressed on PairHash(value, rowid).
-  /// Power-of-two capacity; linear probing; tombstoned on erase.
-  std::vector<Slot> slots_;
-  /// Chain heads, open-addressed on the value hash alone: -1 empty,
-  /// -2 tombstone, else the entry index of the key's chain head.
+  MemoryAccountant* mem_;
+  size_t charged_ = 0;  ///< bytes charged to mem.indexes.
+  /// One entry per row id below entries_.size().
+  std::vector<Entry> entries_;
+  /// Key table, open-addressed on the key hash (power-of-two capacity,
+  /// linear probing): -1 empty, -2 tombstone, else the row id heading the
+  /// key's chain.
   std::vector<int32_t> heads_;
   size_t size_ = 0;        ///< live entries.
-  size_t slots_used_ = 0;  ///< occupied + tombstoned entry slots.
-  size_t heads_used_ = 0;  ///< occupied + tombstoned head slots.
+  size_t keys_ = 0;        ///< live keys (chains).
+  size_t heads_used_ = 0;  ///< live + tombstoned key-table slots.
   mutable uint64_t probes_ = 0;  ///< Lookup calls (access stats).
   mutable uint64_t hits_ = 0;    ///< Lookups that matched >= 1 entry.
 };
@@ -256,8 +263,9 @@ class Table {
 
   /// Wires the Database's memory accountant: slab capacity is charged to
   /// mem.table_slabs at growth (released when the superseded buffer is
-  /// actually freed, which may lag behind epoch retirement) and parked
-  /// pre-images to mem.version_buffers. Null = unaccounted (unit tests).
+  /// actually freed, which may lag behind epoch retirement), parked
+  /// pre-images to mem.version_buffers and the indexes created from then
+  /// on to mem.indexes. Null = unaccounted (unit tests).
   void set_accountant(MemoryAccountant* mem) { mem_ = mem; }
 
   /// Number of row slots (live + tombstoned). Scans iterate this range.
@@ -325,6 +333,9 @@ class Table {
 
   /// Appends a row (arity must match the schema). Returns its rowid.
   Result<size_t> Insert(Row row);
+  /// Sizes the slab and every index for `rows` more inserts, so a
+  /// set-oriented INSERT grows each of them at most once.
+  void Reserve(size_t rows);
 
   /// Snapshot-restore append (rdb/snapshot.cc): places `row` in the next
   /// slot with the given liveness, without undo/WAL logging or index
@@ -409,9 +420,12 @@ class Table {
   /// manager is attached — single-threaded mode).
   uint64_t WriteEpoch() const { return em_ != nullptr ? em_->write_epoch() : 1; }
 
-  /// Ensures room for one more row, growing (and epoch-retiring the old
-  /// buffer) as needed. Returns the cell pointer for the new row slot.
+  /// Ensures room for one more row, growing as needed. Returns the cell
+  /// pointer for the new row slot.
   Value* ReserveRowSlot();
+  /// Moves the slab into a fresh buffer of `new_cap` row slots and
+  /// epoch-retires the old one.
+  void GrowSlab(size_t new_cap);
   /// Appends `row` as the next slot with the given MVCC stamps, publishing
   /// it to readers.
   void AppendRow(Row&& row, uint32_t begin, uint32_t end, uint64_t mod);

@@ -558,6 +558,32 @@ TEST(MemoryAccountingTest, GaugesTrackTheDominantConsumers) {
   // Commit retires the undo scope, but the log's chunks are pooled for reuse
   // (txn.h): the charge reflects retained capacity, so it must not grow.
   EXPECT_LE(mem.used(MemoryAccountant::kUndoLog), undo_mid);
+
+  // Each index charges its entry array (one entry, holding a Value, per row
+  // id) and key table to mem.indexes; DROP INDEX, Table::Clear and DROP
+  // TABLE release the charge.
+  EXPECT_EQ(mem.used(MemoryAccountant::kIndexes), 0u);
+  ASSERT_TRUE(db.ExecuteQuery("CREATE INDEX idx_t_id ON t (id)").ok());
+  const uint64_t one_index = mem.used(MemoryAccountant::kIndexes);
+  EXPECT_GE(one_index, 2000 * sizeof(rdb::Value));
+  EXPECT_EQ(
+      db.metrics().Gauge("mem.indexes")->load(std::memory_order_relaxed),
+      static_cast<int64_t>(one_index));
+  ASSERT_TRUE(db.ExecuteQuery("CREATE INDEX idx_t_name ON t (name)").ok());
+  EXPECT_GT(mem.used(MemoryAccountant::kIndexes), one_index);
+  ASSERT_TRUE(db.ExecuteQuery("DROP INDEX idx_t_name").ok());
+  EXPECT_EQ(mem.used(MemoryAccountant::kIndexes), one_index);
+  ASSERT_TRUE(
+      db.ExecuteQuery("INSERT INTO t SELECT id + 2000, name FROM t").ok());
+  EXPECT_GT(mem.used(MemoryAccountant::kIndexes), one_index);
+  db.FindTable("t")->Clear();
+  EXPECT_EQ(mem.used(MemoryAccountant::kIndexes), 0u);
+  ASSERT_TRUE(db.ExecuteQuery("INSERT INTO t VALUES (1, 'x')").ok());
+  EXPECT_GT(mem.used(MemoryAccountant::kIndexes), 0u);
+  ASSERT_TRUE(db.ExecuteQuery("DROP TABLE t").ok());
+  EXPECT_EQ(mem.used(MemoryAccountant::kIndexes), 0u);
+  EXPECT_EQ(
+      db.metrics().Gauge("mem.indexes")->load(std::memory_order_relaxed), 0);
 }
 
 TEST(SoftBudgetTest, LargeAutocommitDeleteLeavesLaterStatementsAdmitted) {

@@ -2,13 +2,12 @@
 // layout, SSO boundary lengths, equality/hashing of shared and separate
 // blocks, the mixed int/string coercion corners of Compare/Hash/operator==,
 // and a HashIndex stress test that interleaves Insert/Erase/Lookup against
-// a shadow map.
+// a shadow map of each row id's key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -154,8 +153,10 @@ TEST(ValueCompareTest, SeparateEqualBlocksCompareAndHashEqual) {
 
 TEST(HashIndexStressTest, MatchesShadowMap) {
   HashIndex index("stress", 0);
-  // Shadow: value key (by ToString of the canonical form) -> set of rowids.
-  std::map<std::string, std::set<size_t>> shadow;
+  // Shadow: rowid -> its key (by ToString of the canonical form). A row
+  // holds one key: inserting it under another key moves it, and erasing it
+  // under a key it does not hold is a no-op.
+  std::map<size_t, std::string> shadow;
   auto key_of = [](const Value& v) {
     // Canonicalize coercible strings onto their integer key, mirroring
     // Value::operator==/Hash (e.g. "7" and 7 are one index key).
@@ -177,34 +178,88 @@ TEST(HashIndexStressTest, MatchesShadowMap) {
     uint64_t action = rng.Uniform(10);
     if (action < 5) {
       index.Insert(v, rowid);
-      shadow[key_of(v)].insert(rowid);
+      shadow[rowid] = key_of(v);
     } else if (action < 8) {
       index.Erase(v, rowid);
-      auto it = shadow.find(key_of(v));
-      if (it != shadow.end()) {
-        it->second.erase(rowid);
-        if (it->second.empty()) shadow.erase(it);
-      }
+      auto it = shadow.find(rowid);
+      if (it != shadow.end() && it->second == key_of(v)) shadow.erase(it);
     } else {
       std::vector<size_t> got;
       index.Lookup(v, &got);
       std::sort(got.begin(), got.end());
-      auto it = shadow.find(key_of(v));
       std::vector<size_t> want;
-      if (it != shadow.end()) want.assign(it->second.begin(), it->second.end());
+      for (const auto& [row, key] : shadow) {
+        if (key == key_of(v)) want.push_back(row);
+      }
       ASSERT_EQ(got, want) << "step " << step << " key " << v.ToString();
     }
-    size_t total = 0;
-    for (const auto& [k, rows] : shadow) total += rows.size();
-    ASSERT_EQ(index.size(), total) << "step " << step;
+    ASSERT_EQ(index.size(), shadow.size()) << "step " << step;
   }
   // Drain: erase everything through the index and verify emptiness.
-  for (const auto& [k, rows] : shadow) {
+  for (const auto& [rowid, key] : shadow) {
     // Re-derive a Value for the key: all keys here render as their
-    // canonical text, so Str(k) == the original key under SQL identity.
-    for (size_t rowid : rows) index.Erase(Value::Str(k), rowid);
+    // canonical text, so Str(key) == the original key under SQL identity.
+    index.Erase(Value::Str(key), rowid);
   }
   EXPECT_EQ(index.size(), 0u);
+}
+
+TEST(HashIndexStressTest, InsertUnderAnotherKeyMovesTheRow) {
+  HashIndex index("move", 0);
+  for (size_t r = 0; r < 4; ++r) index.Insert(Value::Int(1), r);
+  // Row 3 heads key 1's chain (the newest entry), row 1 sits inside it.
+  index.Insert(Value::Int(2), 3);
+  index.Insert(Value::Str("2"), 1);  // "2" and 2 are one key
+  EXPECT_EQ(index.size(), 4u);
+  std::vector<size_t> got;
+  index.Lookup(Value::Int(1), &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<size_t>{0, 2}));
+  got.clear();
+  index.Lookup(Value::Int(2), &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<size_t>{1, 3}));
+}
+
+TEST(HashIndexStressTest, EraseOfAKeyTheRowDoesNotHoldIsANoOp) {
+  HashIndex index("erase", 0);
+  index.Insert(Value::Int(1), 5);
+  index.Erase(Value::Int(2), 5);  // row 5 holds key 1, not 2
+  index.Erase(Value::Int(1), 4);  // row 4 has no entry
+  index.Erase(Value::Int(1), 1000);  // beyond every row id inserted
+  EXPECT_EQ(index.size(), 1u);
+  std::vector<size_t> got;
+  index.Lookup(Value::Int(1), &got);
+  EXPECT_EQ(got, (std::vector<size_t>{5}));
+  index.Erase(Value::Str("1"), 5);
+  EXPECT_EQ(index.size(), 0u);
+  got.clear();
+  index.Lookup(Value::Int(1), &got);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(HashIndexStressTest, KeyChurnKeepsTheKeyTableBounded) {
+  // 64 rows whose keys are replaced 200,000 times by keys never seen
+  // before: every replaced key leaves a tombstone in the key table, so the
+  // table must rebuild in place rather than grow with the churn.
+  constexpr size_t kRows = 64;
+  HashIndex index("churn", 0);
+  size_t max_cap = 0;
+  for (int64_t i = 0; i < 200000; ++i) {
+    const size_t rowid = static_cast<size_t>(i) % kRows;
+    if (i >= static_cast<int64_t>(kRows)) {
+      index.Erase(Value::Int(i - static_cast<int64_t>(kRows)), rowid);
+    }
+    index.Insert(Value::Int(i), rowid);
+    max_cap = std::max(max_cap, index.key_capacity());
+  }
+  EXPECT_EQ(index.size(), kRows);
+  EXPECT_LE(max_cap, 256u);
+  for (int64_t i = 200000 - static_cast<int64_t>(kRows); i < 200000; ++i) {
+    std::vector<size_t> got;
+    index.Lookup(Value::Int(i), &got);
+    EXPECT_EQ(got, (std::vector<size_t>{static_cast<size_t>(i) % kRows}));
+  }
 }
 
 TEST(HashIndexStressTest, DuplicateInsertIsANoOp) {
