@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -45,6 +46,48 @@ constexpr const char* kMetaTable = "xupd_meta";
 bool ConstantPredicateText(const std::string& predicate) {
   return predicate.empty() ||
          predicate.find(kIdListTable) != std::string::npos;
+}
+
+/// The shared tail of the §6.2.2 table and §6.2.3 ASR copies, once the
+/// source rows are located. `bounds` holds MIN(id), MAX(id) of each region
+/// table's source rows (NULLs when it has none). One id block spans them
+/// all, and the offset from the smallest source id to the block's start
+/// remaps every copied id: each table's source rows, `FROM <from(t)>`, are
+/// inserted shifted by it, and the copied roots, `SELECT <root_id> + offset
+/// FROM <root_from>`, are hung under `dest_parent_id`. Returns the offset,
+/// or NotFound when no table has a source row.
+Result<int64_t> CopyShifted(
+    rdb::Database* db, const std::vector<const TableMapping*>& region,
+    const rdb::Row& bounds,
+    const std::function<std::string(const TableMapping*)>& from,
+    const std::string& root_id, const std::string& root_from,
+    int64_t dest_parent_id) {
+  int64_t min_id = std::numeric_limits<int64_t>::max();
+  int64_t max_id = std::numeric_limits<int64_t>::min();
+  for (size_t i = 0; i + 1 < bounds.size(); i += 2) {
+    if (bounds[i].is_null()) continue;
+    min_id = std::min(min_id, bounds[i].AsInt());
+    max_id = std::max(max_id, bounds[i + 1].AsInt());
+  }
+  if (max_id < min_id) return Status::NotFound("source subtree is empty");
+  const int64_t offset = db->next_id() - min_id;
+  db->AllocateIdBlock(max_id - min_id + 1);
+  const std::string shift = " + " + std::to_string(offset);
+  for (const TableMapping* t : region) {
+    std::string cols = "id" + shift + ", parentId" + shift;
+    for (const auto& f : t->fields) cols += ", " + f.column;
+    XUPD_RETURN_IF_ERROR(db->ExecuteQuery("INSERT INTO " + t->table +
+                                          " SELECT " + cols + " FROM " +
+                                          from(t))
+                             .status());
+  }
+  XUPD_RETURN_IF_ERROR(
+      db->ExecuteQuery("UPDATE " + region.front()->table +
+                       " SET parentId = " + std::to_string(dest_parent_id) +
+                       " WHERE id IN (SELECT " + root_id + shift + " FROM " +
+                       root_from + ")")
+          .status());
+  return offset;
 }
 }  // namespace
 
@@ -631,42 +674,14 @@ Status RelationalStore::TableInsert(const TableMapping* tm,
   }
 
   // min/max over all staged ids (one statement per staging table).
-  int64_t min_id = 0, max_id = -1;
+  rdb::Row bounds;
   for (const TableMapping* t : region) {
     auto mm = db_.ExecuteQuery("SELECT MIN(id), MAX(id) FROM " + tmp_name(t));
     if (!mm.ok()) return mm.status();
-    const rdb::Row& row = mm->rows[0];
-    if (row[0].is_null()) continue;
-    if (max_id < min_id) {
-      min_id = row[0].AsInt();
-      max_id = row[1].AsInt();
-    } else {
-      min_id = std::min(min_id, row[0].AsInt());
-      max_id = std::max(max_id, row[1].AsInt());
-    }
+    bounds.insert(bounds.end(), mm->rows[0].begin(), mm->rows[0].end());
   }
-  if (max_id < min_id) {
-    return Status::NotFound("source subtree is empty");
-  }
-  int64_t offset = db_.next_id() - min_id;
-  db_.AllocateIdBlock(max_id - min_id + 1);
-
-  for (const TableMapping* t : region) {
-    std::string cols = "id + " + std::to_string(offset) + ", parentId + " +
-                       std::to_string(offset);
-    for (const auto& f : t->fields) cols += ", " + f.column;
-    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery("INSERT INTO " + t->table +
-                                          " SELECT " + cols + " FROM " +
-                                          tmp_name(t))
-                             .status());
-  }
-  // The copied region roots point at their new parent.
-  return db_.ExecuteQuery("UPDATE " + tm->table +
-                          " SET parentId = " +
-                          std::to_string(dest_parent_id) +
-                          " WHERE id IN (SELECT id + " +
-                          std::to_string(offset) + " FROM " + tmp_name(tm) +
-                          ")")
+  return CopyShifted(&db_, region, bounds, tmp_name, "id", tmp_name(tm),
+                     dest_parent_id)
       .status();
 }
 
@@ -694,45 +709,23 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
     mm_sql += "MIN(" + AsrManager::IdColumn(region[i]) + "), MAX(" +
               AsrManager::IdColumn(region[i]) + ")";
   }
-  mm_sql += " FROM " + asr + " WHERE marked = 1";
-  auto mm = db_.ExecuteQuery(mm_sql);
+  const std::string marked = asr + " WHERE marked = 1";
+  auto mm = db_.ExecuteQuery(mm_sql + " FROM " + marked);
   if (!mm.ok()) return mm.status();
-  int64_t min_id = 0, max_id = -1;
-  for (size_t i = 0; i < region.size(); ++i) {
-    const rdb::Value& lo = mm->rows[0][2 * i];
-    const rdb::Value& hi = mm->rows[0][2 * i + 1];
-    if (lo.is_null()) continue;
-    if (max_id < min_id) {
-      min_id = lo.AsInt();
-      max_id = hi.AsInt();
-    } else {
-      min_id = std::min(min_id, lo.AsInt());
-      max_id = std::max(max_id, hi.AsInt());
-    }
-  }
-  if (max_id < min_id) {
+  auto offset = CopyShifted(
+      &db_, region, mm->rows[0],
+      [&](const TableMapping* t) {
+        return t->table + " WHERE id IN (SELECT " + AsrManager::IdColumn(t) +
+               " FROM " + marked + ")";
+      },
+      AsrManager::IdColumn(tm), marked, dest_parent_id);
+  if (!offset.ok()) {
+    if (offset.status().code() != StatusCode::kNotFound) return offset.status();
     XUPD_RETURN_IF_ERROR(
         db_.ExecuteQuery("UPDATE " + asr + " SET marked = 0 WHERE marked = 1")
             .status());
     return Status::NotFound("source subtree not present in ASR");
   }
-  int64_t offset = db_.next_id() - min_id;
-  db_.AllocateIdBlock(max_id - min_id + 1);
-
-  for (const TableMapping* t : region) {
-    std::string cols = "id + " + std::to_string(offset) + ", parentId + " +
-                       std::to_string(offset);
-    for (const auto& f : t->fields) cols += ", " + f.column;
-    XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(
-        "INSERT INTO " + t->table + " SELECT " + cols + " FROM " + t->table +
-        " WHERE id IN (SELECT " + AsrManager::IdColumn(t) + " FROM " + asr +
-        " WHERE marked = 1)").status());
-  }
-  XUPD_RETURN_IF_ERROR(db_.ExecuteQuery(
-      "UPDATE " + tm->table +
-      " SET parentId = " + std::to_string(dest_parent_id) +
-      " WHERE id IN (SELECT " + AsrManager::IdColumn(tm) + " + " +
-      std::to_string(offset) + " FROM " + asr + " WHERE marked = 1)").status());
 
   // New ASR paths: destination ancestor chain above the copy, offset ids for
   // the copied region, NULL elsewhere.
@@ -765,7 +758,7 @@ Status RelationalStore::AsrInsert(const TableMapping* tm,
     if (!first) sql += ", ";
     first = false;
     if (in_region.count(&t) > 0) {
-      sql += AsrManager::IdColumn(&t) + " + " + std::to_string(offset);
+      sql += AsrManager::IdColumn(&t) + " + " + std::to_string(*offset);
     } else if (dest_ids.count(&t) > 0) {
       sql += std::to_string(dest_ids.at(&t));
     } else {
@@ -825,7 +818,7 @@ Result<rdb::Table*> RelationalStore::ScratchTable(rdb::TableSchema schema) {
 }
 
 Result<std::string> RelationalStore::IdListPredicate(
-    const std::string& column, const std::vector<int64_t>& ids) {
+    const std::vector<int64_t>& ids) {
   XUPD_RETURN_IF_ERROR(
       ScratchTable(rdb::TableSchema(kIdListTable,
                                     {{"id", rdb::ColumnType::kInteger}}))
@@ -845,7 +838,7 @@ Result<std::string> RelationalStore::IdListPredicate(
                                 params).status());
     }
   }
-  return column + " IN (SELECT id FROM " + kIdListTable + ")";
+  return std::string("id IN (SELECT id FROM ") + kIdListTable + ")";
 }
 
 // ---------------------------------------------------------------------------

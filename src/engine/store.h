@@ -184,12 +184,11 @@ class RelationalStore {
 
   /// Stages `ids` in the shared scratch table `xupd_idlist` (created lazily
   /// through the direct catalog API) and returns the predicate
-  /// "<column> IN (SELECT id FROM xupd_idlist)". Unlike a literal
-  /// "<column> IN (1, 2, ...)" list, the statement texts this produces are
-  /// constant across calls, so the predicates the XQuery translator emits
-  /// reuse cached plans no matter which ids are bound.
-  Result<std::string> IdListPredicate(const std::string& column,
-                                      const std::vector<int64_t>& ids);
+  /// "id IN (SELECT id FROM xupd_idlist)". Unlike a literal
+  /// "id IN (1, 2, ...)" list, the statement texts this produces are
+  /// constant across calls, so the XQuery translator's ops reuse cached
+  /// plans no matter which ids are bound.
+  Result<std::string> IdListPredicate(const std::vector<int64_t>& ids);
 
   // --- accessors -----------------------------------------------------------
 

@@ -9,24 +9,29 @@
 //   UPDATE $t { DELETE $c | INSERT content [s] | REPLACE $c WITH content |
 //               FOR $n IN $t/<path>[preds] [WHERE ...] UPDATE $n { ... } }
 //
-// Translation approach (per §6.3): all bindings — including those of nested
-// sub-updates — are computed against the *input* store first (the paper uses
-// one Sorted Outer Union; we issue one SELECT per binding level, which has
-// the same bind-before-update semantics); then the sub-operations execute
+// Translation approach (per §6.3): a binding is a SQL condition over its
+// table, so binding a path issues no SQL. A child step wraps the parent's
+// condition as `parentId IN (SELECT id FROM <parent> WHERE <cond>)`, a //
+// step once per table down to the named one, and predicates AND onto it.
+// Before any update runs, ids are read (one SELECT per distinct table and
+// condition) for the ops' operands, including those of nested sub-updates,
+// and for every variable, which empties its update when it binds no tuple
+// (the paper uses one Sorted Outer Union). Then the sub-operations execute
 // sequentially using the configured delete/insert strategies.
 //
 // Predicates over inlined content become SQL over the owning table's
 // columns; predicates over a child table's content become
-// `id IN (SELECT parentId FROM child WHERE ...)`. Bound id sets are staged
-// in the shared `xupd_idlist` scratch table and referenced as
+// `id IN (SELECT parentId FROM child WHERE ...)`. The reads carry the
+// query's literals and parse per call; the ops stage their operand ids in
+// the shared `xupd_idlist` scratch table and reference them as
 // `id IN (SELECT id FROM xupd_idlist)` (RelationalStore::IdListPredicate),
-// so every statement the translator emits has a constant text and reuses a
-// cached plan regardless of which ids are bound.
+// so their statement texts are constant and reuse cached plans.
 //
 // Documented deviations: inserting "over" an inlined single-occurrence
 // element overwrites it (the paper would emit a warning, §6.2); RENAME of a
 // table-mapped element is unsupported at the SQL level (the mapping fixes
 // table names at schema time).
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -52,16 +57,31 @@ using xquery::UpdateOp;
 
 namespace {
 
-/// A variable binding resolved against the relational store.
+/// A variable binding resolved against the relational store: the tuples of
+/// `table` that `cond` selects, or an inlined object inside each of them.
 struct Binding {
   const TableMapping* table = nullptr;  ///< owning table.
-  std::vector<int64_t> ids;             ///< bound tuple ids.
+  /// SQL condition over `table`'s columns; empty selects every row. Path
+  /// steps and predicates only extend it, so binding a path issues no SQL.
+  std::string cond;
+  /// The ids `cond` selects, read in the bind phase for the ops' operands
+  /// (UPDATE target, DELETE/RENAME/REPLACE child, INSERT source) only.
+  std::vector<int64_t> ids;
   /// For bindings to inlined objects: the element path below the table's
   /// element and (optionally) the attribute name.
   bool inlined = false;
   std::vector<std::string> inlined_path;
   std::string inlined_attr;
 };
+
+using Env = std::map<std::string, Binding>;
+
+/// `cond AND (more)`, where either side may be empty (every row).
+std::string Conjoin(const std::string& cond, const std::string& more) {
+  if (more.empty()) return cond;
+  if (cond.empty()) return more;
+  return cond + " AND (" + more + ")";
+}
 
 class Translator {
  public:
@@ -75,14 +95,10 @@ class Translator {
     if (!stmt.let_clauses.empty()) {
       return Status::Unimplemented("LET clauses in relational translation");
     }
-    std::map<std::string, Binding> env;
-    for (const auto& clause : stmt.for_clauses) {
-      XUPD_ASSIGN_OR_RETURN(Binding b, ResolvePath(clause.path, env));
-      env[clause.variable] = std::move(b);
-    }
-    for (const Predicate& pred : stmt.where) {
-      XUPD_RETURN_IF_ERROR(ApplyWherePredicate(pred, &env));
-    }
+    Env env;
+    XUPD_ASSIGN_OR_RETURN(bool any,
+                          BindForWhere(stmt.for_clauses, stmt.where, &env));
+    if (!any) return Status::OK();
     // Bind phase for all updates (including nested) before executing.
     std::vector<PlannedOp> plan;
     for (const UpdateOp& op : stmt.updates) {
@@ -112,8 +128,7 @@ class Translator {
 
   /// Resolves a path to a Binding. Heads: document(...) (from the mapping
   /// root) or $var (from an existing binding).
-  Result<Binding> ResolvePath(const PathExpr& path,
-                              const std::map<std::string, Binding>& env) {
+  Result<Binding> ResolvePath(const PathExpr& path, const Env& env) {
     Binding current;
     size_t step_index = 0;
     if (path.head == PathExpr::Head::kVariable) {
@@ -126,12 +141,12 @@ class Translator {
       // document(...): start at the mapping root. The first step may name
       // the root element itself.
       current.table = mapping_->root();
-      XUPD_ASSIGN_OR_RETURN(current.ids,
-                            store_->SelectIds(current.table->element, ""));
       if (!path.steps.empty() &&
           path.steps[0].axis == Step::Axis::kChild &&
           path.steps[0].name == current.table->element) {
-        XUPD_RETURN_IF_ERROR(ApplyStepPredicates(path.steps[0], &current));
+        XUPD_ASSIGN_OR_RETURN(current.cond,
+                              PredicatesToSql(path.steps[0].predicates,
+                                              current.table));
         step_index = 1;
       }
     }
@@ -140,6 +155,38 @@ class Translator {
       XUPD_RETURN_IF_ERROR(ApplyStep(step, &current));
     }
     return current;
+  }
+
+  /// A path resolved as an op operand: its ids are read now, in the bind
+  /// phase.
+  Result<Binding> ResolveOperand(const PathExpr& path, const Env& env) {
+    XUPD_ASSIGN_OR_RETURN(Binding b, ResolvePath(path, env));
+    XUPD_ASSIGN_OR_RETURN(b.ids, Read(b));
+    return b;
+  }
+
+  /// The ids `b` selects. SelectIds runs once per distinct (table,
+  /// condition) per statement: an inlined operand and its tuple, or a
+  /// target that is also an emptiness check, share one read.
+  Result<std::vector<int64_t>> Read(const Binding& b) {
+    auto key = std::make_pair(b.table, b.cond);
+    auto it = reads_.find(key);
+    if (it == reads_.end()) {
+      XUPD_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
+                            store_->SelectIds(b.table->element, b.cond));
+      it = reads_.emplace(std::move(key), std::move(ids)).first;
+    }
+    return it->second;
+  }
+
+  /// Moves `current` one table down, to `child`: the child rows whose parent
+  /// `current` selects. A child step is one such move; a // step is one per
+  /// table on the mapping's path to the named table.
+  static void Descend(const TableMapping* child, Binding* current) {
+    std::string parents = "SELECT id FROM " + current->table->table;
+    if (!current->cond.empty()) parents += " WHERE " + current->cond;
+    current->cond = "parentId IN (" + parents + ")";
+    current->table = child;
   }
 
   Status ApplyStep(const Step& step, Binding* current) {
@@ -163,15 +210,8 @@ class Translator {
           if (child->element == step.name) {
             XUPD_ASSIGN_OR_RETURN(std::string pred,
                                   PredicatesToSql(step.predicates, child));
-            XUPD_ASSIGN_OR_RETURN(
-                std::string full,
-                store_->IdListPredicate("parentId", current->ids));
-            if (!pred.empty()) full += " AND (" + pred + ")";
-            Binding next;
-            next.table = child;
-            XUPD_ASSIGN_OR_RETURN(next.ids,
-                                  store_->SelectIds(child->element, full));
-            *current = std::move(next);
+            Descend(child, current);
+            current->cond = Conjoin(current->cond, pred);
             return Status::OK();
           }
         }
@@ -212,27 +252,14 @@ class Translator {
         }
         XUPD_ASSIGN_OR_RETURN(std::string pred,
                               PredicatesToSql(step.predicates, found));
-        // Constrain to descendants of the current ids by walking down the
-        // parent chain.
         std::vector<const TableMapping*> chain =
             mapping_->PathFromRoot(found);
         auto it = std::find(chain.begin(), chain.end(), current->table);
         if (it == chain.end()) {
           return Status::Internal("inconsistent table chain");
         }
-        chain.erase(chain.begin(), it);
-        XUPD_ASSIGN_OR_RETURN(std::string constraint,
-                              store_->IdListPredicate("id", current->ids));
-        for (size_t i = 1; i < chain.size(); ++i) {
-          constraint = "parentId IN (SELECT id FROM " + chain[i - 1]->table +
-                       " WHERE " + constraint + ")";
-        }
-        std::string full = constraint;
-        if (!pred.empty()) full += " AND (" + pred + ")";
-        Binding next;
-        next.table = found;
-        XUPD_ASSIGN_OR_RETURN(next.ids, store_->SelectIds(found->element, full));
-        *current = std::move(next);
+        for (++it; it != chain.end(); ++it) Descend(*it, current);
+        current->cond = Conjoin(current->cond, pred);
         return Status::OK();
       }
       case Step::Axis::kAttribute: {
@@ -251,18 +278,6 @@ class Translator {
         return Status::Unimplemented(
             "path step kind in relational translation");
     }
-  }
-
-  Status ApplyStepPredicates(const Step& step, Binding* current) {
-    if (step.predicates.empty()) return Status::OK();
-    XUPD_ASSIGN_OR_RETURN(std::string pred,
-                          PredicatesToSql(step.predicates, current->table));
-    XUPD_ASSIGN_OR_RETURN(std::string full,
-                          store_->IdListPredicate("id", current->ids));
-    if (!pred.empty()) full += " AND (" + pred + ")";
-    XUPD_ASSIGN_OR_RETURN(current->ids,
-                          store_->SelectIds(current->table->element, full));
-    return Status::OK();
   }
 
   // --- predicate translation -----------------------------------------------
@@ -383,10 +398,9 @@ class Translator {
     return Status::Internal("unknown predicate kind");
   }
 
-  Status ApplyWherePredicate(const Predicate& pred,
-                             std::map<std::string, Binding>* env) {
+  Status ApplyWherePredicate(const Predicate& pred, Env* env) {
     // WHERE predicates whose path starts at a bound variable narrow that
-    // variable's id set.
+    // variable's condition.
     if ((pred.kind == Predicate::Kind::kCompare ||
          pred.kind == Predicate::Kind::kExists) &&
         pred.path.head == PathExpr::Head::kVariable) {
@@ -403,10 +417,7 @@ class Translator {
       relative.path.head = PathExpr::Head::kContext;
       relative.path.variable.clear();
       XUPD_ASSIGN_OR_RETURN(std::string sql, PredicateToSql(relative, b.table));
-      XUPD_ASSIGN_OR_RETURN(std::string staged,
-                            store_->IdListPredicate("id", b.ids));
-      std::string full = staged + " AND (" + sql + ")";
-      XUPD_ASSIGN_OR_RETURN(b.ids, store_->SelectIds(b.table->element, full));
+      b.cond = Conjoin(b.cond, sql);
       return Status::OK();
     }
     return Status::Unimplemented("WHERE predicate form in SQL translation");
@@ -414,16 +425,46 @@ class Translator {
 
   // --- binding updates -------------------------------------------------------
 
-  Status BindUpdate(const UpdateOp& op, std::map<std::string, Binding> env,
-                    std::vector<PlannedOp>* plan) {
-    for (const auto& clause : op.for_clauses) {
-      XUPD_ASSIGN_OR_RETURN(Binding b, ResolvePath(clause.path, env));
-      env[clause.variable] = std::move(b);
+  /// Binds `fors` into `env` with each WHERE predicate applied as soon as
+  /// its variable is bound (an outer variable's before the first clause), so
+  /// the conditions composed from that variable inherit it. False when a
+  /// variable binds no tuple: the update then binds nothing, as
+  /// NativeExecutor::BindTuples keeps no tuple.
+  Result<bool> BindForWhere(const std::vector<xquery::ForClause>& fors,
+                            const std::vector<Predicate>& where, Env* env) {
+    auto binds = [](const xquery::ForClause& c, const Predicate& pred) {
+      return c.variable == pred.path.variable;
+    };
+    for (const Predicate& pred : where) {
+      if (std::none_of(fors.begin(), fors.end(),
+                       [&](const auto& c) { return binds(c, pred); })) {
+        XUPD_RETURN_IF_ERROR(ApplyWherePredicate(pred, env));
+      }
     }
-    for (const Predicate& pred : op.where) {
-      XUPD_RETURN_IF_ERROR(ApplyWherePredicate(pred, &env));
+    for (const auto& clause : fors) {
+      XUPD_ASSIGN_OR_RETURN((*env)[clause.variable],
+                            ResolvePath(clause.path, *env));
+      for (const Predicate& pred : where) {
+        if (binds(clause, pred)) {
+          XUPD_RETURN_IF_ERROR(ApplyWherePredicate(pred, env));
+        }
+      }
     }
-    XUPD_ASSIGN_OR_RETURN(Binding target, ResolvePath(op.target, env));
+    for (const auto& [var, b] : *env) {
+      // Every row of the root table is the loaded root; were there none,
+      // every path would bind nothing anyway.
+      if (b.table == mapping_->root() && b.cond.empty()) continue;
+      XUPD_ASSIGN_OR_RETURN(std::vector<int64_t> ids, Read(b));
+      if (ids.empty()) return false;
+    }
+    return true;
+  }
+
+  Status BindUpdate(const UpdateOp& op, Env env, std::vector<PlannedOp>* plan) {
+    XUPD_ASSIGN_OR_RETURN(bool any,
+                          BindForWhere(op.for_clauses, op.where, &env));
+    if (!any) return Status::OK();
+    XUPD_ASSIGN_OR_RETURN(Binding target, ResolveOperand(op.target, env));
     for (const SubOp& sub : op.sub_ops) {
       if (sub.kind == SubOp::Kind::kNestedUpdate) {
         XUPD_RETURN_IF_ERROR(BindUpdate(*sub.nested, env, plan));
@@ -436,7 +477,7 @@ class Translator {
       if (sub.kind == SubOp::Kind::kDelete ||
           sub.kind == SubOp::Kind::kRename ||
           sub.kind == SubOp::Kind::kReplace) {
-        XUPD_ASSIGN_OR_RETURN(planned.child, ResolvePath(sub.child, env));
+        XUPD_ASSIGN_OR_RETURN(planned.child, ResolveOperand(sub.child, env));
       }
       if (sub.kind == SubOp::Kind::kInsert ||
           sub.kind == SubOp::Kind::kReplace) {
@@ -455,7 +496,7 @@ class Translator {
           planned.content_element = std::move(frag).value();
         } else if (sub.content.kind == ContentExpr::Kind::kPath) {
           XUPD_ASSIGN_OR_RETURN(planned.content_source,
-                                ResolvePath(sub.content.path, env));
+                                ResolveOperand(sub.content.path, env));
         }
       }
       plan->push_back(std::move(planned));
@@ -511,7 +552,7 @@ class Translator {
       }
       if (child.ids.empty()) return Status::OK();
       XUPD_ASSIGN_OR_RETURN(std::string where,
-                            store_->IdListPredicate("id", child.ids));
+                            store_->IdListPredicate(child.ids));
       return store_->db()
           ->ExecuteQueryBound("UPDATE " + child.table->table + " SET " +
                                   sets + " WHERE " + where,
@@ -520,7 +561,7 @@ class Translator {
     }
     if (child.ids.empty()) return Status::OK();
     XUPD_ASSIGN_OR_RETURN(std::string where,
-                          store_->IdListPredicate("id", child.ids));
+                          store_->IdListPredicate(child.ids));
     return store_->DeleteWhere(child.table->element, where);
   }
 
@@ -574,7 +615,7 @@ class Translator {
     // constant per (table, column set) shape: bind the content value and let
     // repeated ops share one cached plan.
     XUPD_ASSIGN_OR_RETURN(std::string id_pred,
-                          store_->IdListPredicate("id", where.ids));
+                          store_->IdListPredicate(where.ids));
     return store_->db()
         ->ExecuteQueryBound(
             "UPDATE " + tm->table + " SET " + sets + " WHERE " + id_pred,
@@ -625,7 +666,7 @@ class Translator {
         // copies themselves get fresh ids, so the staged set stays valid
         // across destinations.
         XUPD_ASSIGN_OR_RETURN(std::string pred,
-                              store_->IdListPredicate("id", src.ids));
+                              store_->IdListPredicate(src.ids));
         for (int64_t dst : target.ids) {
           XUPD_RETURN_IF_ERROR(
               store_->CopySubtreesWhere(src.table->element, pred, dst));
@@ -661,7 +702,7 @@ class Translator {
     if (child.ids.empty()) return Status::OK();
     // §6.3: movement but no creation of data; one UPDATE on the top level.
     XUPD_ASSIGN_OR_RETURN(std::string where,
-                          store_->IdListPredicate("id", child.ids));
+                          store_->IdListPredicate(child.ids));
     return store_->db()
         ->ExecuteQueryBound("UPDATE " + child.table->table + " SET " +
                                 to->column + " = " + from->column + ", " +
@@ -685,6 +726,9 @@ class Translator {
 
   RelationalStore* store_;
   const shred::Mapping* mapping_;
+  /// Read's memo, for the statement being bound.
+  std::map<std::pair<const TableMapping*, std::string>, std::vector<int64_t>>
+      reads_;
 };
 
 }  // namespace

@@ -365,33 +365,12 @@ class Parser {
     return stmt;
   }
 
-  /// For trigger bodies: parse one statement terminated by ';'.
+  /// For trigger bodies: parse one DML statement terminated by ';'.
   Result<Statement> ParseInnerStatement() {
-    Statement stmt;
-    if (lex_.PeekKw("select") || lex_.PeekKw("with")) {
-      stmt.kind = Statement::Kind::kSelect;
-      auto select = ParseSelect();
-      if (!select.ok()) return select.status();
-      stmt.select = std::move(select).value();
-    } else if (lex_.ConsumeKw("insert")) {
-      stmt.kind = Statement::Kind::kInsert;
-      auto ins = ParseInsert();
-      if (!ins.ok()) return ins.status();
-      stmt.insert = std::move(ins).value();
-    } else if (lex_.ConsumeKw("delete")) {
-      stmt.kind = Statement::Kind::kDelete;
-      auto del = ParseDelete();
-      if (!del.ok()) return del.status();
-      stmt.del = std::move(del).value();
-    } else if (lex_.ConsumeKw("update")) {
-      stmt.kind = Statement::Kind::kUpdate;
-      auto upd = ParseUpdate();
-      if (!upd.ok()) return upd.status();
-      stmt.update = std::move(upd).value();
-    } else {
-      return lex_.Error("expected DML statement in trigger body");
+    for (const char* kw : {"select", "with", "insert", "delete", "update"}) {
+      if (lex_.PeekKw(kw)) return ParseBareStatement();
     }
-    return stmt;
+    return lex_.Error("expected DML statement in trigger body");
   }
 
   SqlLexer& lex() { return lex_; }

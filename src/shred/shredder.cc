@@ -1,7 +1,6 @@
 #include "shred/shredder.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/str_util.h"
 
@@ -73,13 +72,9 @@ Status Shredder::FillFields(const xml::Element& element, const TableMapping* tm,
   return Status::OK();
 }
 
-Status Shredder::ShredElement(const xml::Element& element, int64_t parent_id,
+Status Shredder::ShredElement(const xml::Element& element,
+                              const TableMapping* tm, int64_t parent_id,
                               std::vector<ShreddedTuple>* out) {
-  const TableMapping* tm = mapping_->ForElement(element.name());
-  if (tm == nullptr) {
-    return Status::InvalidArgument("element <" + element.name() +
-                                   "> does not map to a table");
-  }
   ShreddedTuple tuple;
   tuple.table = tm;
   tuple.id = db_->AllocateId();
@@ -91,30 +86,32 @@ Status Shredder::ShredElement(const xml::Element& element, int64_t parent_id,
   XUPD_RETURN_IF_ERROR(FillFields(element, tm, &tuple.row));
   int64_t self_id = tuple.id;
   out->push_back(std::move(tuple));
+  return ShredTablesBelow(element, self_id, out);
+}
 
-  // Recurse into descendants that map to tables. Inlined subtrees were
-  // captured by FillFields; table-mapped elements may sit below inlined
-  // levels, so walk the whole subtree but stop at table boundaries.
-  std::function<Status(const xml::Element&)> walk =
-      [&](const xml::Element& e) -> Status {
-    for (const auto& child : e.children()) {
-      if (!child->is_element()) continue;
-      const auto* ce = static_cast<const xml::Element*>(child.get());
-      if (mapping_->ForElement(ce->name()) != nullptr) {
-        XUPD_RETURN_IF_ERROR(ShredElement(*ce, self_id, out));
-      } else {
-        XUPD_RETURN_IF_ERROR(walk(*ce));
-      }
-    }
-    return Status::OK();
-  };
-  return walk(element);
+Status Shredder::ShredTablesBelow(const xml::Element& element,
+                                  int64_t parent_id,
+                                  std::vector<ShreddedTuple>* out) {
+  for (const auto& child : element.children()) {
+    if (!child->is_element()) continue;
+    const auto* ce = static_cast<const xml::Element*>(child.get());
+    const TableMapping* tm = mapping_->ForElement(ce->name());
+    XUPD_RETURN_IF_ERROR(tm != nullptr
+                             ? ShredElement(*ce, tm, parent_id, out)
+                             : ShredTablesBelow(*ce, parent_id, out));
+  }
+  return Status::OK();
 }
 
 Result<std::vector<ShreddedTuple>> Shredder::ShredSubtree(
     const xml::Element& element, int64_t parent_id) {
+  const TableMapping* tm = mapping_->ForElement(element.name());
+  if (tm == nullptr) {
+    return Status::InvalidArgument("element <" + element.name() +
+                                   "> does not map to a table");
+  }
   std::vector<ShreddedTuple> out;
-  XUPD_RETURN_IF_ERROR(ShredElement(element, parent_id, &out));
+  XUPD_RETURN_IF_ERROR(ShredElement(element, tm, parent_id, &out));
   return out;
 }
 

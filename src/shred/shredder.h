@@ -57,8 +57,16 @@ class Shredder {
  private:
   Status FillFields(const xml::Element& element, const TableMapping* tm,
                     rdb::Row* row) const;
-  Status ShredElement(const xml::Element& element, int64_t parent_id,
-                      std::vector<ShreddedTuple>* out);
+  /// Shreds `element`, which maps to `tm`, and the table-mapped elements
+  /// below it.
+  Status ShredElement(const xml::Element& element, const TableMapping* tm,
+                      int64_t parent_id, std::vector<ShreddedTuple>* out);
+  /// Shreds the table-mapped elements below `element` that have no
+  /// table-mapped element between them and it, as children of `parent_id`.
+  /// Inlined levels were captured by FillFields; table-mapped elements may
+  /// sit below them, so the walk descends through inlined elements.
+  Status ShredTablesBelow(const xml::Element& element, int64_t parent_id,
+                          std::vector<ShreddedTuple>* out);
 
   const Mapping* mapping_;
   rdb::Database* db_;

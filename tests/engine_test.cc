@@ -12,6 +12,7 @@
 
 #include "engine/store.h"
 #include "test_util.h"
+#include "workload/synthetic.h"
 #include "xml/serializer.h"
 #include "xquery/executor.h"
 
@@ -827,6 +828,55 @@ TEST(TranslatorTest, UnsupportedFormsReportCleanly) {
         $n IN $c/Name
     UPDATE $c { INSERT <Name>Zed</Name> BEFORE $n })");
   EXPECT_EQ(s.code(), StatusCode::kUnimplemented);
+}
+
+/// One SHOW TABLE STATS value, e.g. "table.n1.rows_read".
+int64_t TableStat(RelationalStore* store, const std::string& name) {
+  auto rows = store->db()->ExecuteQuery("SHOW TABLE STATS");
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  if (!rows.ok()) return -1;
+  for (const rdb::Row& row : rows->rows) {
+    if (row[0].AsString() == name) return row[1].AsInt();
+  }
+  return 0;
+}
+
+TEST(TranslatorTest, PathBindingIssuesNoSqlAndReadsEachOperandOnce) {
+  // $x/s2 is inlined in n2, so the target $x and the operand $s select the
+  // same n2 tuples: one read serves both (and $x's emptiness check), and
+  // the $d/n1/n2 path itself issues no statement. The read's IN subquery
+  // visits every n1 row under $d once.
+  auto gen = workload::GenerateRandomizedSynthetic({100, 4, 4}, 3);
+  ASSERT_TRUE(gen.ok()) << gen.status();
+  auto created = RelationalStore::Create(gen->dtd, RelationalStore::Options{});
+  ASSERT_TRUE(created.ok()) << created.status();
+  RelationalStore* store = created->get();
+  ASSERT_TRUE(store->Load(*gen->doc).ok());
+  ASSERT_TRUE(
+      store->db()->ExecuteQuery("CREATE INDEX idx_n2_v2 ON n2 (v2)").ok());
+  auto v2 = store->db()->ExecuteQuery("SELECT v2 FROM n2 WHERE id = " +
+                                      std::to_string(store->root_id() + 2));
+  ASSERT_TRUE(v2.ok() && v2->rows.size() == 1) << v2.status();
+  const std::string value(v2->rows[0][0].AsString());
+
+  const int64_t n1_read = TableStat(store, "table.n1.rows_read");
+  const rdb::Stats before = store->stats();
+  Status s = store->ExecuteXQueryUpdate(
+      "FOR $d IN document(\"x\"), $x IN $d/n1/n2[v2 = \"" + value +
+      "\"], $s IN $x/s2 UPDATE $x { DELETE $s }");
+  ASSERT_TRUE(s.ok()) << s;
+  // SELECT the n2 ids, stage them in xupd_idlist, UPDATE n2 SET s2 = NULL.
+  EXPECT_EQ(store->stats().Delta(before).ToString(),
+            "stmts=3 parses=3 prep_hits=0 prep_miss=2 batched=0 plans=3 "
+            "plan_hits=0 trig_stmts=0 trig_fires=0 scanned=2 probes=3 ins=1 "
+            "del=0 upd=1 txn_begin=1 txn_commit=1 txn_rollback=0 undo=1 "
+            "wal_appends=0 wal_bytes=0 wal_fsyncs=0 checkpoints=0 replayed=0 "
+            "scrubs=0 heals=0 slow=0 analyzed=0");
+  EXPECT_EQ(TableStat(store, "table.n1.rows_read") - n1_read, 100);
+  auto left = store->db()->ExecuteQuery(
+      "SELECT COUNT(*) FROM n2 WHERE v2 = '" + value + "' AND s2 IS NOT NULL");
+  ASSERT_TRUE(left.ok());
+  EXPECT_EQ(left->rows[0][0].AsInt(), 0);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 //  2. the same XQuery update script executed natively and against the
 //     relational store under EVERY (delete x insert) strategy combination
 //     yields the same document;
-//  3. random primitive-operation sequences keep the native tree
+//  3. statements whose paths compose several steps, nest a FOR or filter
+//     with WHERE agree with native execution under every combination too;
+//  4. random primitive-operation sequences keep the native tree
 //     serializable/reparsable (structural integrity fuzz).
 #include <gtest/gtest.h>
 
@@ -80,6 +82,61 @@ TEST_P(SeededTest, AllStrategyCombosAgreeWithNativeExecution) {
                                         *rebuilt.value()->root()))
         << "strategies " << engine::ToString(del) << "/"
         << engine::ToString(ins) << " diverged from native execution";
+  }
+}
+
+TEST_P(SeededTest, ComposedPathsAndWhereAgreeWithNativeExecution) {
+  workload::SyntheticSpec spec{10, 3, 3};
+  auto gen = workload::GenerateRandomizedSynthetic(spec, GetParam());
+  ASSERT_TRUE(gen.ok());
+
+  // Each statement runs alone on a fresh document: paths that compose
+  // several steps, a nested FOR, and WHERE under tuple semantics (a WHERE
+  // on $p narrows the $t bound below it; a WHERE that keeps no $p tuple
+  // keeps no tuple at all).
+  const char* kStatements[] = {
+      R"(FOR $d IN document("x"), $t IN $d/n1/n2[v2 >= "500000"]
+         UPDATE $d { DELETE $t })",
+      R"(FOR $d IN document("x"), $s IN $d/n1[v1 < "500000"]/n2,
+             $p IN $d/n1[v1 >= "800000"]
+         UPDATE $p { INSERT $s })",
+      R"(FOR $d IN document("x"), $p IN $d/n1[v1 >= "300000"],
+             $t IN $p//n3[v3 < "600000"]
+         UPDATE $p { DELETE $t })",
+      R"(FOR $d IN document("x"), $p IN $d/n1[v1 < "700000"]
+         UPDATE $p { FOR $t IN $p/n2[v2 >= "400000"], $s IN $t/s2
+                     UPDATE $t { DELETE $s } })",
+      R"(FOR $d IN document("x"), $p IN $d/n1, $t IN $p/n2
+         WHERE $p/v1 >= "500000"
+         UPDATE $d { DELETE $t })",
+      R"(FOR $d IN document("x"), $p IN $d/n1, $q IN $d/n1/n2
+         WHERE $p/v1 = "nomatch"
+         UPDATE $d { DELETE $q })",
+  };
+
+  for (const char* q : kStatements) {
+    auto native_doc = gen->doc->Clone();
+    xquery::NativeExecutor native(native_doc.get());
+    ASSERT_TRUE(native.ExecuteString(q).ok()) << q;
+    for (auto [del, ins] : testing::ValidStrategyPairs()) {
+      engine::RelationalStore::Options options;
+      options.delete_strategy = del;
+      options.insert_strategy = ins;
+      auto store = engine::RelationalStore::Create(gen->dtd, options);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store.value()->Load(*gen->doc).ok());
+      Status s = store.value()->ExecuteXQueryUpdate(q);
+      ASSERT_TRUE(s.ok()) << engine::ToString(del) << "/"
+                          << engine::ToString(ins) << ": " << s << "\n"
+                          << q;
+      auto rebuilt = store.value()->Reconstruct();
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+      EXPECT_TRUE(xml::DeepEqualUnordered(*native_doc->root(),
+                                          *rebuilt.value()->root()))
+          << "strategies " << engine::ToString(del) << "/"
+          << engine::ToString(ins) << " diverged from native execution\n"
+          << q;
+    }
   }
 }
 
