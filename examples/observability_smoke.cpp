@@ -3,7 +3,8 @@
 // reports per-operator actuals that match the plain query, a reader
 // session plans the §7.2 path join's inner step as a hash probe and returns
 // the writer's rows, SHOW METRICS
-// reports nonzero statement timings, the slow-statement log captures at
+// reports nonzero statement timings, the s2 read's residual IN probes n1
+// once per candidate, the slow-statement log captures at
 // threshold 0, and the event ring holds statement spans. Exits nonzero on
 // any missing or zero timing field, so a silently-broken instrumentation
 // path fails the build instead of shipping dead dashboards.
@@ -371,6 +372,41 @@ int main(int argc, char** argv) {
             writer_rows->ToString(SIZE_MAX) == reader_rows->ToString(SIZE_MAX),
         "the reader's join rows equal the writer's, in order");
   reader->reset();
+
+  // --- the s2 read: a residual IN probes its index per candidate ------------
+  // `$d/n1/n2[v2 = "..."]` binds as this statement. idx_n2_v2 narrows the
+  // n2 step to its candidates, and the residual IN must then probe
+  // idx_n1_id once per candidate (an index semi-join): n1 rows read equal
+  // the candidates, not the n1 table size a set over the subquery reads.
+  if (!db->ExecuteQuery("CREATE INDEX idx_n2_v2 ON n2 (v2)").ok()) return 2;
+  auto first_v2 = db->ExecuteQuery("SELECT v2 FROM n2");
+  if (!first_v2.ok() || first_v2->rows.empty()) return 2;
+  const std::string v2 = first_v2->rows[0][0].ToSqlLiteral();
+  auto candidates = db->ExecuteQuery("SELECT COUNT(*) FROM n2 WHERE v2 = " + v2);
+  auto n1_rows = db->ExecuteQuery("SELECT COUNT(*) FROM n1");
+  if (!candidates.ok() || !n1_rows.ok()) return 2;
+  auto n1_read = [&]() -> int64_t {
+    auto stats = db->ExecuteQuery("SHOW TABLE STATS");
+    return stats.ok() ? MetricValue(*stats, "table.n1.rows_read") : -1;
+  };
+  const std::string s2_read =
+      "SELECT id FROM n2 WHERE parentId IN (SELECT id FROM n1 WHERE parentId "
+      "IN (SELECT id FROM doc)) AND (v2 = " + v2 + ")";
+  const int64_t n1_before = n1_read();
+  auto s2_plan = db->ExecuteQuery("EXPLAIN ANALYZE " + s2_read);
+  const int64_t n1_delta = n1_read() - n1_before;
+  const std::string s2_text = s2_plan.ok() ? s2_plan->ToString() : "";
+  std::printf("%s", s2_text.c_str());
+  std::printf("n1 rows read %lld for %lld candidate(s), %lld n1 rows\n",
+              static_cast<long long>(n1_delta),
+              static_cast<long long>(candidates->rows[0][0].AsInt()),
+              static_cast<long long>(n1_rows->rows[0][0].AsInt()));
+  Check(s2_text.find("(parentId IN probe n1 via idx_n1_id)") !=
+            std::string::npos,
+        "the s2 read tests its residual IN as an index semi-join");
+  Check(n1_delta == candidates->rows[0][0].AsInt() &&
+            n1_delta < n1_rows->rows[0][0].AsInt(),
+        "the s2 read's n1 rows read equal its candidates");
 
   // --- fig. 6 bulk delete + SHOW METRICS -----------------------------------
   Status deleted = store.value()->DeleteWhere("n1", "");

@@ -79,6 +79,11 @@ bool ComparisonHolds(Expr::Op op, int cmp) {
   }
 }
 
+/// Whether `v` IN the semi-join subquery of `expr` (defined with the
+/// operators below).
+Result<bool> SemiJoinHolds(const BoundExpr& expr, const Value& v,
+                           ExecContext& ctx);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -214,6 +219,10 @@ Result<Value> EvalBound(const BoundExpr& expr,
     case Expr::Kind::kInSubquery: {
       XUPD_ASSIGN_OR_RETURN(Value v, EvalBound(expr.children[0], slots, ctx));
       if (v.is_null()) return Value::Null();
+      if (expr.semi_join_index != nullptr) {
+        XUPD_ASSIGN_OR_RETURN(bool found, SemiJoinHolds(expr, v, ctx));
+        return Value::Int(found ? 1 : 0);
+      }
       XUPD_ASSIGN_OR_RETURN(const auto* set, SubquerySet(*expr.subquery, ctx));
       bool found = set->Contains(v);
       return Value::Int((found != expr.negated) ? 1 : 0);
@@ -327,6 +336,44 @@ Result<bool> ConjunctsHold(const std::vector<BoundExpr>& conjuncts,
     if (!holds) return false;
   }
   return true;
+}
+
+/// The index semi-join (BoundExpr::semi_join_index): probes the index of
+/// the subquery's one table with `v`, and holds at the first live probed row
+/// that satisfies the subquery core's conjuncts (which keep the core's own
+/// path conjunct). The index matches keys by Value::operator==, as the set
+/// does, so the answer is the set form's. Each probed row ticks governance
+/// and counts as a row cursor over the core's step counts it: in the
+/// table's rows_read, and in the core path's index demand.
+Result<bool> SemiJoinHolds(const BoundExpr& expr, const Value& v,
+                           ExecContext& ctx) {
+  if (ctx.read_epoch != kLatestEpoch) {
+    return Status::Internal("index semi-join reached in snapshot read");
+  }
+  const PlannedCore& core = expr.subquery->cores[0];
+  const Table& table = *core.relations[0].table;
+  std::vector<size_t> rowids;
+  expr.semi_join_index->Lookup(v, &rowids);
+  ++ctx.stats->index_probes;
+  std::vector<const Value*> slots(1);
+  uint64_t read = 0;
+  Result<bool> found = false;
+  for (size_t rowid : rowids) {
+    if (Status tick = ctx.TickGovernance(); !tick.ok()) {
+      found = tick;
+      break;
+    }
+    if (!table.is_live(rowid)) continue;
+    ++read;
+    slots[0] = table.row(rowid);
+    found = ConjunctsHold(core.filters[0], slots, ctx);
+    if (!found.ok() || found.value()) break;
+  }
+  table.access_stats().rows_read += read;
+  if (core.paths[0].demand_column >= 0 && read != 0) {
+    table.AddIndexDemand(core.paths[0].demand_column, read);
+  }
+  return found;
 }
 
 /// Emits one empty tuple when the FROM-less WHERE holds.

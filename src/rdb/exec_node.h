@@ -58,7 +58,11 @@ class SubqueryValues {
 struct ExecContext {
   /// Memoized IN-subquery result sets, keyed by planned-subquery identity.
   /// Owned by the Executor so the memo spans a whole top-level statement
-  /// (including its trigger cascade), matching the seed interpreter.
+  /// (including its trigger cascade), matching the seed interpreter: every
+  /// firing of a cascade sees the set its first evaluation built, which is
+  /// why trigger bodies never plan the index semi-join. A semi-join
+  /// conjunct (BoundExpr::semi_join_index) builds no set; a nested IN
+  /// inside its subquery still uses this memo.
   using SubqueryMemo =
       std::map<const PlannedSelect*, std::unique_ptr<SubqueryValues>>;
 
@@ -165,7 +169,9 @@ Result<ResultSet> ExecutePlannedSelect(const PlannedSelect& plan,
                                        ExecContext& ctx);
 
 /// Evaluates (and memoizes) the set of first-column values a planned
-/// IN-subquery produces.
+/// IN-subquery produces. Every IN-subquery goes through it except a
+/// semi-join conjunct, which probes its subquery's index per candidate
+/// instead (BoundExpr::semi_join_index).
 Result<const SubqueryValues*> SubquerySet(
     const PlannedSelect& sub, ExecContext& ctx);
 

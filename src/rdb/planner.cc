@@ -227,6 +227,24 @@ int UnindexedEqColumn(const Table& table, size_t k,
   return -1;
 }
 
+/// The index an IN-subquery conjunct probes as a semi-join: the subquery is
+/// one core over one catalog table with no CTE, aggregate or ORDER BY, and
+/// selects an indexed column of it. Null when `c` is no such conjunct.
+const HashIndex* SemiJoinIndexFor(const BoundExpr& c) {
+  if (c.kind != Expr::Kind::kInSubquery || c.negated) return nullptr;
+  const PlannedSelect& sub = *c.subquery;
+  if (!sub.ctes.empty() || sub.cores.size() != 1 || !sub.order_by.empty()) {
+    return nullptr;
+  }
+  const PlannedCore& core = sub.cores[0];
+  if (core.relations.size() != 1 || core.relations[0].table == nullptr ||
+      core.has_aggregate || core.outputs[0].kind != Expr::Kind::kColumn) {
+    return nullptr;
+  }
+  return core.relations[0].table->FindIndexOnColumn(
+      static_cast<int>(core.outputs[0].col));
+}
+
 }  // namespace
 
 int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
@@ -246,6 +264,9 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
   if (probes && table->durable() &&
       path->kind != AccessPath::Kind::kIndexEq) {
     path->demand_column = UnindexedEqColumn(*table, k, conjuncts, consumed);
+  }
+  if (path->kind == AccessPath::Kind::kIndexEq && !trigger_body_) {
+    for (BoundExpr* c : conjuncts) c->semi_join_index = SemiJoinIndexFor(*c);
   }
   return consumed;
 }
@@ -688,6 +709,11 @@ std::string ExprStr(const BoundExpr& e) {
       return out + "))";
     }
     case Expr::Kind::kInSubquery:
+      if (e.semi_join_index != nullptr) {
+        return "(" + ExprStr(e.children[0]) + " IN probe " +
+               e.subquery->cores[0].relations[0].name + " via " +
+               e.semi_join_index->name() + ")";
+      }
       return "(" + ExprStr(e.children[0]) +
              (e.negated ? " NOT IN (subquery))" : " IN (subquery))");
     case Expr::Kind::kAggregate:

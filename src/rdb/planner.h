@@ -48,6 +48,10 @@ struct BoundExpr {
   std::vector<BoundExpr> children;
   std::vector<BoundExpr> in_list;
   std::shared_ptr<const PlannedSelect> subquery;  ///< kInSubquery.
+  /// kInSubquery tested as an index semi-join (null = the memoized set;
+  /// see Planner::ChooseAccessPath): per candidate, a probe of this index
+  /// of the subquery's one table over its selected column.
+  const HashIndex* semi_join_index = nullptr;
   bool negated = false;
   sql::Expr::Agg agg = sql::Expr::Agg::kCount;
   bool count_star = false;
@@ -69,7 +73,10 @@ struct PlannedRelation {
 /// How one relation is accessed: full scan, a hash-index probe driven by an
 /// equality conjunct, an IN value list, or an IN (SELECT ...) set, or (an
 /// inner join step with no index path) a probe of a hash table the step
-/// builds over its join column once per execution.
+/// builds over its join column once per execution. Beside an equality probe
+/// (kIndexEq), a step's residual IN-subquery conjuncts may probe their
+/// subquery's table per candidate instead of building its set
+/// (BoundExpr::semi_join_index).
 struct AccessPath {
   enum class Kind { kScan, kIndexEq, kIndexIn, kIndexInSubquery, kHashEq };
   Kind kind = Kind::kScan;
@@ -201,6 +208,9 @@ class Planner {
   /// one. Their equijoin steps take the kHashEq path instead and build a
   /// per-statement hash table from a snapshot scan.
   void set_allow_index_probes(bool allow) { allow_index_probes_ = allow; }
+  /// Trigger-body statements keep every IN-subquery as a memoized set (see
+  /// ChooseAccessPath).
+  void set_trigger_body(bool trigger_body) { trigger_body_ = trigger_body; }
 
  private:
   struct CteScope {
@@ -241,6 +251,13 @@ class Planner {
   /// probes disabled — takes kHashEq on its first `rel_k.col = expr`
   /// conjunct whose `expr` reads an earlier relation. A writer step over a
   /// durable table records its index demand (AccessPath::demand_column).
+  /// Beside a kIndexEq path, outside a trigger body, each residual
+  /// non-negated `x IN (SELECT col FROM t ...)` whose subquery is one core
+  /// over one catalog table, selects an indexed column of it, and has no
+  /// CTE, aggregate, UNION ALL or ORDER BY (the dialect has no DISTINCT or
+  /// LIMIT) becomes an index semi-join: its semi_join_index is set. Every
+  /// other IN-subquery keeps the memoized set — which a trigger body needs,
+  /// since one set serves every firing of its cascade.
   /// Returns the index of the consumed conjunct in `conjuncts` (-1 = scan).
   int ChooseAccessPath(const std::vector<PlannedRelation>& rels, size_t k,
                        const std::vector<BoundExpr*>& conjuncts,
@@ -258,6 +275,7 @@ class Planner {
   Database* db_;
   const TableSchema* old_schema_;
   bool allow_index_probes_ = true;
+  bool trigger_body_ = false;
   /// CTE scopes visible while planning (innermost last).
   std::vector<CteScope> cte_stack_;
   int next_cte_slot_ = 0;

@@ -121,6 +121,7 @@ Result<ResultSet> Executor::FinishDdl(Result<ResultSet> result) {
 Result<std::shared_ptr<const PlannedStatement>> Executor::GetPlan(
     const sql::Statement& stmt, PlanCacheSlot* slot) {
   Planner planner(db_, trigger_old_schema_);
+  planner.set_trigger_body(trigger_depth_ > 0);
   XUPD_ASSIGN_OR_RETURN(auto plan,
                         planner.PlanCached(stmt, slot, &db_->stats_));
   // Keep the top-level plan alive for the slow-statement log (one shared_ptr

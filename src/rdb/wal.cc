@@ -57,26 +57,49 @@ namespace binio {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables of the reflected CRC-32 polynomial 0xEDB88320:
+/// t[0] is the bytewise table, and t[k][b] is the CRC of byte b
+/// followed by k zero bytes, so one step folds in eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+/// Little-endian 32-bit load (one mov on x86).
+uint32_t LoadU32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t prev) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kT = MakeCrcTables();
   uint32_t c = prev ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const uint32_t lo = LoadU32(p) ^ c;
+    const uint32_t hi = LoadU32(p + 4);
+    c = kT[7][lo & 0xFFu] ^ kT[6][(lo >> 8) & 0xFFu] ^
+        kT[5][(lo >> 16) & 0xFFu] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xFFu] ^
+        kT[2][(hi >> 8) & 0xFFu] ^ kT[1][(hi >> 16) & 0xFFu] ^ kT[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    c = kT[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

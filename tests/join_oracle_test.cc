@@ -19,7 +19,10 @@
 // after every statement. A third case indexes both columns and pairs an
 // equality on a literal with an IN list or IN subquery on the other column
 // in SELECTs, joins, DELETEs and UPDATEs: the equality's probe must return
-// and change the rows a forced scan does, in the same order.
+// and change the rows a forced scan does, in the same order. A fourth case
+// puts residual IN-subqueries (with their own filters and nested INs) beside
+// an indexed equality: the probed twin tests them as index semi-joins, the
+// unprobed twin builds their sets, and both must agree.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -503,6 +506,123 @@ TEST(JoinOracleTest, ARowFreeEqualityBesideAnInPathMatchesTheScan) {
   }
   // The generator is not vacuous: the queries match rows.
   EXPECT_GT(rows_compared, kSeeds);
+}
+
+/// `x IN (SELECT ...)` for an operand `x` of relation `t` (columns prefixed
+/// by `prefix`), over a, b, c or `t` itself. The subquery mostly selects the
+/// operand's column, which is indexed (the semi-join form) except for id
+/// (the set form), optionally filtered by a comparison, by a nested IN, or
+/// by an indexed equality beside a nested IN (itself a semi-join).
+std::string ResidualIn(Rng* rng, const std::string& prefix,
+                       const std::string& t) {
+  const char* const kTables[] = {"a", "b", "c"};
+  const char* const kColumns[] = {"k", "k", "n", "n", "id"};
+  const std::string operand = Pick(kColumns, rng);
+  const std::string output =
+      rng->Uniform(4) == 0 ? Pick(kColumns, rng) : operand;
+  std::string sub = "SELECT " + output + " FROM " +
+                    (rng->Uniform(3) == 0 ? t : Pick(kTables, rng));
+  const std::string nested = std::string("(SELECT ") +
+                             (rng->Uniform(2) == 0 ? "n" : "k") + " FROM " +
+                             Pick(kTables, rng) + " WHERE n <> " +
+                             std::to_string(rng->Uniform(4)) + ")";
+  switch (rng->Uniform(4)) {
+    case 0:
+      break;
+    case 1:
+      sub += " WHERE n <> " + std::to_string(rng->Uniform(4));
+      break;
+    case 2:
+      sub += " WHERE k IN " + nested;
+      break;
+    default:
+      sub += " WHERE n = " + std::to_string(rng->Uniform(4)) + " AND k IN " +
+             nested;
+      break;
+  }
+  return prefix + operand + " IN (" + sub + ")";
+}
+
+TEST(JoinOracleTest, ResidualInSubqueriesProbeOrBuildTheSetAlike) {
+  // Beside an indexed equality path, a residual IN-subquery over an indexed
+  // output column probes that index per candidate (`IN probe`); the twin
+  // without index probes scans and builds every subquery's set. SELECTs
+  // (alone or as the inner step of a join), DELETEs and UPDATEs must return
+  // and change the same rows, in the same order, with the same counts, over
+  // mixed-type and NULL keys and operands and tombstoned subquery rows.
+  uint64_t rows_matched = 0;
+  size_t semi_joins = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database probed, scanned;
+    scanned.set_planner_index_probes_enabled(false);
+    for (Database* db : {&probed, &scanned}) {
+      Rng rng(seed);
+      int64_t next_id = 1;
+      Populate(db, &rng, &next_id, /*index_both=*/true);
+      if (HasFatalFailure()) return;
+    }
+    const uint64_t before =
+        probed.stats().rows_deleted + probed.stats().rows_updated;
+    Rng rng(seed + 3000);
+    const char* const kTables[] = {"a", "b", "c"};
+    for (int i = 0; i < 2 * kQueriesPerSeed; ++i) {
+      const std::string t = Pick(kTables, &rng);
+      const bool join = rng.Uniform(4) == 1;
+      const std::string prefix = join ? "l1." : "";
+      const bool eq_on_k = rng.Uniform(2) == 0;
+      const std::string eq =
+          prefix + (eq_on_k ? "k = " + std::string(rng.Uniform(2) == 0
+                                                       ? Pick(kIntKeys, &rng)
+                                                       : Pick(kStrKeys, &rng))
+                            : "n = " + std::to_string(rng.Uniform(4)));
+      std::string where = ResidualIn(&rng, prefix, t);
+      where = rng.Uniform(2) == 0 ? eq + " AND " + where : where + " AND " + eq;
+      if (rng.Uniform(3) == 0) where += " AND " + ResidualIn(&rng, prefix, t);
+      std::string sql;
+      if (join) {
+        sql = "SELECT l0.id, l1.id, l1.k FROM " +
+              std::string(Pick(kTables, &rng)) + " l0, " + t +
+              " l1 WHERE l1.n >= l0.n AND " + where;
+      } else {
+        switch (rng.Uniform(3)) {
+          case 0:
+            sql = "SELECT * FROM " + t + " WHERE " + where;
+            break;
+          case 1:
+            sql = "DELETE FROM " + t + " WHERE " + where;
+            break;
+          default:
+            sql = "UPDATE " + t + " SET n = n + 1 WHERE " + where;
+            break;
+        }
+      }
+      SCOPED_TRACE(sql);
+      const std::string plan = Explain(probed.ExecuteQuery("EXPLAIN " + sql));
+      semi_joins += Count(plan, " IN probe ");
+      EXPECT_EQ(Count(Explain(scanned.ExecuteQuery("EXPLAIN " + sql)),
+                      " IN probe "),
+                0u);
+      if (sql.rfind("SELECT", 0) == 0) {
+        std::vector<std::string> rows = Rows(probed.ExecuteQuery(sql));
+        ASSERT_EQ(rows.front().rfind("error", 0), std::string::npos)
+            << rows.front();
+        EXPECT_EQ(Rows(scanned.ExecuteQuery(sql)), rows) << plan;
+        rows_matched += rows.size() - 1;
+      } else {
+        const Status p = probed.ExecuteQuery(sql).status();
+        EXPECT_TRUE(p.ok()) << p;
+        EXPECT_EQ(scanned.ExecuteQuery(sql).status().ToString(), p.ToString());
+      }
+      ASSERT_EQ(State(&probed), State(&scanned)) << plan;
+    }
+    rows_matched += probed.stats().rows_deleted +
+                    probed.stats().rows_updated - before;
+  }
+  // The generator is not vacuous: the statements return or change rows,
+  // and most of them test a residual IN as a semi-join.
+  EXPECT_GT(rows_matched, kSeeds);
+  EXPECT_GT(semi_joins, kSeeds * kQueriesPerSeed);
 }
 
 }  // namespace

@@ -904,5 +904,182 @@ TEST_F(PlannerTest, InnerInProbeGathersOncePerExecution) {
   EXPECT_EQ(delta.index_probes, 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Residual IN-subqueries as index semi-joins.
+
+class SemiJoinTest : public PlannerTest {
+ protected:
+  /// The translator's path shape: doc 1 has 20 n1 children (ids 10-29),
+  /// each with one n2 child whose v2 is 'v<n1 id>'.
+  void SetUp() override {
+    Must("CREATE TABLE doc (id INTEGER)");
+    Must("CREATE TABLE n1 (id INTEGER, parentId INTEGER, v1 VARCHAR)");
+    Must("CREATE TABLE n2 (id INTEGER, parentId INTEGER, v2 VARCHAR)");
+    Must("CREATE INDEX idx_n1_id ON n1 (id)");
+    Must("CREATE INDEX idx_n1_pid ON n1 (parentId)");
+    Must("CREATE INDEX idx_n2_pid ON n2 (parentId)");
+    Must("CREATE INDEX idx_n2_v2 ON n2 (v2)");
+    Must("INSERT INTO doc VALUES (1)");
+    for (int i = 10; i < 30; ++i) {
+      const std::string id = std::to_string(i);
+      Must("INSERT INTO n1 VALUES (" + id + ", 1, 'a')");
+      Must("INSERT INTO n2 VALUES (" + std::to_string(i + 100) + ", " + id +
+           ", 'v" + id + "')");
+    }
+  }
+  uint64_t RowsRead(const char* table) {
+    return db_.FindTable(table)->access_stats().rows_read;
+  }
+
+  static constexpr char kPath[] =
+      "parentId IN (SELECT id FROM n1 WHERE parentId IN (SELECT id FROM doc))";
+  static constexpr char kProbeForm[] = "(parentId IN probe n1 via idx_n1_id)";
+};
+
+TEST_F(SemiJoinTest, BesideAnEqualityPathTheInProbesPerCandidate) {
+  const std::string where = std::string("v2 = 'v13' AND ") + kPath;
+  const std::string sql = "SELECT id FROM n2 WHERE " + where;
+  const std::string plan = Explain(sql);
+  EXPECT_NE(plan.find("IndexProbe n2 via idx_n2_v2 (v2 = 'v13')"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find(kProbeForm), std::string::npos) << plan;
+  // The leading step, an inner join step, DELETE and UPDATE alike.
+  for (const std::string& other :
+       {"SELECT d.id, n2.id FROM doc d, n2 WHERE n2.v2 = 'v13' AND n2." +
+            std::string(kPath),
+        "DELETE FROM n2 WHERE " + where,
+        "UPDATE n2 SET v2 = 'w' WHERE " + where}) {
+    const std::string other_plan = Explain(other);
+    EXPECT_NE(other_plan.find(" IN probe n1 via idx_n1_id)"),
+              std::string::npos)
+        << other_plan;
+  }
+
+  // One candidate: one n1 probe and one n1 row read, where the set form
+  // reads all 20. The nested IN over doc keeps its (one-row) set.
+  const uint64_t n1_read = RowsRead("n1");
+  Stats before = db_.stats();
+  ResultSet r = Query(sql);
+  Stats delta = db_.stats().Delta(before);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 113);
+  EXPECT_EQ(RowsRead("n1") - n1_read, 1u);
+  EXPECT_EQ(delta.index_probes, 2u);
+  EXPECT_EQ(delta.rows_scanned, 1u);  // doc
+
+  // EXPLAIN ANALYZE counts the probed row in n1's rows_read as well.
+  const uint64_t analyzed_read = RowsRead("n1");
+  ResultSet analyzed = Query("EXPLAIN ANALYZE " + sql);
+  ASSERT_FALSE(analyzed.rows.empty());
+  EXPECT_EQ(RowsRead("n1") - analyzed_read, 1u);
+
+  db_.set_planner_index_probes_enabled(false);
+  const uint64_t set_read = RowsRead("n1");
+  ResultSet set_form = Query(sql);
+  ASSERT_EQ(set_form.rows.size(), 1u);
+  EXPECT_EQ(set_form.rows[0][0].AsInt(), 113);
+  EXPECT_EQ(RowsRead("n1") - set_read, 20u);
+}
+
+TEST_F(SemiJoinTest, GovernanceTicksPerProbedRow) {
+  Must("CREATE TABLE t (k INTEGER, n INTEGER)");
+  Must("CREATE INDEX idx_t_k ON t (k)");
+  Must("INSERT INTO t VALUES (13, 0), (13, 1), (13, 2), (14, 6), (15, 6)");
+  // The candidate's three probed rows all fail `n = 6`: each is read and
+  // ticks once, after the candidate's own tick.
+  const std::string sql =
+      "SELECT id FROM n1 WHERE id = 13 AND id IN (SELECT k FROM t WHERE n = "
+      "6)";
+  ASSERT_NE(Explain(sql).find("(id IN probe t via idx_t_k)"),
+            std::string::npos)
+      << Explain(sql);
+  const int64_t armed = int64_t{1} << 40;
+  const uint64_t t_read = RowsRead("t");
+  db_.ArmCancelAtPull(armed);
+  ResultSet r = Query(sql);
+  const int64_t pulls = armed - db_.cancel_at_pull_remaining();
+  db_.DisarmCancelAtPull();
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(RowsRead("t") - t_read, 3u);
+  EXPECT_EQ(pulls, 4);
+  for (int64_t k = 1; k <= pulls; ++k) {
+    SCOPED_TRACE("cancel at pull " + std::to_string(k));
+    db_.ArmCancelAtPull(k);
+    Status s = db_.ExecuteQuery(sql).status();
+    db_.DisarmCancelAtPull();
+    EXPECT_EQ(s.code(), StatusCode::kCancelled) << s;
+  }
+}
+
+TEST_F(SemiJoinTest, EveryOtherShapeKeepsTheSet) {
+  Must("CREATE TABLE s (id INTEGER, k INTEGER)");
+  const std::string eq = "v2 = 'v13' AND ";
+  for (const std::string& sql : {
+           // NOT IN (its NULL rules).
+           "SELECT id FROM n2 WHERE " + eq +
+               "parentId NOT IN (SELECT id FROM n1)",
+           // Beside an IN-list path, and beside a scan.
+           "SELECT id FROM n2 WHERE v2 IN ('v13', 'v14') AND " +
+               std::string(kPath),
+           std::string("SELECT id FROM n2 WHERE id IN (SELECT id FROM n1)"),
+           // A CTE source.
+           "WITH c (id) AS (SELECT id FROM n1) SELECT id FROM n2 WHERE " + eq +
+               "parentId IN (SELECT id FROM c)",
+           // Two tables, an aggregate, UNION ALL, ORDER BY, an unindexed
+           // output column.
+           "SELECT id FROM n2 WHERE " + eq +
+               "parentId IN (SELECT n1.id FROM n1, doc WHERE n1.parentId = "
+               "doc.id)",
+           "SELECT id FROM n2 WHERE " + eq +
+               "parentId IN (SELECT MAX(id) FROM n1)",
+           "SELECT id FROM n2 WHERE " + eq +
+               "parentId IN (SELECT id FROM n1 UNION ALL SELECT id FROM doc)",
+           "SELECT id FROM n2 WHERE " + eq +
+               "parentId IN (SELECT id FROM n1 ORDER BY id)",
+           "SELECT id FROM n2 WHERE " + eq + "parentId IN (SELECT k FROM s)",
+       }) {
+    SCOPED_TRACE(sql);
+    const std::string plan = Explain(sql);
+    EXPECT_EQ(plan.find("IN probe"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("IN (subquery))"), std::string::npos) << plan;
+  }
+
+  // A reader session never probes.
+  const std::string sql =
+      std::string("SELECT id FROM n2 WHERE v2 = 'v13' AND ") + kPath;
+  auto reader = db_.OpenReaderSession();
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto reader_plan = (*reader)->ExecuteQuery("EXPLAIN " + sql);
+  ASSERT_TRUE(reader_plan.ok()) << reader_plan.status();
+  EXPECT_EQ(reader_plan->ToString().find("IN probe"), std::string::npos)
+      << reader_plan->ToString();
+  auto reader_rows = (*reader)->ExecuteQuery(sql);
+  ASSERT_TRUE(reader_rows.ok()) << reader_rows.status();
+  EXPECT_EQ(reader_rows->rows.size(), 1u);
+}
+
+TEST_F(SemiJoinTest, TriggerBodiesKeepTheSet) {
+  // A trigger body shares one set across every firing of its cascade, so
+  // its plan keeps the set form: the body reads all 20 n1 rows once, where
+  // the same statement at top level reads the one probed row.
+  Must("CREATE TABLE gone (id INTEGER)");
+  Must(std::string("CREATE TRIGGER trg_gone AFTER DELETE ON gone FOR EACH "
+                   "ROW BEGIN DELETE FROM n2 WHERE v2 = 'v13' AND ") +
+       kPath + "; END");
+  Must("INSERT INTO gone VALUES (1), (2)");
+  uint64_t n1_read = RowsRead("n1");
+  Stats before = db_.stats();
+  Must("DELETE FROM gone");
+  EXPECT_EQ(db_.stats().Delta(before).trigger_firings, 2u);
+  EXPECT_EQ(RowsRead("n1") - n1_read, 20u);
+  EXPECT_EQ(Query("SELECT COUNT(*) FROM n2").rows[0][0].AsInt(), 19);
+
+  n1_read = RowsRead("n1");
+  Must(std::string("DELETE FROM n2 WHERE v2 = 'v14' AND ") + kPath);
+  EXPECT_EQ(RowsRead("n1") - n1_read, 1u);
+  EXPECT_EQ(Query("SELECT COUNT(*) FROM n2").rows[0][0].AsInt(), 18);
+}
+
 }  // namespace
 }  // namespace xupd::rdb

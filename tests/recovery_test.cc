@@ -794,6 +794,43 @@ void PutFrame(std::string* out, const std::string& payload) {
   *out += payload;
 }
 
+/// The bytewise CRC-32 (reflected polynomial 0xEDB88320), bit by bit: the
+/// reference the table-driven binio::Crc32 must equal.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n, uint32_t prev) {
+  uint32_t c = prev ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WalFormatTest, Crc32MatchesTheBytewiseReference) {
+  EXPECT_EQ(rdb::binio::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(rdb::binio::Crc32(nullptr, 0), 0u);
+  unsigned char buf[96];
+  uint32_t x = 12345;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 16);
+  }
+  // Every length 0-64 at every start 0-7 (unaligned loads), alone and
+  // chained after a prefix through `prev`.
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 64; ++len) {
+      SCOPED_TRACE("start " + std::to_string(start) + " len " +
+                   std::to_string(len));
+      const unsigned char* p = buf + start;
+      EXPECT_EQ(rdb::binio::Crc32(p, len), ReferenceCrc32(p, len, 0));
+      for (size_t cut : {size_t{0}, len / 3, len}) {
+        const uint32_t head = rdb::binio::Crc32(p, cut);
+        EXPECT_EQ(rdb::binio::Crc32(p + cut, len - cut, head),
+                  ReferenceCrc32(p, len, 0));
+      }
+    }
+  }
+}
+
 TEST(WalFormatTest, EveryRecordKindEncodesToTheDocumentedBytes) {
   TempDir dir;
   const std::string path = dir.path() + "/wal.xupd";
